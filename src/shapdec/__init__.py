@@ -5,12 +5,8 @@ from .core import (
     Coalition,
     Decomposition,
     FeatureMatrix,
-    Permutation,
     RngStream,
-    Sample,
     enumerate_coalitions,
-    prefix_set,
-    sample_permutations,
 )
 from .distributions import (
     CopulaSampler,
@@ -19,19 +15,14 @@ from .distributions import (
     GaussianModel,
     GaussianSampler,
     MarginalSampler,
-    condition_gaussian,
-    conditional_mean,
     fit_copula,
     fit_gaussian,
-    sample_conditional,
-    sample_marginal_rows,
     sampler_from_json,
 )
 from .engine import (
     ExactValueFunction,
     ValueFunction,
     additive_split_check,
-    conditional_value_function,
     decompose,
     exact_decomposition,
     exact_discrete_value_function,
@@ -41,7 +32,6 @@ from .engine import (
     shapley_from_value_function,
     shapley_kernel_weight,
     shapley_residuals,
-    value,
 )
 from .models import (
     ExternalModel,

@@ -1,8 +1,7 @@
 """Command-line entry point: explain samples, run studies, fit models.
 
 Exit codes: 0 success, 1 usage, 2 ingestion, 3 computation. Identical
-flags and inputs always produce identical output bytes; SHAPDEC_THREADS
-caps internal parallelism (0 = auto) and never changes results.
+flags and inputs always produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +34,6 @@ from .experiments import (
     write_json,
 )
 from .models import fit_forest, fit_ols, model_from_json
-from .synthetic import synthetic_fire, synthetic_housing
 from .viz import ForceFeature, ForcePlotSpec, render_force_plot
 
 EXIT_OK = 0
@@ -50,18 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def max_threads() -> int:
-    """Parallelism cap from SHAPDEC_THREADS (0 = auto)."""
-    raw = os.environ.get("SHAPDEC_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as err:
-        raise IngestionError(f"SHAPDEC_THREADS must be an integer, got {raw!r}") from err
-    if value < 0:
-        raise IngestionError("SHAPDEC_THREADS must be >= 0")
-    return value or (os.cpu_count() or 1)
 
 
 def read_csv(path, target: str | None = None):
@@ -154,9 +139,13 @@ def _cmd_explain(args) -> int:
     target = args.target if args.fit else None
     data, _ = read_csv(args.data, target)
     model = _load_or_fit_model(args, data)
-    sampler = _build_sampler(args.sampler, data)
-    x = _resolve_sample(args, data)
-    dec = decompose(model, sampler, x, args.k1, args.k2, args.seed)
+    try:
+        sampler = _build_sampler(args.sampler, data)
+        x = _resolve_sample(args, data)
+        dec = decompose(model, sampler, x, args.k1, args.k2, args.seed)
+    finally:
+        if hasattr(model, "close"):
+            model.close()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "decomposition.json", dec.to_json_dict(data.names))
@@ -173,6 +162,9 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # the generators load scipy.stats, which `explain` never needs
+    from .synthetic import synthetic_fire, synthetic_housing
+
     out = Path(args.out)
     if args.name == "toy":
         run_toy(args.k1, args.k2, args.seed, out)
@@ -286,7 +278,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        max_threads()  # validate the env var before doing any work
         return args.func(args)
     except IngestionError as err:
         print(f"error: {err}", file=sys.stderr)

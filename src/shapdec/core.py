@@ -1,4 +1,4 @@
-"""Domain types, coalition/permutation machinery and the seeded RNG contract.
+"""Domain types, coalition machinery and the seeded RNG contract.
 
 Everything here is immutable after construction and safe to share across
 threads. All randomness flows through :class:`RngStream`, which derives
@@ -59,8 +59,8 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce a Sample or array-like to a 1-D float vector."""
-    v = np.asarray(getattr(x, "values", x), dtype=float)
+    """Coerce an array-like to a 1-D float vector."""
+    v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise IngestionError(f"expected a 1-D sample, got shape {v.shape}")
     return v
@@ -99,24 +99,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One explained input row; length must match its FeatureMatrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise IngestionError("sample must be a finite 1-D vector")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -174,23 +156,6 @@ class Coalition:
 
     def is_full(self) -> bool:
         return self.mask == (1 << self.n_features) - 1
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """An ordering of all M feature indices."""
-
-    order: tuple
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(len(order))):
-            raise SizeError(f"{order} is not a permutation of 0..{len(order) - 1}")
-        object.__setattr__(self, "order", order)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -262,26 +227,3 @@ def enumerate_coalitions(n_features: int) -> list[Coalition]:
     masks = sorted(range(1 << n_features), key=lambda m: (m.bit_count(), m))
     return [Coalition(m, n_features) for m in masks]
 
-
-def sample_permutations(n_features: int, count: int, rng: RngStream) -> list[Permutation]:
-    """Draw ``count`` uniform permutations; permutation k comes from substream k."""
-    if count < 1:
-        raise SizeError("count must be >= 1")
-    out = []
-    for k in range(count):
-        gen = rng.substream(k).generator()
-        out.append(Permutation(tuple(gen.permutation(n_features))))
-    return out
-
-
-def prefix_set(perm: Permutation, i: int) -> Coalition:
-    """Coalition of indices strictly before feature i in the ordering."""
-    m = perm.n_features
-    if not 0 <= i < m:
-        raise SizeError(f"feature index {i} out of range for M={m}")
-    mask = 0
-    for j in perm.order:
-        if j == i:
-            return Coalition(mask, m)
-        mask |= 1 << j
-    raise SizeError(f"feature {i} missing from permutation")  # unreachable

@@ -67,15 +67,6 @@ class GaussianModel:
         return len(self.mean)
 
 
-@dataclass(frozen=True)
-class ConditionalGaussian:
-    """Exact conditional distribution of the missing block given x_S."""
-
-    cond_mean: np.ndarray
-    cond_cov: np.ndarray
-    target_indices: tuple
-
-
 def fit_gaussian(data: FeatureMatrix) -> GaussianModel:
     """Column means and sample covariance (divisor n-1), symmetrized."""
     x = data.values
@@ -116,28 +107,6 @@ def _partition_solve(model: GaussianModel, known: tuple, missing: tuple):
     return gain, cond_cov
 
 
-def condition_gaussian(model: GaussianModel, known: Coalition, x) -> ConditionalGaussian:
-    """Conditional mean and covariance of the missing features given x_S.
-
-    ``x`` is the full-length sample; only its coordinates in ``known``
-    are used. An empty coalition returns the marginal distribution.
-    """
-    x = as_vector(x)
-    missing = known.complement_members
-    if known.is_empty():
-        idx = np.array(missing, dtype=np.intp)
-        return ConditionalGaussian(
-            model.mean[idx].copy(), model.cov[np.ix_(idx, idx)].copy(), missing
-        )
-    if known.is_full():
-        return ConditionalGaussian(np.empty(0), np.empty((0, 0)), ())
-    gain, cond_cov = _partition_solve(model, known.members, missing)
-    s_idx = np.array(known.members, dtype=np.intp)
-    m_idx = np.array(missing, dtype=np.intp)
-    cond_mean = model.mean[m_idx] + gain @ (x[s_idx] - model.mean[s_idx])
-    return ConditionalGaussian(cond_mean, cond_cov, missing)
-
-
 class GaussianSampler:
     """Conditional sampler backed by a fitted multivariate Gaussian.
 
@@ -170,7 +139,7 @@ class GaussianSampler:
                 gain, cond_cov = _partition_solve(self.model, known.members, missing)
             scale = np.trace(self.model.cov) / self.n_features
             chol = _jittered_cholesky(cond_cov, scale, "conditional covariance")
-            entry = (missing, gain, cond_cov, chol)
+            entry = (missing, gain, chol)
             self._cache[known.mask] = entry
         return entry
 
@@ -178,7 +147,7 @@ class GaussianSampler:
         """Exact conditional mean of the missing features (closed form)."""
         del count  # exact here; the budget only matters for sampled estimators
         x = as_vector(x)
-        missing, gain, _, _ = self._solved(known)
+        missing, gain, _ = self._solved(known)
         m_idx = np.array(missing, dtype=np.intp)
         if known.is_empty():
             return self.model.mean[m_idx].copy()
@@ -189,7 +158,7 @@ class GaussianSampler:
         """``count`` draws of the missing block, columns ordered like
         ``known.complement_members``."""
         mean = self.conditional_mean(known, x)
-        _, _, _, chol = self._solved(known)
+        _, _, chol = self._solved(known)
         gen = as_generator(rng)
         z = gen.standard_normal((count, len(mean)))
         return mean + z @ chol.T
@@ -401,13 +370,9 @@ class MarginalSampler:
     def describe(self) -> str:
         return f"marginal(n={self.data.n_rows})"
 
-    def sample_rows(self, count: int, rng: RngStream) -> np.ndarray:
-        gen = as_generator(rng)
-        idx = gen.integers(0, self.data.n_rows, size=count)
-        return self.data.values[idx]
-
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        rows = self.sample_rows(count, rng)
+        idx = as_generator(rng).integers(0, self.data.n_rows, size=count)
+        rows = self.data.values[idx]
         m_idx = np.array(known.complement_members, dtype=np.intp)
         return rows[:, m_idx]
 
@@ -421,25 +386,6 @@ class MarginalSampler:
             "names": list(self.data.names),
             "rows": self.data.values.tolist(),
         }
-
-
-def sample_marginal_rows(data: FeatureMatrix, count: int, rng: RngStream) -> np.ndarray:
-    """Uniform with-replacement draws of complete rows."""
-    if count < 1:
-        raise IngestionError("count must be >= 1")
-    return MarginalSampler(data).sample_rows(count, rng)
-
-
-def sample_conditional(sampler, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-    """Draw ``count`` rows of the missing block from a fitted sampler."""
-    if count < 1:
-        raise IngestionError("count must be >= 1")
-    return sampler.sample_conditional(known, x, count, rng)
-
-
-def conditional_mean(sampler, known: Coalition, x, count: int = 10_000) -> np.ndarray:
-    """Mean of the missing block given x_S (exact where closed forms exist)."""
-    return sampler.conditional_mean(known, x, count)
 
 
 def sampler_from_json(doc: dict):

@@ -4,15 +4,16 @@ sampler, exact enumeration oracles, and Shapley residuals.
 The sampled pipeline follows a strict split: conditional SHAP values come
 from a weighted regression over coalitions, interventional parts from
 permutation sampling with one conditional draw per (feature, permutation),
-and dependent parts are always the difference of the two.
+and dependent parts are always the difference of the two. Kernel SHAP and
+the exact oracles read a table of coalition values keyed by bitmask, so
+each coalition is evaluated once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +31,21 @@ from .models import predict_batch
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
 DEFAULT_SAMPLED_COALITIONS = 1024
+MAX_ENUMERATION_FEATURES = 12
 _COALITION_DRAW_KEY = 1 << 40  # reserved substream key, above any mask
 
 
 class ValueFunction:
     """Monte Carlo estimate of v(S) = "expected output given S known".
 
-    kind "conditional" draws the missing block from the conditional
-    sampler; kind "interventional" draws whole background rows (the
-    sampler must then be a MarginalSampler) and overwrites the known
-    columns. Deterministic given (inputs, seed, stream).
+    The missing block is drawn from the sampler: a conditional sampler
+    gives the conditional game, a MarginalSampler (whole background rows)
+    the interventional one. Deterministic given (inputs, seed, stream).
     """
 
-    def __init__(self, kind: str, model, sampler, k1: int):
-        if kind not in ("conditional", "interventional"):
-            raise SizeError(f"unknown value function kind {kind!r}")
+    def __init__(self, model, sampler, k1: int):
         if k1 < 1:
             raise SizeError("draw budget K1 must be >= 1")
-        self.kind = kind
         self.model = model
         self.sampler = sampler
         self.k1 = int(k1)
@@ -66,19 +64,13 @@ class ValueFunction:
         return float(predict_batch(self.model, rows).mean())
 
 
-def conditional_value_function(model, sampler, k1: int) -> ValueFunction:
-    return ValueFunction("conditional", model, sampler, k1)
-
-
 def interventional_value_function(model, data, k1: int) -> ValueFunction:
     sampler = data if isinstance(data, MarginalSampler) else MarginalSampler(data)
-    return ValueFunction("interventional", model, sampler, k1)
+    return ValueFunction(model, sampler, k1)
 
 
 class ExactValueFunction:
     """Wraps a closed-form v(S); ignores the stream entirely."""
-
-    kind = "exact"
 
     def __init__(self, fn, n_features: int):
         self._fn = fn
@@ -89,25 +81,41 @@ class ExactValueFunction:
         return float(self._fn(coalition))
 
 
-def value(vf, coalition: Coalition, x, rng: RngStream) -> float:
-    """Evaluate a value function on one coalition."""
-    return vf.evaluate(x, coalition, rng)
-
-
 def exact_discrete_value_function(model, joint: DiscreteJoint, x) -> ExactValueFunction:
     """Exact conditional value function by summation over the joint pmf."""
     x = as_vector(x)
-    cache: dict[int, float] = {}
 
     def v(coalition: Coalition) -> float:
-        got = cache.get(coalition.mask)
-        if got is None:
-            rows, probs = joint.restrict(coalition, x)
-            got = float(probs @ predict_batch(model, rows))
-            cache[coalition.mask] = got
-        return got
+        rows, probs = joint.restrict(coalition, x)
+        return float(probs @ predict_batch(model, rows))
 
     return ExactValueFunction(v, joint.n_features)
+
+
+def _value_table(vf, x, rng: RngStream, masks) -> dict:
+    """v(S) for each distinct mask, in first-seen order. A mask's value
+    depends only on its substream, so one evaluation serves every repeat."""
+    m = vf.n_features
+    table = {}
+    for mask in masks:
+        if mask not in table:
+            table[mask] = vf.evaluate(x, Coalition(mask, m), rng.substream(mask))
+    return table
+
+
+def _coalitions_without(m: int) -> list:
+    """Per feature i: the masks S not containing i (ascending) and their
+    Shapley weights |S|! (M-1-|S|)! / M!, the share of orderings in which
+    exactly S precedes i."""
+    fact = math.factorial
+    size_weight = np.array([fact(s) * fact(m - 1 - s) / fact(m) for s in range(m)])
+    masks = np.arange(1 << m)
+    sizes = np.array([mask.bit_count() for mask in range(1 << m)])
+    out = []
+    for i in range(m):
+        without = masks[(masks >> i & 1) == 0]
+        out.append((without, size_weight[sizes[without]]))
+    return out
 
 
 def shapley_kernel_weight(n_features: int, size: int) -> float:
@@ -132,10 +140,7 @@ def _coalition_masks(m: int, rng: RngStream, n_sampled: int):
     masks = []
     for s in drawn_sizes:
         idx = gen.choice(m, size=int(s), replace=False)
-        mask = 0
-        for i in idx:
-            mask |= 1 << int(i)
-        masks.append(mask)
+        masks.append(sum(1 << int(i) for i in idx))
     # drawn proportional to the kernel weight, so the regression weight is flat
     return masks, np.ones(len(masks))
 
@@ -151,27 +156,21 @@ def kernel_shap(
     g(empty) = v(empty) and g(full) = v(full) are enforced exactly, so the
     attributions always sum to v(full) - v(empty). Coalitions are fully
     enumerated while 2^M <= 2048, sampled proportional to the kernel
-    weight beyond that.
+    weight beyond that; each distinct coalition is evaluated once.
     """
     x = as_vector(x)
     m = vf.n_features
     if m < 1:
         raise SizeError("need at least one feature")
-    v0 = vf.evaluate(x, Coalition.empty(m), rng.substream(0))
-    v1 = vf.evaluate(x, Coalition.full(m), rng.substream((1 << m) - 1))
+    v0, v1 = _value_table(vf, x, rng, (0, (1 << m) - 1)).values()
     delta = v1 - v0
     if m == 1:
         return AttributionVector(v0, np.array([delta]))
 
     masks, weights = _coalition_masks(m, rng, n_sampled)
-    vals = np.array(
-        [vf.evaluate(x, Coalition(mk, m), rng.substream(mk)) for mk in masks]
-    )
-    z = np.zeros((len(masks), m))
-    for row, mk in enumerate(masks):
-        for i in range(m):
-            if mk >> i & 1:
-                z[row, i] = 1.0
+    table = _value_table(vf, x, rng, masks)
+    vals = np.array([table[mk] for mk in masks])
+    z = (np.array(masks)[:, None] >> np.arange(m) & 1).astype(float)
 
     # eliminate the last feature through the sum constraint
     zr = z[:, :-1] - z[:, -1:]
@@ -245,7 +244,7 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
         )
     x = as_vector(x)
     root = RngStream(seed)
-    vf = conditional_value_function(model, sampler, k1)
+    vf = ValueFunction(model, sampler, k1)
     attribution = kernel_shap(vf, x, root.substream(1))
     phi_int = interventional_parts(model, sampler, x, k2, root.substream(2))
     phi = attribution.phi
@@ -265,12 +264,13 @@ MAX_ORACLE_FEATURES = 8
 
 
 def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
-    """Enumerates all M! permutations and sums the joint pmf exactly.
+    """Exact split by summation over the joint pmf and all 2^M coalitions.
 
-    Per permutation and feature, the interventional part is the paired
-    conditional-expectation difference with coordinate i overridden, and
-    the dependent part is the conditioning-shift term; their averages
-    reconstruct the conditional Shapley value to machine precision.
+    For each coalition S the table holds v[S] = E[f(X) | x_S] and, for each
+    feature i outside S, t[S, i] = E[f(X) with X_i := x_i | x_S]. The
+    interventional part of i is the Shapley-weighted sum of t[S, i] - v[S],
+    the dependent part that of v[S + i] - t[S, i]; together they give the
+    conditional Shapley value to machine precision.
     """
     x = as_vector(x)
     m = joint.n_features
@@ -279,83 +279,64 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
     if len(x) != m:
         raise OracleError("sample length does not match the joint")
 
-    memo: dict[tuple, float] = {}
+    v = np.zeros(1 << m)
+    t = np.zeros((1 << m, m))
+    for mask in range(1 << m):
+        rows, probs = joint.restrict(Coalition(mask, m), x)
+        missing = [i for i in range(m) if not mask >> i & 1]
+        # one batch: the restricted rows, then a copy per missing i with x_i set
+        block = np.tile(rows, (1 + len(missing), 1))
+        for k, i in enumerate(missing, start=1):
+            block[k * len(rows):(k + 1) * len(rows), i] = x[i]
+        expect = predict_batch(model, block).reshape(1 + len(missing), len(rows)) @ probs
+        v[mask] = expect[0]
+        t[mask, missing] = expect[1:]
 
-    def expect(known_mask: int, override: int) -> float:
-        # E[f(rows with coordinate `override` set to x_override) | x_known];
-        # override == -1 means no coordinate is overridden.
-        key = (known_mask, override)
-        got = memo.get(key)
-        if got is None:
-            rows, probs = joint.restrict(Coalition(known_mask, m), x)
-            if override >= 0:
-                rows = rows.copy()
-                rows[:, override] = x[override]
-            got = float(probs @ predict_batch(model, rows))
-            memo[key] = got
-        return got
-
-    base = expect(0, -1)
     phi_int = np.zeros(m)
     phi_dep = np.zeros(m)
-    count = 0
-    for order in itertools.permutations(range(m)):
-        count += 1
-        mask = 0
-        for i in order:
-            t0 = expect(mask, -1)
-            t1 = expect(mask, i)
-            t2 = expect(mask | (1 << i), -1)
-            phi_int[i] += t1 - t0
-            phi_dep[i] += t2 - t1
-            mask |= 1 << i
-    phi_int /= count
-    phi_dep /= count
+    for i, (without, w) in enumerate(_coalitions_without(m)):
+        phi_int[i] = w @ (t[without, i] - v[without])
+        phi_dep[i] = w @ (v[without | 1 << i] - t[without, i])
     return Decomposition(
-        base,
+        v[0],
         phi_int + phi_dep,
         phi_int,
         phi_dep,
-        meta={"engine": "exact", "model": model.describe(), "permutations": count},
+        meta={"engine": "exact", "model": model.describe(), "permutations": math.factorial(m)},
     )
 
 
-def _permutation_weights(m: int) -> np.ndarray:
-    """Weight of a prefix coalition of each size under uniform orderings."""
-    fact = math.factorial
-    return np.array([fact(s) * fact(m - 1 - s) / fact(m) for s in range(m)])
+def _contributions(vf, x, rng: RngStream | None) -> tuple:
+    """v over all 2^M coalitions, and per feature i the masks S without i,
+    their Shapley weights and the contributions v(S + i) - v(S)."""
+    x = as_vector(x)
+    m = vf.n_features
+    if m > MAX_ENUMERATION_FEATURES:
+        raise SizeError(f"coalition enumeration supports M <= {MAX_ENUMERATION_FEATURES}")
+    table = _value_table(vf, x, rng or RngStream(0), range(1 << m))
+    v = np.array([table[mask] for mask in range(1 << m)])
+    return v, [
+        (without, w, v[without | 1 << i] - v[without])
+        for i, (without, w) in enumerate(_coalitions_without(m))
+    ]
 
 
 def shapley_from_value_function(vf, x, rng: RngStream | None = None) -> AttributionVector:
     """Shapley values by full coalition enumeration of v (oracle path)."""
-    x = as_vector(x)
-    m = vf.n_features
-    if m > 12:
-        raise SizeError("enumeration Shapley supports M <= 12")
-    rng = rng or RngStream(0)
-    vals = {
-        c.mask: vf.evaluate(x, c, rng.substream(c.mask)) for c in enumerate_coalitions(m)
-    }
-    w = _permutation_weights(m)
-    phi = np.zeros(m)
-    for mask, v_s in vals.items():
-        for i in range(m):
-            if not mask >> i & 1:
-                phi[i] += w[mask.bit_count()] * (vals[mask | (1 << i)] - v_s)
-    return AttributionVector(vals[0], phi)
+    v, per_feature = _contributions(vf, x, rng)
+    return AttributionVector(v[0], np.array([w @ c for _, w, c in per_feature]))
 
 
 @dataclass(frozen=True)
 class ResidualTable:
     """Shapley residuals r_{i,S} = phi_{i,S} - phi_i for every coalition
-    S not containing i."""
+    S not containing i: per feature, the Shapley weights of those
+    coalitions (ascending mask) and the residuals in the same order."""
 
     n_features: int
     phi: np.ndarray
-    residuals: tuple = field(repr=False)  # per feature: dict mask -> r
-
-    def residual(self, i: int, coalition: Coalition) -> float:
-        return self.residuals[i][coalition.mask]
+    weights: tuple
+    residuals: tuple
 
     def norm(self, i: int) -> float:
         """Euclidean norm over the coalition-indexed residual vector.
@@ -363,38 +344,23 @@ class ResidualTable:
         At M=2 the vector is [S=empty, S={other}], which carries the
         sqrt(2) factor.
         """
-        return float(np.sqrt(sum(r * r for r in self.residuals[i].values())))
+        return float(np.sqrt(self.residuals[i] @ self.residuals[i]))
 
     def permutation_weighted_average(self, i: int) -> float:
-        w = _permutation_weights(self.n_features)
-        return float(
-            sum(w[mask.bit_count()] * r for mask, r in self.residuals[i].items())
-        )
+        return float(self.weights[i] @ self.residuals[i])
 
 
 def shapley_residuals(vf, x, rng: RngStream | None = None) -> ResidualTable:
     """Single-coalition contributions minus the Shapley value, exactly
     enumerated over all coalitions (M <= 12)."""
-    x = as_vector(x)
-    m = vf.n_features
-    if m > 12:
-        raise SizeError("residual enumeration supports M <= 12")
-    rng = rng or RngStream(0)
-    vals = {
-        c.mask: vf.evaluate(x, c, rng.substream(c.mask)) for c in enumerate_coalitions(m)
-    }
-    w = _permutation_weights(m)
-    tables = []
-    phi = np.zeros(m)
-    for i in range(m):
-        contribs = {
-            mask: vals[mask | (1 << i)] - v_s
-            for mask, v_s in vals.items()
-            if not mask >> i & 1
-        }
-        phi[i] = sum(w[mask.bit_count()] * c for mask, c in contribs.items())
-        tables.append({mask: c - phi[i] for mask, c in contribs.items()})
-    return ResidualTable(m, phi, tuple(tables))
+    _, per_feature = _contributions(vf, x, rng)
+    phi = np.array([w @ c for _, w, c in per_feature])
+    return ResidualTable(
+        len(phi),
+        phi,
+        tuple(w for _, w, _ in per_feature),
+        tuple(c - p for (_, _, c), p in zip(per_feature, phi)),
+    )
 
 
 @dataclass(frozen=True)

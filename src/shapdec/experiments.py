@@ -28,7 +28,7 @@ from .distributions import (
 )
 from .engine import (
     ExactValueFunction,
-    conditional_value_function,
+    ValueFunction,
     decompose,
     exact_decomposition,
     interventional_parts,
@@ -61,10 +61,6 @@ def toy_joint() -> DiscreteJoint:
     return DiscreteJoint(support, np.array([0.35, 0.15, 0.15, 0.35]))
 
 
-def _decomposition_dict(dec, names):
-    return dec.to_json_dict(names)
-
-
 def run_toy(k1: int = 10_000, k2: int = 10_000, seed: int = 0, out_dir=None) -> dict:
     """Explain x=(1,1) of the two-binary-feature toy problem with both the
     exact oracle and the sampled pipeline."""
@@ -75,8 +71,8 @@ def run_toy(k1: int = 10_000, k2: int = 10_000, seed: int = 0, out_dir=None) -> 
     exact = exact_decomposition(model, joint, x)
     sampled = decompose(model, DiscreteSampler(joint), x, k1, k2, seed)
     result = {
-        "exact": _decomposition_dict(exact, names),
-        "sampled": _decomposition_dict(sampled, names),
+        "exact": exact.to_json_dict(names),
+        "sampled": sampled.to_json_dict(names),
     }
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -236,7 +232,7 @@ def run_imputation_study(
         (sel, imp): np.zeros((towns, m + 1)) for sel in SELECTIONS for imp in IMPUTATIONS
     }
     vf_int = interventional_value_function(model, marginal, k1)
-    vf_cond = conditional_value_function(model, gauss, k1)
+    vf_cond = ValueFunction(model, gauss, k1)
     for t, row_i in enumerate(town_idx):
         x = data.values[row_i]
         sub = root.substream(1000 + t)

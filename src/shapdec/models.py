@@ -275,14 +275,16 @@ class ExternalModel:
         return outputs
 
     def close(self):
-        if self._proc is not None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-            self._proc = None
+        """End the child's input and give it 5 s to finish its work and
+        exit; terminate it only if it is still running after that."""
+        if self._proc is None:
+            return
+        proc, self._proc = self._proc, None
+        try:
+            proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.terminate()
+            proc.communicate(timeout=5)
 
     def to_json_dict(self) -> dict:
         return {"kind": "external", "cmd": self.cmd, "n_features": self.n_features}
@@ -359,7 +361,6 @@ def _best_split(x, y, feat_candidates, min_leaf):
     best_score = -np.inf
     n = len(y)
     sum_all = y.sum()
-    sq_all = (y * y).sum()
     for j in feat_candidates:
         order = np.argsort(x[:, j], kind="stable")
         xs = x[order, j]
@@ -384,11 +385,10 @@ def _best_split(x, y, feat_candidates, min_leaf):
             best_score = score[k_best]
             k = ks[k_best]
             best = (j, 0.5 * (xs[k] + xs[k + 1]))
-    del sq_all
     return best
 
 
-def _grow_tree(x, y, params, gen, task):
+def _grow_tree(x, y, params, gen):
     feature, threshold, left, right, value = [], [], [], [], []
     m = x.shape[1]
     fps = params["features_per_split"] or int(np.ceil(np.sqrt(m)))
@@ -425,7 +425,6 @@ def _grow_tree(x, y, params, gen, task):
         return k
 
     build(np.arange(len(y)), 0)
-    del task
     return _FlatTree(feature, threshold, left, right, value)
 
 
@@ -457,7 +456,7 @@ def fit_forest(
             idx = gen.integers(0, len(y), size=len(y))
         else:
             idx = np.arange(len(y))
-        trees.append(_grow_tree(x[idx], y[idx], p, gen, task))
+        trees.append(_grow_tree(x[idx], y[idx], p, gen))
     return ForestModel(tuple(trees), task, data.n_features)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import IngestionError, SingularityError
 
@@ -30,14 +29,22 @@ class CorrelationMatrix:
         return float(self.matrix[i, j])
 
 
+def _ranks(v) -> np.ndarray:
+    """Mid-ranks (ties get average ranks). scipy.stats is imported here,
+    on first use, so loading the package does not pay for it."""
+    from scipy.stats import rankdata
+
+    return rankdata(v)
+
+
 def spearman(x, y) -> float:
     """Pearson correlation of mid-ranks (ties get average ranks)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 3:
         raise IngestionError("need two equal-length vectors with >= 3 entries")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = _ranks(x)
+    ry = _ranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
         raise IngestionError("rank variance is zero; correlation undefined")
     return float(np.corrcoef(rx, ry)[0, 1])
@@ -56,7 +63,7 @@ def partial_correlation_graph(columns, names) -> CorrelationMatrix:
     n, p = cols.shape
     if n < p + 2:
         raise IngestionError(f"need at least p+2={p + 2} rows, got {n}")
-    ranks = np.column_stack([rankdata(cols[:, j]) for j in range(p)])
+    ranks = np.column_stack([_ranks(cols[:, j]) for j in range(p)])
     if np.any(np.ptp(ranks, axis=0) == 0):
         raise IngestionError("a column has zero rank variance")
     ranks = (ranks - ranks.mean(axis=0)) / ranks.std(axis=0)

@@ -1,12 +1,15 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from shapdec.cli import main, read_csv
 from shapdec.core import RngStream
-from shapdec.errors import IngestionError
+from shapdec.errors import BridgeError, IngestionError
+from shapdec.models import model_from_json
 
 
 def _write_csv(path, header, rows):
@@ -71,29 +74,6 @@ def test_computation_error_exit_code(tmp_path):
         ["explain", "--data", str(path), "--fit", "linear", "--target", "y"]
     )
     assert code == 3
-
-
-def test_bad_threads_env_is_ingestion_error(tmp_path, monkeypatch, housing_csv):
-    monkeypatch.setenv("SHAPDEC_THREADS", "many")
-    out = tmp_path / "out"
-    code = main(
-        [
-            "explain",
-            "--data",
-            str(housing_csv),
-            "--fit",
-            "linear",
-            "--target",
-            "price",
-            "--k1",
-            "50",
-            "--k2",
-            "50",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 2
 
 
 def test_explain_end_to_end(tmp_path, housing_csv):
@@ -181,10 +161,9 @@ def test_experiment_toy(tmp_path):
     assert doc["exact"]["base"] == pytest.approx(0.5)
 
 
-def _run_twice(argv, monkeypatch, threads):
+def _run_twice(argv):
     outputs = []
-    for t in threads:
-        monkeypatch.setenv("SHAPDEC_THREADS", t)
+    for _ in range(2):
         assert main(argv) == 0
         outputs.append(
             {
@@ -202,10 +181,81 @@ def argv_out(argv):
     return Path(argv[argv.index("--out") + 1])
 
 
-def test_outputs_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_outputs_byte_identical_across_thread_counts(tmp_path):
     out = tmp_path / "toy"
     argv = ["experiment", "toy", "--k1", "200", "--k2", "200", "--out", str(out)]
-    first, second = _run_twice(argv, monkeypatch, ["1", "8"])
+    first, second = _run_twice(argv)
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import sys, shapdec.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+# A stand-in model process: answers the handshake and predicts the row sum
+# (plus SHIFT outputs too many), then writes MARKER once its input ends.
+_FAKE_BRIDGE = """\
+import json, pathlib, sys
+SHIFT = {shift}
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["op"] == "hello":
+        print(json.dumps({{"ok": True}}), flush=True)
+    else:
+        outs = [sum(row) for row in req["inputs"]] + [0.0] * SHIFT
+        print(json.dumps({{"outputs": outs}}), flush=True)
+pathlib.Path({marker!r}).write_text("end of input")
+"""
+
+
+def _bridge_model_json(tmp_path, shift=0):
+    marker = tmp_path / "bridge-finished"
+    script = tmp_path / "bridge.py"
+    script.write_text(_FAKE_BRIDGE.format(shift=shift, marker=str(marker)))
+    model = tmp_path / "bridge.json"
+    model.write_text(
+        json.dumps({"kind": "external", "cmd": [sys.executable, str(script)], "n_features": 3})
+    )
+    return model, marker
+
+
+def _explain_with(model_path, tmp_path):
+    data = tmp_path / "features.csv"
+    rows = RngStream(1).generator().normal(size=(40, 3)).round(6).tolist()
+    _write_csv(data, ["a", "b", "c"], rows)
+    out = tmp_path / "out"
+    return main(
+        [
+            "explain",
+            "--data", str(data),
+            "--model", str(model_path),
+            "--row", "0",
+            "--k1", "20",
+            "--k2", "20",
+            "--out", str(out),
+        ]
+    )
+
+
+def test_external_model_wrong_output_count(tmp_path):
+    model_path, _ = _bridge_model_json(tmp_path, shift=1)
+    model = model_from_json(json.loads(model_path.read_text()))
+    try:
+        with pytest.raises(BridgeError, match="outputs"):
+            model.predict([[1.0, 2.0, 3.0]])
+    finally:
+        model.close()
+    assert _explain_with(model_path, tmp_path) == 3
+
+
+def test_explain_closes_the_external_model(tmp_path):
+    model_path, marker = _bridge_model_json(tmp_path)
+    assert _explain_with(model_path, tmp_path) == 0
+    # the child saw end of input and finished before main returned
+    assert marker.read_text() == "end of input"

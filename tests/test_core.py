@@ -6,12 +6,8 @@ from shapdec.core import (
     Coalition,
     Decomposition,
     FeatureMatrix,
-    Permutation,
     RngStream,
-    Sample,
     enumerate_coalitions,
-    prefix_set,
-    sample_permutations,
 )
 from shapdec.errors import IngestionError, SizeError
 
@@ -58,13 +54,6 @@ def test_feature_matrix_is_immutable():
         fm.values[0, 0] = 1.0
 
 
-def test_sample_length_checks():
-    s = Sample(np.array([1.0, 2.0, 3.0]))
-    assert len(s) == 3
-    with pytest.raises(IngestionError):
-        Sample(np.array([[1.0], [2.0]]))
-
-
 def test_coalition_roundtrip():
     c = Coalition.from_indices([0, 2], 4)
     assert c.members == (0, 2)
@@ -100,27 +89,6 @@ def test_enumerate_coalitions_counts_and_order():
     sizes = [len(c) for c in cs]
     assert sizes == sorted(sizes)
     assert cs[0].is_empty() and cs[-1].is_full()
-
-
-def test_permutation_validation():
-    with pytest.raises(SizeError):
-        Permutation((0, 0, 1))
-    p = Permutation((2, 0, 1))
-    assert p.n_features == 3
-
-
-def test_prefix_set_reads_the_order():
-    p = Permutation((2, 0, 1))
-    assert prefix_set(p, 2).is_empty()
-    assert prefix_set(p, 0).members == (2,)
-    assert prefix_set(p, 1).members == (0, 2)
-
-
-def test_sample_permutations_deterministic():
-    a = sample_permutations(5, 10, RngStream(3))
-    b = sample_permutations(5, 10, RngStream(3))
-    assert a == b
-    assert all(sorted(p.order) == [0, 1, 2, 3, 4] for p in a)
 
 
 def test_decomposition_serialization():

@@ -9,7 +9,6 @@ from shapdec.distributions import (
     GaussianModel,
     GaussianSampler,
     MarginalSampler,
-    condition_gaussian,
     fit_copula,
     fit_gaussian,
     sampler_from_json,
@@ -29,24 +28,39 @@ def _toy_gaussian():
     return GaussianModel(mu, cov)
 
 
+def _hand_solve(model, known, x):
+    """Conditional mean and covariance of the missing block, solved with
+    plain numpy: mu_m + Sigma_ms Sigma_ss^-1 (x_s - mu_s) and
+    Sigma_mm - Sigma_ms Sigma_ss^-1 Sigma_sm."""
+    s = list(known.members)
+    m = list(known.complement_members)
+    gain = np.linalg.solve(model.cov[np.ix_(s, s)], model.cov[np.ix_(s, m)]).T
+    mean = model.mean[m] + gain @ (x[s] - model.mean[s])
+    cov = model.cov[np.ix_(m, m)] - gain @ model.cov[np.ix_(s, m)]
+    return mean, cov
+
+
 def test_condition_gaussian_matches_hand_solve():
     model = _toy_gaussian()
+    sampler = GaussianSampler(model)
     x = np.array([2.0, 0.0, 0.0])
     known = Coalition.from_indices([0], 3)
-    cond = condition_gaussian(model, known, x)
-    # mu_m + Sigma_ms Sigma_ss^-1 (x_s - mu_s), known block is feature 0
+    expected_mean, expected_cov = _hand_solve(model, known, x)
+    # known block is feature 0: the gain is Sigma_m0 / Sigma_00
     gain = model.cov[1:, 0] / model.cov[0, 0]
-    expected_mean = model.mean[1:] + gain * (x[0] - model.mean[0])
-    expected_cov = model.cov[1:, 1:] - np.outer(gain, model.cov[0, 1:])
-    assert np.allclose(cond.cond_mean, expected_mean, atol=1e-12)
-    assert np.allclose(cond.cond_cov, expected_cov, atol=1e-12)
+    assert np.allclose(expected_mean, model.mean[1:] + gain * (x[0] - model.mean[0]))
+    assert np.allclose(sampler.conditional_mean(known, x), expected_mean, atol=1e-12)
+    draws = sampler.sample_conditional(known, x, 200_000, RngStream(3))
+    assert np.allclose(np.cov(draws.T), expected_cov, atol=0.05)
 
 
 def test_condition_gaussian_empty_coalition_is_marginal():
     model = _toy_gaussian()
-    cond = condition_gaussian(model, Coalition.empty(3), np.zeros(3))
-    assert np.allclose(cond.cond_mean, model.mean)
-    assert np.allclose(cond.cond_cov, model.cov)
+    sampler = GaussianSampler(model)
+    known = Coalition.empty(3)
+    assert np.allclose(sampler.conditional_mean(known, np.zeros(3)), model.mean)
+    draws = sampler.sample_conditional(known, np.zeros(3), 200_000, RngStream(4))
+    assert np.allclose(np.cov(draws.T), model.cov, atol=0.05)
 
 
 def test_conditional_moments_by_monte_carlo():
@@ -55,11 +69,11 @@ def test_conditional_moments_by_monte_carlo():
     known = Coalition.from_indices([1], 3)
     x = np.array([0.0, -1.0, 0.0])
     draws = sampler.sample_conditional(known, x, 200_000, RngStream(5))
-    cond = condition_gaussian(model, known, x)
+    cond_mean, cond_cov = _hand_solve(model, known, x)
     assert draws.shape == (200_000, 2)
-    assert np.allclose(draws.mean(axis=0), cond.cond_mean, atol=0.02)
-    assert np.allclose(np.cov(draws.T), cond.cond_cov, atol=0.05)
-    assert np.allclose(sampler.conditional_mean(known, x), cond.cond_mean, atol=1e-12)
+    assert np.allclose(draws.mean(axis=0), cond_mean, atol=0.02)
+    assert np.allclose(np.cov(draws.T), cond_cov, atol=0.05)
+    assert np.allclose(sampler.conditional_mean(known, x), cond_mean, atol=1e-12)
 
 
 def test_fit_gaussian_recovers_moments():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from shapdec.engine import (
     AdditiveComponent,
     AdditiveModel,
     ExactValueFunction,
+    ValueFunction,
     additive_split_check,
-    conditional_value_function,
     decompose,
     exact_decomposition,
     exact_discrete_value_function,
@@ -57,7 +58,7 @@ def test_kernel_weight_values():
 def test_value_function_full_coalition_is_model_output():
     model = LinearModel(np.array([1.0, -2.0]), 0.5)
     sampler = GaussianSampler(GaussianModel(np.zeros(2), np.eye(2)))
-    vf = conditional_value_function(model, sampler, 16)
+    vf = ValueFunction(model, sampler, 16)
     x = np.array([3.0, 1.0])
     assert vf.evaluate(x, Coalition.full(2), RngStream(0)) == pytest.approx(1.5)
 
@@ -65,7 +66,7 @@ def test_value_function_full_coalition_is_model_output():
 def test_value_function_empty_coalition_is_base_rate():
     model = LinearModel(np.array([1.0]), 0.0)
     sampler = GaussianSampler(GaussianModel(np.array([5.0]), np.eye(1)))
-    vf = conditional_value_function(model, sampler, 50_000)
+    vf = ValueFunction(model, sampler, 50_000)
     v0 = vf.evaluate(np.array([0.0]), Coalition.empty(1), RngStream(1))
     assert v0 == pytest.approx(5.0, abs=0.05)
 
@@ -76,7 +77,7 @@ def test_kernel_shap_matches_linear_closed_form():
     mean = np.array([0.5, -1.0, 2.0, 0.0])
     sampler = GaussianSampler(GaussianModel(mean, np.eye(4)))
     x = np.array([1.0, 1.0, 1.0, 1.0])
-    vf = conditional_value_function(model, sampler, 4000)
+    vf = ValueFunction(model, sampler, 4000)
     result = kernel_shap(vf, x, RngStream(3))
     assert np.allclose(result.phi, coef * (x - mean), atol=0.1)
     assert result.base + result.phi.sum() == pytest.approx(model.predict([x])[0])
@@ -222,3 +223,46 @@ def test_marginal_sampler_gives_interventional_semantics():
     model = LinearModel(np.array([1.0, 1.0]), 0.0)
     dec = decompose(model, MarginalSampler(data), np.array([1.0, 1.0]), 2000, 2000, 1)
     assert np.max(np.abs(dec.phi_dep)) < 0.1
+
+
+def _decomposition_by_orderings(model, joint, x):
+    """Reference split: the average over all M! feature orderings of the
+    paired conditional-expectation differences, one ordering at a time."""
+    m = joint.n_features
+
+    def expect(mask, override=None):
+        rows, probs = joint.restrict(Coalition(mask, m), x)
+        if override is not None:
+            rows = rows.copy()
+            rows[:, override] = x[override]
+        return float(probs @ model.predict(rows))
+
+    phi_int = np.zeros(m)
+    phi_dep = np.zeros(m)
+    orders = list(itertools.permutations(range(m)))
+    for order in orders:
+        mask = 0
+        for i in order:
+            t0, t1, t2 = expect(mask), expect(mask, i), expect(mask | 1 << i)
+            phi_int[i] += t1 - t0
+            phi_dep[i] += t2 - t1
+            mask |= 1 << i
+    return expect(0), phi_int / len(orders), phi_dep / len(orders)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_exact_decomposition_matches_average_over_orderings(m):
+    gen = RngStream(40 + m).generator()
+    joint = _random_joint(m, gen)
+    w = gen.normal(size=m)
+    c = gen.normal()
+    model = CallableModel(
+        lambda rows, w=w, c=c: rows @ w + c * rows[:, 0] * rows[:, 1] * rows[:, -1], m
+    )
+    x = joint.support[int(gen.integers(len(joint.support)))]
+    dec = exact_decomposition(model, joint, x)
+    base, phi_int, phi_dep = _decomposition_by_orderings(model, joint, x)
+    assert dec.base == pytest.approx(base, abs=1e-12)
+    assert np.max(np.abs(dec.phi - (phi_int + phi_dep))) < 1e-12
+    assert np.max(np.abs(dec.phi_int - phi_int)) < 1e-12
+    assert np.max(np.abs(dec.phi_dep - phi_dep)) < 1e-12
