@@ -17,6 +17,7 @@ from .errors import IngestionError, SizeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_PHILOX_ZEROS = (0, 0, 0, 0)  # counter and buffer of a freshly keyed Philox
 
 MAX_EXACT_FEATURES = 20
 
@@ -49,8 +50,27 @@ class RngStream:
         key = int(key) & _MASK64
         return RngStream(self.seed, _splitmix64(self.index ^ _splitmix64(key)))
 
+    def _philox_key(self) -> np.ndarray:
+        # The key Philox(key=[seed, index]) derives from the list. When exactly
+        # one of the two is >= 2**63, np.asarray gives float64: the key keeps
+        # only 53 bits of each, and a value within 1024 of 2**64 casts out of
+        # range (to 0). Kept as is, because it is the seed -> draw mapping.
+        return np.asarray([self.seed, self.index]).astype(np.uint64)
+
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.index]))
+        return np.random.Generator(np.random.Philox(key=self._philox_key()))
+
+    def rekey(self, gen: np.random.Generator) -> None:
+        """Reset a Philox-backed ``gen`` to the start of this stream: it then
+        draws exactly what ``self.generator()`` would, without a new build."""
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _PHILOX_ZEROS, "key": self._philox_key()},
+            "buffer": _PHILOX_ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 def as_generator(rng) -> np.random.Generator:

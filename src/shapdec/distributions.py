@@ -3,8 +3,9 @@
 Four samplers share one interface: multivariate Gaussian, Gaussian copula
 over empirical marginals, an exact discrete joint (used by the oracles),
 and a marginal whole-row sampler used by the interventional value
-function. Samplers are immutable once fitted; every draw takes an
-explicit RngStream.
+function. A sampler's fitted model is immutable; it caches only work that
+repeats for one coalition or one explained row, so a draw depends on
+nothing but its inputs and its explicit RngStream.
 """
 
 from __future__ import annotations
@@ -233,6 +234,7 @@ class CopulaSampler:
         self._latent = GaussianSampler(
             GaussianModel(np.zeros(model.n_features), model.latent_corr)
         )
+        self._scores = (None, None)  # (bytes of x, scores of x) for the last x
 
     @property
     def n_features(self) -> int:
@@ -242,10 +244,17 @@ class CopulaSampler:
         return f"copula(M={self.n_features})"
 
     def _to_scores(self, x: np.ndarray) -> np.ndarray:
-        u = np.array(
-            [self.model.marginals[j].to_uniform(x[j]) for j in range(self.n_features)]
-        )
-        return ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+        """Gaussian scores of x, computed once per explained row."""
+        key = x.tobytes()
+        cached, z = self._scores
+        if cached != key:
+            u = np.array(
+                [self.model.marginals[j].to_uniform(x[j]) for j in range(self.n_features)]
+            )
+            z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+            z.setflags(write=False)
+            self._scores = (key, z)
+        return z
 
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
         x = as_vector(x)
@@ -320,6 +329,8 @@ class DiscreteSampler:
 
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
+        # (bytes of x, {mask: (pmf, missing-column block)}) for the last x
+        self._restricted = (None, {})
 
     @property
     def n_features(self) -> int:
@@ -328,12 +339,24 @@ class DiscreteSampler:
     def describe(self) -> str:
         return f"discrete(support={len(self.joint.probs)})"
 
+    def _restrict(self, known: Coalition, x: np.ndarray) -> tuple:
+        """The conditional pmf given x_S and its rows' missing columns,
+        built once per (x, S)."""
+        key = x.tobytes()
+        cached, by_mask = self._restricted
+        if cached != key:
+            by_mask = {}
+            self._restricted = (key, by_mask)
+        entry = by_mask.get(known.mask)
+        if entry is None:
+            rows, probs = self.joint.restrict(known, x)
+            m_idx = np.array(known.complement_members, dtype=np.intp)
+            entry = by_mask[known.mask] = (probs / probs.sum(), rows[:, m_idx])
+        return entry
+
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        rows, probs = self.joint.restrict(known, x)
-        gen = as_generator(rng)
-        idx = gen.choice(len(rows), size=count, p=probs / probs.sum())
-        m_idx = np.array(known.complement_members, dtype=np.intp)
-        return rows[np.ix_(idx, m_idx)]
+        pmf, block = self._restrict(known, as_vector(x))
+        return block[as_generator(rng).choice(len(pmf), size=count, p=pmf)]
 
     def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
         # Exact pmf arithmetic; the draw budget is irrelevant for a finite joint.

@@ -208,12 +208,13 @@ def interventional_parts(
     if k2 < 1:
         raise SizeError("permutation budget K2 must be >= 1")
     phi_int = np.zeros(m)
+    gen = rng.generator()  # one build, re-keyed to substream (i, k) for each draw
     for i in range(m):
         stream_i = rng.substream(i)
         rows0 = np.empty((k2, m))
         rows1 = np.empty((k2, m))
         for k in range(k2):
-            gen = stream_i.substream(k).generator()
+            stream_i.substream(k).rekey(gen)
             order = gen.permutation(m)
             mask = 0
             for j in order:

@@ -29,6 +29,10 @@ class OracleError(ShapdecError):
     """An exact-enumeration oracle was asked for an unsupported input."""
 
 
+class ModelOutputError(ShapdecError):
+    """A model returned outputs of the wrong shape or non-finite values."""
+
+
 class BridgeError(ShapdecError):
     """The external model process failed or replied with garbage."""
 

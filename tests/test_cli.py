@@ -199,25 +199,27 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 # A stand-in model process: answers the handshake and predicts the row sum
-# (plus SHIFT outputs too many), then writes MARKER once its input ends.
+# (plus SHIFT outputs too many, or NaN for every row if NAN), then writes
+# MARKER once its input ends.
 _FAKE_BRIDGE = """\
 import json, pathlib, sys
 SHIFT = {shift}
+NAN = {nan}
 for line in sys.stdin:
     req = json.loads(line)
     if req["op"] == "hello":
         print(json.dumps({{"ok": True}}), flush=True)
     else:
-        outs = [sum(row) for row in req["inputs"]] + [0.0] * SHIFT
-        print(json.dumps({{"outputs": outs}}), flush=True)
+        outs = [float("nan") if NAN else sum(row) for row in req["inputs"]]
+        print(json.dumps({{"outputs": outs + [0.0] * SHIFT}}), flush=True)
 pathlib.Path({marker!r}).write_text("end of input")
 """
 
 
-def _bridge_model_json(tmp_path, shift=0):
+def _bridge_model_json(tmp_path, shift=0, nan=False):
     marker = tmp_path / "bridge-finished"
     script = tmp_path / "bridge.py"
-    script.write_text(_FAKE_BRIDGE.format(shift=shift, marker=str(marker)))
+    script.write_text(_FAKE_BRIDGE.format(shift=shift, nan=nan, marker=str(marker)))
     model = tmp_path / "bridge.json"
     model.write_text(
         json.dumps({"kind": "external", "cmd": [sys.executable, str(script)], "n_features": 3})
@@ -259,3 +261,9 @@ def test_explain_closes_the_external_model(tmp_path):
     assert _explain_with(model_path, tmp_path) == 0
     # the child saw end of input and finished before main returned
     assert marker.read_text() == "end of input"
+
+
+def test_explain_nan_model_output_is_computation_error(tmp_path, capsys):
+    model_path, _ = _bridge_model_json(tmp_path, nan=True)
+    assert _explain_with(model_path, tmp_path) == 3
+    assert "non-finite" in capsys.readouterr().err

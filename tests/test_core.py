@@ -39,6 +39,55 @@ def test_rng_substream_keys_never_collide_with_parent(seed, key):
     assert (child.seed, child.index) != (root.seed, root.index)
 
 
+_STREAMS = [
+    (0, 5),
+    (42, 2**63 - 1),
+    (3, 2**63 + 7),
+    (7, 2**64 - 3),  # the float64 key rounds this index to 2**64
+    (2**63 + 1, 9),
+    (2**64 - 1, 2**64 - 2),
+]
+
+
+def _fresh_philox(seed, index):
+    """The generator RngStream.generator has always built for (seed, index)."""
+    with np.errstate(invalid="ignore"):  # the out-of-range cast near 2**64
+        return np.random.Generator(np.random.Philox(key=[seed, index]))
+
+
+def _draws(gen):
+    return (
+        gen.permutation(13),
+        gen.standard_normal(7),
+        gen.integers(0, 9, size=5, dtype=np.int32),  # buffered 32-bit draws
+        gen.choice(4, size=6, p=[0.1, 0.2, 0.3, 0.4]),
+    )
+
+
+@pytest.mark.parametrize("seed, index", _STREAMS)
+def test_rekeyed_generator_draws_like_a_fresh_one(seed, index):
+    stream = RngStream(seed, index)
+    with np.errstate(invalid="ignore"):
+        built = stream.generator()
+        gen = RngStream(11, 12).generator()
+        gen.integers(0, 9, size=3, dtype=np.int32)  # leave a half-used 32-bit buffer
+        gen.standard_normal(3)
+        stream.rekey(gen)
+    for a, b, c in zip(_draws(_fresh_philox(seed, index)), _draws(gen), _draws(built)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Philox(key=[seed, index]) goes through float64 when one value is "
+    ">= 2**63; exact keys would change the seed -> draw mapping",
+)
+def test_philox_key_is_exactly_seed_and_index():
+    gen = RngStream(1, 2**63 + 1).generator()
+    assert gen.bit_generator.state["state"]["key"].tolist() == [1, 2**63 + 1]
+
+
 def test_feature_matrix_validates_shapes():
     with pytest.raises(IngestionError):
         FeatureMatrix(("a", "b"), np.zeros((3, 3)))

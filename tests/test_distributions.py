@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from shapdec.core import Coalition, FeatureMatrix, RngStream
 from shapdec.distributions import (
@@ -173,6 +174,56 @@ def test_discrete_sampler_frequencies_converge():
         Coalition.from_indices([0], 2), np.array([1.0, 0.0]), 50_000, RngStream(6)
     )
     assert abs(draws.mean() - 0.7) < 0.01
+
+
+def _copula_draws_from_scratch(model, known, x, count, rng):
+    """The copula's draw recomputed from scratch: scores of x, a latent
+    Gaussian draw, then each missing column back through its marginal."""
+    u = np.array([model.marginals[j].to_uniform(x[j]) for j in range(len(x))])
+    z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    latent = GaussianSampler(GaussianModel(np.zeros(len(x)), model.latent_corr))
+    draws = latent.sample_conditional(known, z, count, rng)
+    out = np.empty_like(draws)
+    for c, j in enumerate(known.complement_members):
+        out[:, c] = model.marginals[j].from_uniform(ndtr(draws[:, c]))
+    return out
+
+
+def _discrete_draws_from_scratch(joint, known, x, count, rng):
+    rows, probs = joint.restrict(known, x)
+    idx = rng.generator().choice(len(rows), size=count, p=probs / probs.sum())
+    return rows[np.ix_(idx, np.array(known.complement_members, dtype=np.intp))]
+
+
+def _copula_case():
+    gen = RngStream(13).generator()
+    cov = [[1.0, 0.6, 0.2], [0.6, 1.0, -0.3], [0.2, -0.3, 1.0]]
+    rows = np.exp(gen.multivariate_normal(np.zeros(3), cov, 400))
+    model = fit_copula(FeatureMatrix(("a", "b", "c"), rows))
+    return CopulaSampler, model, (rows[0], rows[1]), _copula_draws_from_scratch
+
+
+def _discrete_case():
+    gen = RngStream(12).generator()
+    support = np.array(np.meshgrid([0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0, 2.0]))
+    support = support.reshape(3, -1).T
+    probs = gen.uniform(0.1, 1.0, len(support))
+    joint = DiscreteJoint(support, probs / probs.sum())
+    xs = (np.array([2.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    return DiscreteSampler, joint, xs, _discrete_draws_from_scratch
+
+
+@pytest.mark.parametrize("case", [_copula_case, _discrete_case], ids=["copula", "discrete"])
+def test_shared_sampler_draws_match_a_fresh_one_as_rows_alternate(case):
+    make, fitted, (x1, x2), old = case()
+    shared = make(fitted)
+    for turn, x in enumerate((x1, x2, x1)):
+        for mask in range(8):
+            known = Coalition(mask, 3)
+            rng = RngStream(turn, mask)
+            draws = shared.sample_conditional(known, x, 25, rng)
+            assert np.array_equal(draws, make(fitted).sample_conditional(known, x, 25, rng))
+            assert np.array_equal(draws, old(fitted, known, x, 25, rng))
 
 
 def test_marginal_sampler_ignores_conditioning():

@@ -146,6 +146,34 @@ def test_interventional_parts_deterministic():
     assert np.array_equal(a, b)
 
 
+def _parts_with_fresh_generators(model, sampler, x, k2, rng):
+    """interventional_parts with a newly built generator for every (i, k)."""
+    m = len(x)
+    phi_int = np.zeros(m)
+    for i in range(m):
+        rows = np.tile(x, (k2, 1))
+        for k in range(k2):
+            gen = rng.substream(i).substream(k).generator()
+            order = list(gen.permutation(m))
+            known = Coalition.from_indices(order[: order.index(i)], m)
+            draw = sampler.sample_conditional(known, x, 1, gen)[0]
+            rows[k, list(known.complement_members)] = draw
+        with_x_i = rows.copy()
+        with_x_i[:, i] = x[i]
+        phi_int[i] = (model.predict(with_x_i) - model.predict(rows)).mean()
+    return phi_int
+
+
+def test_interventional_parts_equal_fresh_generator_draws():
+    cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
+    sampler = GaussianSampler(GaussianModel(np.arange(4.0), cov))
+    model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
+    x = np.array([0.5, 2.0, -1.0, 4.0])
+    rng = RngStream(2**63 + 5, 3)
+    expected = _parts_with_fresh_generators(model, sampler, x, 30, rng)
+    assert np.array_equal(interventional_parts(model, sampler, x, 30, rng), expected)
+
+
 def test_interventional_parts_independent_case_is_psi():
     coef = np.array([1.0, -3.0])
     model = LinearModel(coef, 0.0)

@@ -1,13 +1,19 @@
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
 from shapdec.core import FeatureMatrix, RngStream
-from shapdec.errors import BridgeError, IngestionError, SizeError
+from shapdec.distributions import GaussianModel, GaussianSampler
+from shapdec.engine import decompose
+from shapdec.errors import BridgeError, IngestionError, ModelOutputError, SizeError
 from shapdec.models import (
+    _WALK_CELLS,
+    CallableModel,
     ExternalModel,
+    ForestModel,
     LinearModel,
     LogOddsModel,
     TabulatedModel,
@@ -157,12 +163,20 @@ def test_external_model_roundtrip(tmp_path):
 
 
 def test_external_model_bad_handshake(tmp_path):
+    pid_file = tmp_path / "pid"
     script = _bridge_script(
-        tmp_path, "import sys; print('{\"ok\": false}'); sys.stdout.flush()\n"
+        tmp_path,
+        "import os, pathlib, sys\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+        "print('{\"ok\": false}'); sys.stdout.flush()\n"
+        "sys.stdin.read()\n",
     )
     model = ExternalModel(script, 2)
-    with pytest.raises(BridgeError):
+    with pytest.raises(BridgeError, match="handshake rejected"):
         model.predict([[0.0, 0.0]])
+    # the child was stopped and reaped before the error was raised
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_external_model_crash_reports_stderr(tmp_path):
@@ -175,3 +189,95 @@ def test_external_model_crash_reports_stderr(tmp_path):
 def test_model_from_json_unknown_kind():
     with pytest.raises(IngestionError):
         model_from_json({"kind": "oracle-of-delphi"})
+
+
+def _per_tree_average(forest, rows):
+    """Walk each tree on its own and average the leaf values in tree order."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, forest.n_features)
+    total = np.zeros(len(rows))
+    for tree in forest.trees:
+        leaves = []
+        for row in rows:
+            k = 0
+            while tree.feature[k] >= 0:
+                go_left = row[tree.feature[k]] <= tree.threshold[k]
+                k = tree.left[k] if go_left else tree.right[k]
+            leaves.append(tree.value[k])
+        total += np.array(leaves)
+    return total / len(forest.trees)
+
+
+def _forest_with_a_single_leaf_tree():
+    gen = RngStream(6).generator()
+    x = gen.normal(size=(300, 3))
+    y = x[:, 0] * x[:, 1] + x[:, 2]
+    fitted = fit_forest(
+        FeatureMatrix(("a", "b", "c"), x), y, {"trees": 12, "max_depth": 5}, RngStream(3, 1)
+    )
+    doc = fitted.to_json_dict()
+    doc["trees"].insert(5, {"value": -0.375})
+    return model_from_json(doc)
+
+
+def test_stacked_forest_equals_per_tree_walk():
+    forest = _forest_with_a_single_leaf_tree()
+    block = _WALK_CELLS // len(forest.trees)
+    rows = RngStream(7).generator().normal(size=(2 * block + 7, 3))
+    clone = model_from_json(json.loads(json.dumps(forest.to_json_dict())))
+    for batch in (rows, rows[:1], rows[:0], rows[:block]):
+        expected = _per_tree_average(forest, batch)
+        assert np.array_equal(forest.predict(batch), expected)
+        assert np.array_equal(clone.predict(batch), expected)
+
+
+def test_stacked_forest_of_single_leaves_and_a_stump():
+    doc = {
+        "kind": "forest",
+        "task": "regression",
+        "n_features": 2,
+        "trees": [
+            {"value": 0.1},
+            {"split": 1, "threshold": 0.5, "left": {"value": -1.0}, "right": {"value": 2.0}},
+            {"value": -0.0},
+        ],
+    }
+    forest = model_from_json(doc)
+    rows = np.array([[0.0, 0.5], [0.0, 0.6], [9.0, -3.0]])
+    assert np.array_equal(forest.predict(rows), _per_tree_average(forest, rows))
+    leaves_only = model_from_json(dict(doc, trees=[{"value": -0.0}]))
+    # a running total that starts at 0.0 turns a -0.0 leaf into +0.0
+    assert np.signbit(leaves_only.predict(rows)).sum() == 0
+
+
+def test_forest_rejects_bad_tree_sets():
+    stump = {"split": 2, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 1.0}}
+    with pytest.raises(IngestionError):
+        model_from_json({"kind": "forest", "task": "regression", "n_features": 2, "trees": [stump]})
+    with pytest.raises(IngestionError):
+        ForestModel((), "regression", 2)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda rows: 1.0,
+        lambda rows: rows[:, :1],
+        lambda rows: np.append(rows[:, 0], 0.0),
+        lambda rows: np.where(rows[:, 0] > 0, np.nan, 1.0),
+        lambda rows: np.full(len(rows), np.inf),
+    ],
+    ids=["scalar", "column", "one-too-many", "nan", "inf"],
+)
+def test_predict_batch_rejects_bad_outputs(fn):
+    model = CallableModel(fn, 2)
+    rows = np.array([[1.0, 0.0], [-1.0, 2.0], [3.0, 1.0]])
+    with pytest.raises(ModelOutputError) as err:
+        predict_batch(model, rows)
+    assert not isinstance(err.value, IngestionError)  # a computation failure
+
+
+def test_decompose_stops_at_a_nan_model_output():
+    sampler = GaussianSampler(GaussianModel(np.zeros(2), np.eye(2)))
+    model = CallableModel(lambda rows: np.where(rows[:, 0] > 1.0, np.nan, rows[:, 1]), 2)
+    with pytest.raises(ModelOutputError):
+        decompose(model, sampler, np.array([0.0, 1.0]), 20, 20, 0)
