@@ -22,7 +22,7 @@ _PHILOX_ZEROS = (0, 0, 0, 0)  # counter and buffer of a freshly keyed Philox
 MAX_EXACT_FEATURES = 20
 
 
-def _splitmix64(z: int) -> int:
+def splitmix64(z: int) -> int:
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -48,29 +48,40 @@ class RngStream:
     def substream(self, key: int) -> "RngStream":
         """Derive an independent child stream for work item ``key``."""
         key = int(key) & _MASK64
-        return RngStream(self.seed, _splitmix64(self.index ^ _splitmix64(key)))
-
-    def _philox_key(self) -> np.ndarray:
-        # The key Philox(key=[seed, index]) derives from the list. When exactly
-        # one of the two is >= 2**63, np.asarray gives float64: the key keeps
-        # only 53 bits of each, and a value within 1024 of 2**64 casts out of
-        # range (to 0). Kept as is, because it is the seed -> draw mapping.
-        return np.asarray([self.seed, self.index]).astype(np.uint64)
+        return RngStream(self.seed, splitmix64(self.index ^ splitmix64(key)))
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self._philox_key()))
+        key = np.array(_philox_key(self.seed, self.index), dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def rekey(self, gen: np.random.Generator) -> None:
         """Reset a Philox-backed ``gen`` to the start of this stream: it then
         draws exactly what ``self.generator()`` would, without a new build."""
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _PHILOX_ZEROS, "key": self._philox_key()},
-            "buffer": _PHILOX_ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        rekey_philox(gen, self.seed, self.index)
+
+
+def _philox_key(seed: int, index: int) -> list:
+    """The key Philox(key=[seed, index]) derives from the list. When exactly
+    one of the two is >= 2**63, np.asarray gives float64: the key keeps only
+    53 bits of each, and a value within 1024 of 2**64 casts out of range (to
+    0). Kept as is, because it is the seed -> draw mapping."""
+    if seed >> 63 == index >> 63:
+        return [seed, index]
+    return np.asarray([seed, index]).astype(np.uint64).tolist()
+
+
+def rekey_philox(gen: np.random.Generator, seed: int, index: int) -> None:
+    """Reset a Philox-backed ``gen`` to the start of stream (seed, index),
+    both already reduced mod 2**64: ``RngStream.rekey`` without building the
+    stream."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": _philox_key(seed, index)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -78,11 +78,9 @@ def fit_gaussian(data: FeatureMatrix) -> GaussianModel:
     return GaussianModel(mean, cov, constant_features=constant)
 
 
-def _partition_solve(model: GaussianModel, known: tuple, missing: tuple):
+def _partition_solve(model: GaussianModel, s_idx: np.ndarray, m_idx: np.ndarray):
     """Return (gain, cond_cov) with gain = Sigma_mS Sigma_SS^-1."""
     cov = model.cov
-    s_idx = np.array(known, dtype=np.intp)
-    m_idx = np.array(missing, dtype=np.intp)
     c_ss = cov[np.ix_(s_idx, s_idx)]
     c_ms = cov[np.ix_(m_idx, s_idx)]
     c_mm = cov[np.ix_(m_idx, m_idx)]
@@ -100,6 +98,7 @@ def _partition_solve(model: GaussianModel, known: tuple, missing: tuple):
         except np.linalg.LinAlgError as err:
             last_err = err
     else:
+        known = tuple(s_idx.tolist())
         raise SingularityError(
             f"covariance block for known features {known} is singular: {last_err}"
         )
@@ -108,11 +107,28 @@ def _partition_solve(model: GaussianModel, known: tuple, missing: tuple):
     return gain, cond_cov
 
 
-class GaussianSampler:
+class _Sampler:
+    """The internal draw interface every sampler shares.
+
+    ``_draw(mask, x, count, gen)`` returns the missing columns of coalition
+    ``mask`` (ascending, ``np.intp``) and ``count`` draws of them in the
+    sampler's draw space; index arrays and other per-mask work are cached.
+    A caller that writes such draws into rows calls ``_finish(rows, masks)``
+    once, with row r's mask in ``masks[r]``, to map them to feature space.
+    ``sample_conditional`` is ``_draw`` followed by that map.
+    """
+
+    def _finish(self, rows: np.ndarray, masks) -> None:
+        """Draw space is feature space: nothing to map."""
+
+
+class GaussianSampler(_Sampler):
     """Conditional sampler backed by a fitted multivariate Gaussian.
 
-    Conditioning solves are cached per coalition mask: the gain matrix and
-    the Cholesky factor of the conditional covariance depend on S only.
+    Conditioning solves are cached per coalition mask: the column order
+    (missing, then known), the gain matrix and the Cholesky factor of the
+    conditional covariance depend on S only. Conditional means are cached
+    per mask for the last x.
     """
 
     kind = "gaussian"
@@ -120,6 +136,7 @@ class GaussianSampler:
     def __init__(self, model: GaussianModel):
         self.model = model
         self._cache: dict[int, tuple] = {}
+        self._means = (None, {})  # (bytes of x, {mask: conditional mean}) for the last x
 
     @property
     def n_features(self) -> int:
@@ -128,41 +145,59 @@ class GaussianSampler:
     def describe(self) -> str:
         return f"gaussian(M={self.n_features})"
 
-    def _solved(self, known: Coalition):
-        entry = self._cache.get(known.mask)
+    def _solved(self, mask: int):
+        """(columns missing-then-known, gain, Cholesky factor) for ``mask``."""
+        entry = self._cache.get(mask)
         if entry is None:
-            missing = known.complement_members
-            if known.is_empty():
-                m_idx = np.array(missing, dtype=np.intp)
+            m = self.n_features
+            missing = [i for i in range(m) if not mask >> i & 1]
+            cols = np.array(missing + [i for i in range(m) if mask >> i & 1], dtype=np.intp)
+            m_idx, s_idx = cols[: len(missing)], cols[len(missing):]
+            if mask == 0:
                 gain = np.empty((len(missing), 0))
                 cond_cov = self.model.cov[np.ix_(m_idx, m_idx)]
             else:
-                gain, cond_cov = _partition_solve(self.model, known.members, missing)
+                gain, cond_cov = _partition_solve(self.model, s_idx, m_idx)
             scale = np.trace(self.model.cov) / self.n_features
             chol = _jittered_cholesky(cond_cov, scale, "conditional covariance")
-            entry = (missing, gain, chol)
-            self._cache[known.mask] = entry
+            entry = (cols, gain, chol)
+            self._cache[mask] = entry
         return entry
+
+    def _mean(self, mask: int, x: np.ndarray) -> np.ndarray:
+        """Conditional mean of the missing block, computed once per (x, mask)."""
+        key = x.tobytes()
+        cached, means = self._means
+        if cached != key:
+            means = {}
+            self._means = (key, means)
+        mean = means.get(mask)
+        if mean is None:
+            cols, gain, _ = self._solved(mask)
+            m_idx, s_idx = cols[: len(gain)], cols[len(gain):]
+            if mask == 0:
+                mean = self.model.mean[m_idx]
+            else:
+                mean = self.model.mean[m_idx] + gain @ (x[s_idx] - self.model.mean[s_idx])
+            mean.setflags(write=False)
+            means[mask] = mean
+        return mean
+
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
+        cols, _, chol = self._solved(mask)
+        mean = self._mean(mask, x)
+        z = gen.standard_normal((count, len(mean)))
+        return cols[: len(mean)], mean + z @ chol.T
 
     def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
         """Exact conditional mean of the missing features (closed form)."""
         del count  # exact here; the budget only matters for sampled estimators
-        x = as_vector(x)
-        missing, gain, _ = self._solved(known)
-        m_idx = np.array(missing, dtype=np.intp)
-        if known.is_empty():
-            return self.model.mean[m_idx].copy()
-        s_idx = np.array(known.members, dtype=np.intp)
-        return self.model.mean[m_idx] + gain @ (x[s_idx] - self.model.mean[s_idx])
+        return self._mean(known.mask, as_vector(x)).copy()
 
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
         """``count`` draws of the missing block, columns ordered like
         ``known.complement_members``."""
-        mean = self.conditional_mean(known, x)
-        _, _, chol = self._solved(known)
-        gen = as_generator(rng)
-        z = gen.standard_normal((count, len(mean)))
-        return mean + z @ chol.T
+        return self._draw(known.mask, as_vector(x), count, as_generator(rng))[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,7 +258,7 @@ def fit_copula(data: FeatureMatrix) -> CopulaModel:
     return CopulaModel(marginals, corr)
 
 
-class CopulaSampler:
+class CopulaSampler(_Sampler):
     """Conditions in Gaussian-score space, then back-transforms each
     coordinate through the interpolated inverse empirical CDF."""
 
@@ -256,14 +291,25 @@ class CopulaSampler:
             self._scores = (key, z)
         return z
 
+    def _from_scores(self, j: int, z: np.ndarray) -> np.ndarray:
+        """Feature j's values at latent scores z (elementwise)."""
+        return self.model.marginals[j].from_uniform(ndtr(z))
+
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
+        """Draws of the latent scores; ``_finish`` maps them to features."""
+        return self._latent._draw(mask, self._to_scores(x), count, gen)
+
+    def _finish(self, rows: np.ndarray, masks) -> None:
+        """Back-transform each feature once over every row that drew it."""
+        drawn = (np.asarray(masks)[:, None] >> np.arange(self.n_features) & 1) == 0
+        for j in range(self.n_features):
+            rows[drawn[:, j], j] = self._from_scores(j, rows[drawn[:, j], j])
+
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        x = as_vector(x)
-        z = self._to_scores(x)
-        draws = self._latent.sample_conditional(known, z, count, rng)
-        missing = known.complement_members
+        cols, draws = self._draw(known.mask, as_vector(x), count, as_generator(rng))
         out = np.empty_like(draws)
-        for col, j in enumerate(missing):
-            out[:, col] = self.model.marginals[j].from_uniform(ndtr(draws[:, col]))
+        for col, j in enumerate(cols):
+            out[:, col] = self._from_scores(j, draws[:, col])
         return out
 
     def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
@@ -322,14 +368,14 @@ class DiscreteJoint:
         return self.support[match], self.probs[match] / total
 
 
-class DiscreteSampler:
+class DiscreteSampler(_Sampler):
     """Categorical draws from the renormalized conditional pmf."""
 
     kind = "discrete"
 
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
-        # (bytes of x, {mask: (pmf, missing-column block)}) for the last x
+        # (bytes of x, {mask: (missing columns, pmf, their block)}) for the last x
         self._restricted = (None, {})
 
     @property
@@ -339,24 +385,28 @@ class DiscreteSampler:
     def describe(self) -> str:
         return f"discrete(support={len(self.joint.probs)})"
 
-    def _restrict(self, known: Coalition, x: np.ndarray) -> tuple:
-        """The conditional pmf given x_S and its rows' missing columns,
-        built once per (x, S)."""
+    def _restrict(self, mask: int, x: np.ndarray) -> tuple:
+        """The missing columns, the conditional pmf given x_S and its rows'
+        missing columns, built once per (x, S)."""
         key = x.tobytes()
         cached, by_mask = self._restricted
         if cached != key:
             by_mask = {}
             self._restricted = (key, by_mask)
-        entry = by_mask.get(known.mask)
+        entry = by_mask.get(mask)
         if entry is None:
+            known = Coalition(mask, self.n_features)
             rows, probs = self.joint.restrict(known, x)
-            m_idx = np.array(known.complement_members, dtype=np.intp)
-            entry = by_mask[known.mask] = (probs / probs.sum(), rows[:, m_idx])
+            cols = np.array(known.complement_members, dtype=np.intp)
+            entry = by_mask[mask] = (cols, probs / probs.sum(), rows[:, cols])
         return entry
 
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
+        cols, pmf, block = self._restrict(mask, x)
+        return cols, block[gen.choice(len(pmf), size=count, p=pmf)]
+
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        pmf, block = self._restrict(known, as_vector(x))
-        return block[as_generator(rng).choice(len(pmf), size=count, p=pmf)]
+        return self._draw(known.mask, as_vector(x), count, as_generator(rng))[1]
 
     def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
         # Exact pmf arithmetic; the draw budget is irrelevant for a finite joint.
@@ -373,7 +423,7 @@ class DiscreteSampler:
         }
 
 
-class MarginalSampler:
+class MarginalSampler(_Sampler):
     """Draws whole background rows, preserving dependencies within them.
 
     Conditioning values are ignored on purpose: this realizes the
@@ -385,6 +435,7 @@ class MarginalSampler:
 
     def __init__(self, data: FeatureMatrix):
         self.data = data
+        self._columns: dict[int, np.ndarray] = {}  # mask -> its missing columns
 
     @property
     def n_features(self) -> int:
@@ -393,15 +444,23 @@ class MarginalSampler:
     def describe(self) -> str:
         return f"marginal(n={self.data.n_rows})"
 
+    def _missing(self, mask: int) -> np.ndarray:
+        cols = self._columns.get(mask)
+        if cols is None:
+            cols = np.array(Coalition(mask, self.n_features).complement_members, dtype=np.intp)
+            self._columns[mask] = cols
+        return cols
+
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
+        rows = self.data.values[gen.integers(0, self.data.n_rows, size=count)]
+        cols = self._missing(mask)
+        return cols, rows[:, cols]
+
     def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        idx = as_generator(rng).integers(0, self.data.n_rows, size=count)
-        rows = self.data.values[idx]
-        m_idx = np.array(known.complement_members, dtype=np.intp)
-        return rows[:, m_idx]
+        return self._draw(known.mask, x, count, as_generator(rng))[1]
 
     def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
-        m_idx = np.array(known.complement_members, dtype=np.intp)
-        return self.data.values[:, m_idx].mean(axis=0)
+        return self.data.values[:, self._missing(known.mask)].mean(axis=0)
 
     def to_json_dict(self) -> dict:
         return {

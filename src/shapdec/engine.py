@@ -7,6 +7,12 @@ permutation sampling with one conditional draw per (feature, permutation),
 and dependent parts are always the difference of the two. Kernel SHAP and
 the exact oracles read a table of coalition values keyed by bitmask, so
 each coalition is evaluated once.
+
+Both sampled loops build one Philox generator and re-key it to each work
+item's substream. A permutation draw goes straight to the sampler's
+per-mask plan (``_draw``: cached index arrays, solve and conditional
+mean), with no per-draw stream or coalition object; the sampler maps a
+feature's whole row block to feature space at once (``_finish``).
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .core import (
     RngStream,
     as_vector,
     enumerate_coalitions,
+    rekey_philox,
+    splitmix64,
 )
 from .distributions import DiscreteJoint, DiscreteSampler, MarginalSampler
 from .errors import OracleError, SizeError
@@ -94,12 +102,15 @@ def exact_discrete_value_function(model, joint: DiscreteJoint, x) -> ExactValueF
 
 def _value_table(vf, x, rng: RngStream, masks) -> dict:
     """v(S) for each distinct mask, in first-seen order. A mask's value
-    depends only on its substream, so one evaluation serves every repeat."""
+    depends only on its substream, so one evaluation serves every repeat;
+    one generator is re-keyed to each mask's substream."""
     m = vf.n_features
+    gen = rng.generator()
     table = {}
     for mask in masks:
         if mask not in table:
-            table[mask] = vf.evaluate(x, Coalition(mask, m), rng.substream(mask))
+            rng.substream(mask).rekey(gen)
+            table[mask] = vf.evaluate(x, Coalition(mask, m), gen)
     return table
 
 
@@ -202,6 +213,12 @@ def interventional_parts(
     paired difference; the explained value overwrites coordinate i in the
     first term only. Substream (i, k) drives permutation and draw k for
     feature i, so the estimate does not depend on evaluation order.
+
+    A draw does only its random work: one generator is re-keyed to the
+    substream, the permutation's prefix before i gives the coalition mask,
+    and the sampler draws from that mask's cached plan (its index arrays,
+    solve and, per x, conditional mean) straight into the feature's row
+    block. The sampler then maps the whole block to feature space at once.
     """
     x = as_vector(x)
     m = sampler.n_features
@@ -209,26 +226,25 @@ def interventional_parts(
         raise SizeError("permutation budget K2 must be >= 1")
     phi_int = np.zeros(m)
     gen = rng.generator()  # one build, re-keyed to substream (i, k) for each draw
+    hashed = [splitmix64(k) for k in range(k2)]  # the key hash substream(k) mixes in
     for i in range(m):
-        stream_i = rng.substream(i)
-        rows0 = np.empty((k2, m))
-        rows1 = np.empty((k2, m))
+        index_i = rng.substream(i).index
+        rows = np.tile(x, (k2, 1))
+        masks = []
         for k in range(k2):
-            stream_i.substream(k).rekey(gen)
-            order = gen.permutation(m)
+            rekey_philox(gen, rng.seed, splitmix64(index_i ^ hashed[k]))
             mask = 0
-            for j in order:
+            for j in gen.permutation(m).tolist():
                 if j == i:
                     break
-                mask |= 1 << int(j)
-            known = Coalition(mask, m)
-            draw = sampler.sample_conditional(known, x, 1, gen)[0]
-            row = x.copy()
-            row[np.array(known.complement_members, dtype=np.intp)] = draw
-            rows0[k] = row
-            rows1[k] = row
-            rows1[k, i] = x[i]
-        diffs = predict_batch(model, rows1) - predict_batch(model, rows0)
+                mask |= 1 << j
+            cols, draw = sampler._draw(mask, x, 1, gen)
+            rows[k, cols] = draw[0]
+            masks.append(mask)
+        sampler._finish(rows, masks)
+        with_x_i = rows.copy()
+        with_x_i[:, i] = x[i]
+        diffs = predict_batch(model, with_x_i) - predict_batch(model, rows)
         phi_int[i] = diffs.mean()
     return phi_int
 

@@ -8,7 +8,10 @@ through a line-delimited JSON bridge over a child process's stdin/stdout.
 from __future__ import annotations
 
 import json
+import os
+import select
 import subprocess
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +20,7 @@ from .core import FeatureMatrix, RngStream
 from .errors import BridgeError, IngestionError, ModelOutputError, SizeError
 
 LOG_ODDS_EPS = 1e-6
+BRIDGE_REPLY_TIMEOUT_S = 60.0  # longest wait for one reply line from a bridge
 
 
 def _check_rows(rows, n_features: int | None = None) -> np.ndarray:
@@ -254,8 +258,9 @@ class ExternalModel:
     Handshake: {"op":"hello","version":1,"n_features":M} -> {"ok":true}.
     Prediction: {"op":"predict","inputs":[[...],...]} -> {"outputs":[...]}.
     Requests are serialized per process instance; a reply carrying
-    {"error": ...} (or a dead process) raises BridgeError with captured
-    diagnostics.
+    {"error": ...}, a dead process, or no reply line within
+    BRIDGE_REPLY_TIMEOUT_S raises BridgeError with captured diagnostics.
+    A child that died or stayed silent is stopped and reaped first.
     """
 
     PROTOCOL_VERSION = 1
@@ -264,6 +269,7 @@ class ExternalModel:
         self.cmd = list(cmd)
         self.n_features = int(n_features)
         self._proc = None
+        self._unread = b""  # bytes of the child's output past the last reply line
 
     def describe(self) -> str:
         return f"external({' '.join(self.cmd)})"
@@ -277,10 +283,10 @@ class ExternalModel:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
             )
         except OSError as err:
             raise BridgeError(f"failed to launch {self.cmd}: {err}") from err
+        self._unread = b""
         reply = self._roundtrip(
             {"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}
         )
@@ -291,9 +297,9 @@ class ExternalModel:
     def _roundtrip(self, request: dict) -> dict:
         proc = self._proc
         try:
-            proc.stdin.write(json.dumps(request) + "\n")
+            proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
-            line = proc.stdout.readline()
+            line = self._reply_line(proc.stdout.fileno())
         except (BrokenPipeError, OSError) as err:
             raise BridgeError(f"bridge I/O failed: {err}; stderr: {self._stderr()}") from err
         if not line:
@@ -306,13 +312,33 @@ class ExternalModel:
             raise BridgeError(f"bridge reported: {reply['error']}")
         return reply
 
+    def _reply_line(self, fd: int) -> str:
+        """The child's next output line, or "" at end of output. Waits at
+        most BRIDGE_REPLY_TIMEOUT_S for it, then stops the child."""
+        deadline = time.monotonic() + BRIDGE_REPLY_TIMEOUT_S
+        buf = self._unread
+        while b"\n" not in buf:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                raise BridgeError(
+                    f"bridge sent no reply within {BRIDGE_REPLY_TIMEOUT_S} s; "
+                    f"stderr: {self._stderr()}"
+                )
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                self._unread = b""
+                return buf.decode(errors="replace")
+            buf += chunk
+        line, _, self._unread = buf.partition(b"\n")
+        return (line + b"\n").decode(errors="replace")
+
     def _stderr(self) -> str:
         if self._proc is None:
             return ""
         self._proc.kill()
         _, err = self._proc.communicate()
         self._proc = None
-        return (err or "").strip()
+        return (err or b"").decode(errors="replace").strip()
 
     def predict(self, rows) -> np.ndarray:
         rows = _check_rows(rows, self.n_features)

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import shapdec.models
 from shapdec.cli import main, read_csv
 from shapdec.core import RngStream
 from shapdec.errors import BridgeError, IngestionError
@@ -198,28 +200,40 @@ def test_cli_import_does_not_load_scipy_stats():
     assert done.stdout.strip() == "False"
 
 
-# A stand-in model process: answers the handshake and predicts the row sum
-# (plus SHIFT outputs too many, or NaN for every row if NAN), then writes
-# MARKER once its input ends.
+# A stand-in model process: writes its pid to PIDFILE, answers the
+# handshake and predicts the row sum (plus SHIFT outputs too many, or NaN
+# for every row if NAN) after sleeping SLEEP seconds, then writes MARKER
+# once its input ends.
 _FAKE_BRIDGE = """\
-import json, pathlib, sys
+import json, os, pathlib, sys, time
 SHIFT = {shift}
 NAN = {nan}
+SLEEP = {sleep}
+pathlib.Path({pidfile!r}).write_text(str(os.getpid()))
 for line in sys.stdin:
     req = json.loads(line)
     if req["op"] == "hello":
         print(json.dumps({{"ok": True}}), flush=True)
     else:
+        time.sleep(SLEEP)
         outs = [float("nan") if NAN else sum(row) for row in req["inputs"]]
         print(json.dumps({{"outputs": outs + [0.0] * SHIFT}}), flush=True)
 pathlib.Path({marker!r}).write_text("end of input")
 """
 
 
-def _bridge_model_json(tmp_path, shift=0, nan=False):
+def _bridge_model_json(tmp_path, shift=0, nan=False, sleep=0):
     marker = tmp_path / "bridge-finished"
     script = tmp_path / "bridge.py"
-    script.write_text(_FAKE_BRIDGE.format(shift=shift, nan=nan, marker=str(marker)))
+    script.write_text(
+        _FAKE_BRIDGE.format(
+            shift=shift,
+            nan=nan,
+            sleep=sleep,
+            pidfile=str(tmp_path / "bridge-pid"),
+            marker=str(marker),
+        )
+    )
     model = tmp_path / "bridge.json"
     model.write_text(
         json.dumps({"kind": "external", "cmd": [sys.executable, str(script)], "n_features": 3})
@@ -267,3 +281,15 @@ def test_explain_nan_model_output_is_computation_error(tmp_path, capsys):
     model_path, _ = _bridge_model_json(tmp_path, nan=True)
     assert _explain_with(model_path, tmp_path) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_explain_silent_bridge_is_stopped_and_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(shapdec.models, "BRIDGE_REPLY_TIMEOUT_S", 0.5)
+    model_path, marker = _bridge_model_json(tmp_path, sleep=60)
+    assert _explain_with(model_path, tmp_path) == 3
+    assert "no reply within 0.5 s" in capsys.readouterr().err
+    # the child was killed part-way and reaped: its pid is gone
+    pid = int((tmp_path / "bridge-pid").read_text())
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    assert not marker.exists()

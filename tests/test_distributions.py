@@ -10,6 +10,8 @@ from shapdec.distributions import (
     GaussianModel,
     GaussianSampler,
     MarginalSampler,
+    _jittered_cholesky,
+    _partition_solve,
     fit_copula,
     fit_gaussian,
     sampler_from_json,
@@ -195,6 +197,25 @@ def _discrete_draws_from_scratch(joint, known, x, count, rng):
     return rows[np.ix_(idx, np.array(known.complement_members, dtype=np.intp))]
 
 
+def _gaussian_draws_from_scratch(model, known, x, count, rng):
+    """The Gaussian draw recomputed from scratch: solve for the coalition,
+    then the conditional mean plus a correlated normal draw."""
+    s = np.array(known.members, dtype=np.intp)
+    m = np.array(known.complement_members, dtype=np.intp)
+    if len(s):
+        gain, cond_cov = _partition_solve(model, s, m)
+        mean = model.mean[m] + gain @ (x[s] - model.mean[s])
+    else:
+        cond_cov, mean = model.cov[np.ix_(m, m)], model.mean[m]
+    chol = _jittered_cholesky(cond_cov, np.trace(model.cov) / len(x), "conditional covariance")
+    return mean + rng.generator().standard_normal((count, len(m))) @ chol.T
+
+
+def _gaussian_case():
+    xs = (np.array([2.0, 0.0, 0.0]), np.array([-1.0, 0.5, 3.0]))
+    return GaussianSampler, _toy_gaussian(), xs, _gaussian_draws_from_scratch
+
+
 def _copula_case():
     gen = RngStream(13).generator()
     cov = [[1.0, 0.6, 0.2], [0.6, 1.0, -0.3], [0.2, -0.3, 1.0]]
@@ -213,7 +234,9 @@ def _discrete_case():
     return DiscreteSampler, joint, xs, _discrete_draws_from_scratch
 
 
-@pytest.mark.parametrize("case", [_copula_case, _discrete_case], ids=["copula", "discrete"])
+@pytest.mark.parametrize(
+    "case", [_gaussian_case, _copula_case, _discrete_case], ids=["gaussian", "copula", "discrete"]
+)
 def test_shared_sampler_draws_match_a_fresh_one_as_rows_alternate(case):
     make, fitted, (x1, x2), old = case()
     shared = make(fitted)

@@ -6,11 +6,13 @@ import pytest
 
 from shapdec.core import Coalition, FeatureMatrix, RngStream
 from shapdec.distributions import (
+    CopulaSampler,
     DiscreteJoint,
     DiscreteSampler,
     GaussianModel,
     GaussianSampler,
     MarginalSampler,
+    fit_copula,
 )
 from shapdec.engine import (
     AdditiveComponent,
@@ -164,14 +166,73 @@ def _parts_with_fresh_generators(model, sampler, x, k2, rng):
     return phi_int
 
 
-def test_interventional_parts_equal_fresh_generator_draws():
+def _gaussian_case():
     cov = np.eye(4) + 0.4 * (np.ones((4, 4)) - np.eye(4))
-    sampler = GaussianSampler(GaussianModel(np.arange(4.0), cov))
+    x1, x2 = np.array([0.5, 2.0, -1.0, 4.0]), np.array([-1.0, 0.0, 3.0, 1.5])
+    return GaussianSampler, GaussianModel(np.arange(4.0), cov), x1, x2
+
+
+def _copula_case():
+    gen = RngStream(14).generator()
+    cov = np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))
+    rows = np.exp(gen.multivariate_normal(np.zeros(4), cov, 300))
+    fitted = fit_copula(FeatureMatrix(("a", "b", "c", "d"), rows))
+    return CopulaSampler, fitted, rows[0], rows[1]
+
+
+def _discrete_case():
+    grid = ([0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0], [0.0, 3.0])
+    support = np.array(list(itertools.product(*grid)))
+    probs = RngStream(15).generator().uniform(0.1, 1.0, len(support))
+    joint = DiscreteJoint(support, probs / probs.sum())
+    return DiscreteSampler, joint, support[5], support[18]
+
+
+def _marginal_case():
+    rows = RngStream(16).generator().normal(size=(60, 4))
+    return MarginalSampler, FeatureMatrix(("a", "b", "c", "d"), rows), rows[2], rows[7]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_gaussian_case, _copula_case, _discrete_case, _marginal_case],
+    ids=["gaussian", "copula", "discrete", "marginal"],
+)
+def test_interventional_parts_equal_fresh_generator_draws(case):
+    make, fitted, x1, x2 = case()
     model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
-    x = np.array([0.5, 2.0, -1.0, 4.0])
     rng = RngStream(2**63 + 5, 3)
-    expected = _parts_with_fresh_generators(model, sampler, x, 30, rng)
-    assert np.array_equal(interventional_parts(model, sampler, x, 30, rng), expected)
+    shared = make(fitted)  # its per-(x, mask) caches must not leak across rows
+    for x in (x1, x2, x1):
+        expected = _parts_with_fresh_generators(model, make(fitted), x, 30, rng)
+        assert np.array_equal(interventional_parts(model, shared, x, 30, rng), expected)
+
+
+def _kernel_shap_with_fresh_generators(vf, x, rng):
+    """kernel_shap with each coalition evaluated on a newly built generator
+    for its substream."""
+
+    class FreshGenerators:
+        n_features = vf.n_features
+
+        def evaluate(self, x, coalition, gen):
+            del gen  # the generator kernel_shap passes in is ignored
+            return vf.evaluate(x, coalition, rng.substream(coalition.mask).generator())
+
+    return kernel_shap(FreshGenerators(), x, rng)
+
+
+@pytest.mark.parametrize("m", [4, 13], ids=["enumerated", "sampled"])
+def test_kernel_shap_equals_fresh_generator_draws(m):
+    cov = 0.6 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    sampler = GaussianSampler(GaussianModel(np.zeros(m), cov))
+    vf = ValueFunction(LinearModel(np.linspace(-1.0, 2.0, m), 0.5), sampler, 8)
+    x = np.linspace(1.0, -1.0, m)
+    rng = RngStream(2**63 + 9, 1)
+    result = kernel_shap(vf, x, rng)
+    expected = _kernel_shap_with_fresh_generators(vf, x, rng)
+    assert np.array_equal(result.phi, expected.phi)
+    assert result.base == expected.base
 
 
 def test_interventional_parts_independent_case_is_psi():
