@@ -26,7 +26,6 @@ from .engine import (
     decompose,
     exact_decomposition,
     exact_discrete_value_function,
-    interventional_parts,
     interventional_value_function,
     kernel_shap,
     shapley_from_value_function,

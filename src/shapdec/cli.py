@@ -213,9 +213,16 @@ def _cmd_fit_model(args) -> int:
     return EXIT_OK
 
 
+_K1_HELP = ("draws per coalition at M <= 11; K1/4 draws per permutation prefix at M > 11, "
+            "where K1 and K2 set a budget of 1 + 500*K1 + 2*K2*(M-1) model rows that fixes "
+            "the number of permutations (the studies' Kernel SHAP: draws per coalition)")
+_K2_HELP = ("2*K2 random orderings, each pairing one draw per feature for phi_int, at M <= 11; "
+            "at M > 11 the K2 share of the row budget")
+
+
 def _add_budget_flags(p, k1_default=1000, k2_default=4000):
-    p.add_argument("--k1", type=int, default=k1_default, help="draws per value-function call")
-    p.add_argument("--k2", type=int, default=k2_default, help="sampled permutations per feature")
+    p.add_argument("--k1", type=int, default=k1_default, help=_K1_HELP)
+    p.add_argument("--k2", type=int, default=k2_default, help=_K2_HELP)
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -51,37 +51,24 @@ class RngStream:
         return RngStream(self.seed, splitmix64(self.index ^ splitmix64(key)))
 
     def generator(self) -> np.random.Generator:
-        key = np.array(_philox_key(self.seed, self.index), dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.index)))
 
     def rekey(self, gen: np.random.Generator) -> None:
         """Reset a Philox-backed ``gen`` to the start of this stream: it then
         draws exactly what ``self.generator()`` would, without a new build."""
-        rekey_philox(gen, self.seed, self.index)
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _PHILOX_ZEROS, "key": _philox_key(self.seed, self.index)},
+            "buffer": _PHILOX_ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
-def _philox_key(seed: int, index: int) -> list:
-    """The key Philox(key=[seed, index]) derives from the list. When exactly
-    one of the two is >= 2**63, np.asarray gives float64: the key keeps only
-    53 bits of each, and a value within 1024 of 2**64 casts out of range (to
-    0). Kept as is, because it is the seed -> draw mapping."""
-    if seed >> 63 == index >> 63:
-        return [seed, index]
-    return np.asarray([seed, index]).astype(np.uint64).tolist()
-
-
-def rekey_philox(gen: np.random.Generator, seed: int, index: int) -> None:
-    """Reset a Philox-backed ``gen`` to the start of stream (seed, index),
-    both already reduced mod 2**64: ``RngStream.rekey`` without building the
-    stream."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS, "key": _philox_key(seed, index)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _philox_key(seed: int, index: int) -> np.ndarray:
+    """The Philox key of stream (seed, index): both values exactly, as uint64."""
+    return np.array([seed, index], dtype=np.uint64)
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -1,18 +1,15 @@
-"""Shapley machinery: value functions, Kernel SHAP, the interventional-part
-sampler, exact enumeration oracles, and Shapley residuals.
+"""Shapley machinery: value functions, Kernel SHAP, the shared-draw
+estimator of the split, exact enumeration oracles, and Shapley residuals.
 
-The sampled pipeline follows a strict split: conditional SHAP values come
-from a weighted regression over coalitions, interventional parts from
-permutation sampling with one conditional draw per (feature, permutation),
-and dependent parts are always the difference of the two. Kernel SHAP and
-the exact oracles read a table of coalition values keyed by bitmask, so
-each coalition is evaluated once.
-
-Both sampled loops build one Philox generator and re-key it to each work
-item's substream. A permutation draw goes straight to the sampler's
-per-mask plan (``_draw``: cached index arrays, solve and conditional
-mean), with no per-draw stream or coalition object; the sampler maps a
-feature's whole row block to feature space at once (``_finish``).
+The split rests on two tables: v[S] = E[f | x_S] and t[S, i] = E[f with
+X_i := x_i | x_S]. ``decompose`` estimates both from shared draws: every
+coalition's rows, paired with their copies along random orderings, while
+2^M is small, and antithetic permutations beyond, within one budget of
+model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP and the
+exact oracles evaluate each coalition once. The sampled loops re-key one
+Philox generator to each work item's substream and draw from the
+sampler's per-mask plan (``_draw``), mapping whole row blocks to feature
+space at once (``_finish``).
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ from .core import (
     RngStream,
     as_vector,
     enumerate_coalitions,
-    rekey_philox,
-    splitmix64,
 )
 from .distributions import DiscreteJoint, DiscreteSampler, MarginalSampler
 from .errors import OracleError, SizeError
@@ -199,82 +194,221 @@ def kernel_shap(
     return AttributionVector(v0, phi, warning=warning)
 
 
-def interventional_parts(
-    model,
-    sampler,
-    x,
-    k2: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Permutation-sampling estimate of the interventional SHAP parts.
-
-    For each feature i and each of K2 sampled permutations, a single
-    conditional draw of the missing block supplies both sides of the
-    paired difference; the explained value overwrites coordinate i in the
-    first term only. Substream (i, k) drives permutation and draw k for
-    feature i, so the estimate does not depend on evaluation order.
-
-    A draw does only its random work: one generator is re-keyed to the
-    substream, the permutation's prefix before i gives the coalition mask,
-    and the sampler draws from that mask's cached plan (its index arrays,
-    solve and, per x, conditional mean) straight into the feature's row
-    block. The sampler then maps the whole block to feature space at once.
-    """
-    x = as_vector(x)
-    m = sampler.n_features
-    if k2 < 1:
-        raise SizeError("permutation budget K2 must be >= 1")
-    phi_int = np.zeros(m)
-    gen = rng.generator()  # one build, re-keyed to substream (i, k) for each draw
-    hashed = [splitmix64(k) for k in range(k2)]  # the key hash substream(k) mixes in
+def _expectation_table(model, x, rows_of, uses=None) -> tuple:
+    """v[S] = E[f | x_S] over all 2^M coalitions and, for each i outside
+    S, the paired means t[S, i] = E[f with X_i := x_i | x_S] and u[S, i] =
+    E[f | x_S] over the same rows. ``rows_of(mask)`` gives rows with x_S
+    known, their weights (summing to 1) and the missing columns of S. A
+    pair takes all of S's rows or, where ``uses`` is given, the mean over
+    uses[S, i] picks that cycle through them (none where that is 0).
+    One model batch per coalition holds the rows, then their copies
+    with X_i := x_i; where S + i is the full set a copy is x itself, so
+    t[S, i] = f(x) needs no rows. Returns (v, t, u, model rows)."""
+    m = len(x)
+    full = (1 << m) - 1
+    v = np.empty(full + 1)
+    t = np.zeros((full + 1, m))
+    u = np.zeros((full + 1, m))
+    model_rows = 0
+    for mask in range(full + 1):
+        rows, weights, cols = rows_of(mask)
+        if uses is None:
+            pairs = [(i, weights) for i in cols]
+        else:
+            # c picks cycle through the rows: each row is sent once, weighted by its picks
+            pairs = [(i, np.bincount(np.arange(c) % len(rows)) / c)
+                     for i, c in zip(cols, uses[mask, cols]) if c]
+        copies = []
+        for i, w in pairs:
+            if mask | 1 << i != full:
+                copies.append(rows[:len(w)].copy())
+                copies[-1][:, i] = x[i]
+        pred = predict_batch(model, np.concatenate([rows, *copies]))
+        v[mask] = pred[:len(rows)] @ weights
+        lo = len(rows)
+        for i, w in pairs:
+            u[mask, i] = pred[:len(w)] @ w
+            if mask | 1 << i != full:
+                t[mask, i] = pred[lo:lo + len(w)] @ w
+                lo += len(w)
+        model_rows += len(pred)
     for i in range(m):
-        index_i = rng.substream(i).index
-        rows = np.tile(x, (k2, 1))
-        masks = []
-        for k in range(k2):
-            rekey_philox(gen, rng.seed, splitmix64(index_i ^ hashed[k]))
-            mask = 0
-            for j in gen.permutation(m).tolist():
-                if j == i:
-                    break
-                mask |= 1 << j
-            cols, draw = sampler._draw(mask, x, 1, gen)
-            rows[k, cols] = draw[0]
-            masks.append(mask)
-        sampler._finish(rows, masks)
-        with_x_i = rows.copy()
-        with_x_i[:, i] = x[i]
-        diffs = predict_batch(model, with_x_i) - predict_batch(model, rows)
-        phi_int[i] = diffs.mean()
-    return phi_int
+        t[full ^ 1 << i, i] = v[full]
+    return v, t, u, model_rows
+
+
+def _conditional_draws(sampler, x, k1: int, rng: RngStream):
+    """``rows_of`` for a sampled table: coalition S draws K1 rows once, from
+    substream S (the stream ``kernel_shap`` evaluates S on); the full
+    coalition is x itself."""
+    full = (1 << len(x)) - 1
+    gen = rng.generator()  # one build, re-keyed to each coalition's substream
+    weights = np.full(k1, 1.0 / k1)
+
+    def rows_of(mask):
+        if mask == full:
+            return x[None, :], np.ones(1), np.empty(0, dtype=np.intp)
+        rng.substream(mask).rekey(gen)
+        cols, draw = sampler._draw(mask, x, k1, gen)
+        rows = np.tile(x, (k1, 1))
+        rows[:, cols] = draw
+        sampler._finish(rows, np.full(k1, mask))
+        return rows, weights, cols
+
+    return rows_of
+
+
+def _prefix_counts(m: int, orderings: int, rng: RngStream) -> np.ndarray:
+    """counts[S, i]: in how many of the random orderings S is exactly the
+    set of features before i. S then occurs with its Shapley weight."""
+    keys = rng.generator().random((orderings, m))
+    before = keys[:, None, :] < keys[:, :, None]  # [r, i, j]: j precedes i
+    masks = (before * (1 << np.arange(m))).sum(axis=2)
+    counts = np.zeros((1 << m, m), dtype=np.intp)
+    np.add.at(counts, (masks, np.arange(m)), 1)
+    return counts
+
+
+def _split(v: np.ndarray, t: np.ndarray, u: np.ndarray, pair_weight=None) -> tuple:
+    """The Shapley value of v and its split. phi_int[i] weighs the paired
+    differences t[S, i] - u[S, i] over the coalitions S without i, by
+    pair_weight[S, i] or, if that is not given, by the Shapley weights;
+    phi_dep is the rest of phi. Returns (phi, phi_int, phi_dep)."""
+    m = t.shape[1]
+    phi = np.zeros(m)
+    phi_int = np.zeros(m)
+    for i, (without, w) in enumerate(_coalitions_without(m)):
+        phi[i] = w @ (v[without | 1 << i] - v[without])
+        pw = w if pair_weight is None else pair_weight[without, i]
+        phi_int[i] = pw @ (t[without, i] - u[without, i])
+    return phi, phi_int, phi - phi_int
+
+
+def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream) -> tuple:
+    """Antithetic permutation estimate of the split (Mitchell et al., JMLR
+    2022): each pair is a permutation from substream q and its reverse.
+
+    Along a permutation, prefix S_j draws ``draws`` rows once; they give
+    v[S_j] and, with the next feature i set to x_i, t[S_j, i]. Feature i
+    gains t[S_j, i] - v[S_j] in phi_int and v[S_j + i] - t[S_j, i] in
+    phi_dep, so its phi telescopes to f(x) - v[empty] per permutation and
+    efficiency is exact. One model batch per permutation holds the v rows,
+    then the t rows; the last prefix's t rows are x itself and are skipped.
+    The two permutations of a pair share the empty coalition's rows. Only
+    the first feature of a permutation uses them, and no feature is first
+    in both, so each feature's estimate keeps its variance. Returns (base,
+    phi_int, phi_dep, model rows).
+    """
+    m = len(x)
+    n_v, n_t = draws * m, draws * (m - 1)
+    fx = predict_batch(model, x[None, :])[0]
+    base = 0.0
+    phi_int = np.zeros(m)
+    phi_dep = np.zeros(m)
+    gen = rng.generator()  # one build, re-keyed to each pair's substream
+    for q in range(pairs):
+        rng.substream(q).rekey(gen)
+        order = gen.permutation(m)
+        empty = None  # the pair's rows of the empty coalition and their mean
+        for perm in (order, order[::-1]):
+            lo = 0 if empty is None else draws  # the rows this permutation draws
+            rows = np.tile(x, (n_v + n_t, 1))
+            mask, masks = 0, []
+            for j, i in enumerate(perm.tolist()):
+                if j or empty is None:
+                    cols, draw = sampler._draw(mask, x, draws, gen)
+                    rows[j * draws:(j + 1) * draws, cols] = draw
+                masks.append(mask)
+                mask |= 1 << i
+            sampler._finish(rows[lo:n_v], np.repeat(masks, draws)[lo:])
+            if empty is not None:
+                rows[:draws] = empty[0]
+            paired = rows[n_v:].reshape(m - 1, draws, m)  # a view: the t rows
+            paired[:] = rows[:n_t].reshape(m - 1, draws, m)
+            paired[np.arange(m - 1), :, perm[:-1]] = x[perm[:-1], None]
+            means = predict_batch(model, rows[lo:]).reshape(-1, draws).mean(axis=1)
+            if empty is None:
+                empty = (rows[:draws], means[0])
+            else:
+                means = np.insert(means, 0, empty[1])
+            v = np.append(means[:m], fx)
+            t = np.append(means[m:], fx)
+            phi_int[perm] += t - v[:-1]
+            phi_dep[perm] += v[1:] - t
+            base += v[0]
+    n = 2 * pairs
+    return base / n, phi_int / n, phi_dep / n, 1 + pairs * (2 * (n_v + n_t) - draws)
+
+
+WALK_COALITIONS = 500  # beyond enumeration, the walk's budget is that of a table this size
+
+
+def _row_budget(m: int, k1: int, k2: int) -> int:
+    """Model rows a decomposition may send: one for f(x), K1 for each
+    coalition below the full set (all 2^M - 1 while they are enumerated,
+    WALK_COALITIONS beyond) and 2 K2 (M - 1) paired rows. The table sends
+    this many, less repeats where a coalition gets over K1 picks. Kernel
+    SHAP at K1 evaluates at least about 510 distinct coalitions at M >= 12,
+    and a one-draw permutation estimate of phi_int at K2 sends 2 M K2
+    rows, so the two side by side send more."""
+    coalitions = (1 << m) - 1 if (1 << m) <= ENUMERATION_LIMIT else WALK_COALITIONS
+    return 1 + k1 * coalitions + 2 * k2 * (m - 1)
 
 
 def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
-    """Full sampled pipeline: conditional SHAP values via Kernel SHAP,
-    interventional parts via permutation sampling, dependent parts by
-    subtraction."""
-    if k2 < k1:
-        warnings.warn(
-            f"K2={k2} below K1={k1}; the permutation estimator is less "
-            "sample-efficient and usually needs the bigger budget",
-            stacklevel=2,
-        )
+    """Sampled split of the conditional SHAP values, with phi_int and
+    phi_dep estimated from shared draws; either way phi = phi_int +
+    phi_dep sums to f(x) - base, and the model sees at most
+    ``_row_budget(M, K1, K2)`` rows.
+
+    While 2^M <= ENUMERATION_LIMIT (M <= 11; estimator "table") every
+    coalition draws K1 rows, and phi is the exact Shapley sum of their
+    means, as in enumerated Kernel SHAP. 2 K2 random orderings pick, for
+    each feature i, the coalitions S before it; each pick pairs one of S's
+    rows with its copy with X_i := x_i, and phi_int averages those paired
+    differences. Beyond that (estimator "walk"), antithetic pairs of
+    permutations are walked with K1 // 4 draws per prefix, as many pairs
+    as the row budget holds.
+    """
+    if k1 < 1:
+        raise SizeError("draw budget K1 must be >= 1")
+    if k2 < 1:
+        raise SizeError("permutation budget K2 must be >= 1")
     x = as_vector(x)
+    m = sampler.n_features
     root = RngStream(seed)
-    vf = ValueFunction(model, sampler, k1)
-    attribution = kernel_shap(vf, x, root.substream(1))
-    phi_int = interventional_parts(model, sampler, x, k2, root.substream(2))
-    phi = attribution.phi
+    if (1 << m) <= ENUMERATION_LIMIT:
+        if k2 < k1:
+            warnings.warn(
+                f"K2={k2} below K1={k1}; phi_int pairs one draw per feature in each "
+                "of 2*K2 random orderings and usually needs the bigger budget",
+                stacklevel=2,
+            )
+        orderings = 2 * k2
+        uses = _prefix_counts(m, orderings, root.substream(2))
+        rows_of = _conditional_draws(sampler, x, k1, root.substream(1))
+        v, t, u, model_rows = _expectation_table(model, x, rows_of, uses)
+        base = v[0]
+        phi, phi_int, phi_dep = _split(v, t, u, uses / orderings)
+        work = {"estimator": "table", "draws": int(k1), "permutations": orderings}
+    else:
+        draws = max(1, k1 // 4)
+        pairs = max(1, (_row_budget(m, k1, k2) - 1) // (draws * (4 * m - 3)))
+        base, phi_int, phi_dep, model_rows = _permutation_walk(
+            model, sampler, x, draws, pairs, root.substream(2)
+        )
+        phi = phi_int + phi_dep
+        work = {"estimator": "walk", "draws": draws, "permutations": 2 * pairs}
     meta = {
         "k1": int(k1),
         "k2": int(k2),
         "seed": int(seed),
         "sampler": sampler.describe(),
         "model": model.describe(),
+        **work,
+        "model_rows": int(model_rows),
     }
-    if attribution.warning:
-        meta["warning"] = attribution.warning
-    return Decomposition(attribution.base, phi, phi_int, phi - phi_int, meta)
+    return Decomposition(base, phi, phi_int, phi_dep, meta)
 
 
 MAX_ORACLE_FEATURES = 8
@@ -296,27 +430,16 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
     if len(x) != m:
         raise OracleError("sample length does not match the joint")
 
-    v = np.zeros(1 << m)
-    t = np.zeros((1 << m, m))
-    for mask in range(1 << m):
-        rows, probs = joint.restrict(Coalition(mask, m), x)
-        missing = [i for i in range(m) if not mask >> i & 1]
-        # one batch: the restricted rows, then a copy per missing i with x_i set
-        block = np.tile(rows, (1 + len(missing), 1))
-        for k, i in enumerate(missing, start=1):
-            block[k * len(rows):(k + 1) * len(rows), i] = x[i]
-        expect = predict_batch(model, block).reshape(1 + len(missing), len(rows)) @ probs
-        v[mask] = expect[0]
-        t[mask, missing] = expect[1:]
+    def support_rows(mask):
+        known = Coalition(mask, m)
+        rows, probs = joint.restrict(known, x)
+        return rows, probs, np.array(known.complement_members, dtype=np.intp)
 
-    phi_int = np.zeros(m)
-    phi_dep = np.zeros(m)
-    for i, (without, w) in enumerate(_coalitions_without(m)):
-        phi_int[i] = w @ (t[without, i] - v[without])
-        phi_dep[i] = w @ (v[without | 1 << i] - t[without, i])
+    v, t, u, _ = _expectation_table(model, x, support_rows)
+    phi, phi_int, phi_dep = _split(v, t, u)
     return Decomposition(
         v[0],
-        phi_int + phi_dep,
+        phi,
         phi_int,
         phi_dep,
         meta={"engine": "exact", "model": model.describe(), "permutations": math.factorial(m)},

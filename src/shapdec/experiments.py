@@ -28,10 +28,8 @@ from .distributions import (
 )
 from .engine import (
     ExactValueFunction,
-    ValueFunction,
     decompose,
     exact_decomposition,
-    interventional_parts,
     interventional_value_function,
     kernel_shap,
     shapley_residuals,
@@ -232,14 +230,15 @@ def run_imputation_study(
         (sel, imp): np.zeros((towns, m + 1)) for sel in SELECTIONS for imp in IMPUTATIONS
     }
     vf_int = interventional_value_function(model, marginal, k1)
-    vf_cond = ValueFunction(model, gauss, k1)
     for t, row_i in enumerate(town_idx):
         x = data.values[row_i]
         sub = root.substream(1000 + t)
+        # conditional SHAP and the interventional part from the same draws
+        dec = decompose(model, gauss, x, k1, k2, sub.substream(2).index)
         attributions = {
             "interventional-shap": kernel_shap(vf_int, x, sub.substream(1)).phi,
-            "conditional-shap": kernel_shap(vf_cond, x, sub.substream(2)).phi,
-            "interventional-part": interventional_parts(model, gauss, x, k2, sub.substream(3)),
+            "conditional-shap": dec.phi,
+            "interventional-part": dec.phi_int,
         }
         rows = []
         slots = []

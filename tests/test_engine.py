@@ -15,6 +15,7 @@ from shapdec.distributions import (
     fit_copula,
 )
 from shapdec.engine import (
+    DEFAULT_SAMPLED_COALITIONS,
     AdditiveComponent,
     AdditiveModel,
     ExactValueFunction,
@@ -23,12 +24,13 @@ from shapdec.engine import (
     decompose,
     exact_decomposition,
     exact_discrete_value_function,
-    interventional_parts,
     interventional_value_function,
     kernel_shap,
     shapley_from_value_function,
     shapley_kernel_weight,
     shapley_residuals,
+    _coalition_masks,
+    _row_budget,
 )
 from shapdec.errors import OracleError, SizeError
 from shapdec.models import CallableModel, LinearModel, toy_risk_model
@@ -125,7 +127,7 @@ def test_decompose_local_accuracy():
     )
     x = np.array([1.0, -1.0])
     dec = decompose(model, sampler, x, 2000, 2000, 0)
-    # kernel SHAP anchors g(full), so phi sums to f(x) - base exactly
+    # the Shapley sums of the coalition table give f(x) - base exactly
     assert dec.base + dec.phi.sum() == pytest.approx(model.predict([x])[0], abs=1e-9)
     assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, atol=1e-12)
 
@@ -143,27 +145,54 @@ def test_interventional_parts_deterministic():
         GaussianModel(np.zeros(3), np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3)))
     )
     x = np.array([1.0, 0.0, -1.0])
-    a = interventional_parts(model, sampler, x, 200, RngStream(4))
-    b = interventional_parts(model, sampler, x, 200, RngStream(4))
-    assert np.array_equal(a, b)
+    a = decompose(model, sampler, x, 200, 200, 4)
+    b = decompose(model, sampler, x, 200, 200, 4)
+    assert a.base == b.base
+    assert np.array_equal(a.phi_int, b.phi_int)
+    assert np.array_equal(a.phi_dep, b.phi_dep)
+    assert a.meta == b.meta
 
 
-def _parts_with_fresh_generators(model, sampler, x, k2, rng):
-    """interventional_parts with a newly built generator for every (i, k)."""
+def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
+    """The coalition-table split from first principles. Coalition S draws
+    K1 rows with ``sample_conditional`` on a newly built generator for
+    substream S of substream 1, and phi is the Shapley-weighted sum of the
+    differences of their means. 2 K2 orderings come from uniform keys on
+    substream 2; in each, feature i takes the next row of the coalition
+    before it (cycling after K1), and phi_int averages f(row with X_i :=
+    x_i) - f(row). phi_dep is the rest of phi."""
     m = len(x)
-    phi_int = np.zeros(m)
+    full = (1 << m) - 1
+    root = RngStream(seed)
+    rows = {full: x[None, :]}
+    for mask in range(full):
+        known = Coalition(mask, m)
+        gen = root.substream(1).substream(mask).generator()
+        rows[mask] = np.tile(x, (k1, 1))
+        rows[mask][:, list(known.complement_members)] = sampler.sample_conditional(
+            known, x, k1, gen
+        )
+    v = {mask: model.predict(block).mean() for mask, block in rows.items()}
+    phi = np.zeros(m)
     for i in range(m):
-        rows = np.tile(x, (k2, 1))
-        for k in range(k2):
-            gen = rng.substream(i).substream(k).generator()
-            order = list(gen.permutation(m))
-            known = Coalition.from_indices(order[: order.index(i)], m)
-            draw = sampler.sample_conditional(known, x, 1, gen)[0]
-            rows[k, list(known.complement_members)] = draw
-        with_x_i = rows.copy()
-        with_x_i[:, i] = x[i]
-        phi_int[i] = (model.predict(with_x_i) - model.predict(rows)).mean()
-    return phi_int
+        for mask in range(full + 1):
+            if not mask >> i & 1:
+                s = mask.bit_count()
+                w = math.factorial(s) * math.factorial(m - 1 - s) / math.factorial(m)
+                phi[i] += w * (v[mask | 1 << i] - v[mask])
+    phi_int = np.zeros(m)
+    taken = {}
+    for keys in root.substream(2).generator().random((2 * k2, m)):
+        for i in range(m):
+            mask = sum(1 << j for j in range(m) if keys[j] < keys[i])
+            n = taken.get((mask, i), 0)
+            taken[mask, i] = n + 1
+            row = rows[mask][n % k1]
+            paired = row.copy()
+            paired[i] = x[i]
+            phi_int[i] += model.predict(paired[None, :])[0] - model.predict(row[None, :])[0]
+    phi_int /= 2 * k2
+    return v[0], phi, phi_int, phi - phi_int
 
 
 def _gaussian_case():
@@ -193,19 +222,164 @@ def _marginal_case():
     return MarginalSampler, FeatureMatrix(("a", "b", "c", "d"), rows), rows[2], rows[7]
 
 
-@pytest.mark.parametrize(
-    "case",
-    [_gaussian_case, _copula_case, _discrete_case, _marginal_case],
-    ids=["gaussian", "copula", "discrete", "marginal"],
-)
+_CASES = [_gaussian_case, _copula_case, _discrete_case, _marginal_case]
+_CASE_IDS = ["gaussian", "copula", "discrete", "marginal"]
+
+
+@pytest.mark.parametrize("case", _CASES, ids=_CASE_IDS)
 def test_interventional_parts_equal_fresh_generator_draws(case):
     make, fitted, x1, x2 = case()
     model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
-    rng = RngStream(2**63 + 5, 3)
+    seed = 2**63 + 5
     shared = make(fitted)  # its per-(x, mask) caches must not leak across rows
+    # at K1 = 5 the 2 * K2 = 60 orderings give the empty coalition more
+    # picks than it has rows, so the picks cycle through them
+    for x, k1 in itertools.product((x1, x2, x1), (30, 5)):
+        dec = decompose(model, shared, x, k1, 30, seed)
+        fresh = decompose(model, make(fitted), x, k1, 30, seed)
+        assert dec.base == fresh.base
+        for part in ("phi", "phi_int", "phi_dep"):
+            assert np.array_equal(getattr(dec, part), getattr(fresh, part)), part
+        base, phi, phi_int, phi_dep = _split_with_fresh_generators(
+            model, make(fitted), x, k1, 30, seed
+        )
+        assert dec.base == pytest.approx(base, rel=1e-12, abs=1e-12)
+        assert np.allclose(dec.phi, phi, rtol=0, atol=1e-12)
+        assert np.allclose(dec.phi_int, phi_int, rtol=0, atol=1e-12)
+        assert np.allclose(dec.phi_dep, phi_dep, rtol=0, atol=1e-12)
+        if k1 == 5:
+            assert dec.meta["model_rows"] < _row_budget(4, k1, 30)
+
+
+def _walk_case(kind):
+    m = 12
+    cov = 0.6 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    if kind == "gaussian":
+        return GaussianSampler, GaussianModel(np.zeros(m), cov)
+    rows = np.exp(RngStream(18).generator().multivariate_normal(np.zeros(m), cov, 300))
+    return CopulaSampler, fit_copula(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows))
+
+
+def _walk_with_fresh_generators(model, sampler, x, draws, pairs, rng):
+    """The permutation walk from first principles: pair q builds a new
+    generator for substream q, draws a permutation, and walks it and its
+    reverse; each prefix draws its rows with ``sample_conditional``, except
+    that the reverse reuses the empty coalition's rows, and v and t of the
+    prefix are plain means over them."""
+    m = len(x)
+    base, phi_int, phi_dep = 0.0, np.zeros(m), np.zeros(m)
+    for q in range(pairs):
+        gen = rng.substream(q).generator()
+        order = list(gen.permutation(m))
+        empty = None
+        for perm in (order, order[::-1]):
+            v, t = [], []
+            for j, i in enumerate(perm):
+                known = Coalition.from_indices(perm[:j], m)
+                if j == 0 and empty is not None:
+                    rows = empty
+                else:
+                    rows = np.tile(x, (draws, 1))
+                    missing = list(known.complement_members)
+                    rows[:, missing] = sampler.sample_conditional(known, x, draws, gen)
+                    if j == 0:
+                        empty = rows
+                paired = rows.copy()
+                paired[:, i] = x[i]
+                v.append(model.predict(rows).mean())
+                t.append(model.predict(paired).mean())
+            v.append(model.predict(x[None, :])[0])
+            for j, i in enumerate(perm):
+                phi_int[i] += t[j] - v[j]
+                phi_dep[i] += v[j + 1] - t[j]
+            base += v[0]
+    n = 2 * pairs
+    return base / n, phi_int / n, phi_dep / n
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula"])
+def test_permutation_walk_shared_sampler_equals_fresh_samplers(kind):
+    make, fitted = _walk_case(kind)
+    m = fitted.n_features
+    model = CallableModel(lambda r: np.sin(r[:, 0]) + r[:, 1] * r[:, -1] + r[:, 2:].sum(axis=1), m)
+    x1, x2 = np.linspace(0.2, 2.0, m), np.linspace(1.5, -0.5, m)
+    shared = make(fitted)
     for x in (x1, x2, x1):
-        expected = _parts_with_fresh_generators(model, make(fitted), x, 30, rng)
-        assert np.array_equal(interventional_parts(model, shared, x, 30, rng), expected)
+        dec = decompose(model, shared, x, 12, 40, 2**64 - 7)
+        fresh = decompose(model, make(fitted), x, 12, 40, 2**64 - 7)
+        assert dec.meta["estimator"] == "walk"
+        assert dec.base == fresh.base
+        for part in ("phi", "phi_int", "phi_dep"):
+            assert np.array_equal(getattr(dec, part), getattr(fresh, part)), part
+        assert dec.base + dec.phi.sum() == pytest.approx(model.predict(x[None, :])[0], abs=1e-9)
+        # 12 // 4 = 3 draws per prefix; the budget 1 + 12 * 500 + 2 * 40 * 11
+        # holds 6880 // (3 * 45) = 50 pairs
+        assert (dec.meta["draws"], dec.meta["permutations"]) == (3, 100)
+        base, phi_int, phi_dep = _walk_with_fresh_generators(
+            model, make(fitted), x, 3, 50, RngStream(2**64 - 7).substream(2)
+        )
+        assert dec.base == pytest.approx(base, rel=1e-12, abs=1e-12)
+        assert np.allclose(dec.phi_int, phi_int, rtol=0, atol=1e-12)
+        assert np.allclose(dec.phi_dep, phi_dep, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", _CASES, ids=_CASE_IDS)
+def test_table_phi_equals_enumerated_kernel_shap(case):
+    make, fitted, x, _ = case()
+    model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
+    sampler = make(fitted)
+    dec = decompose(model, sampler, x, 50, 50, 31)
+    ks = kernel_shap(ValueFunction(model, sampler, 50), x, RngStream(31).substream(1))
+    assert dec.base == pytest.approx(ks.base, rel=0, abs=1e-12)
+    assert np.max(np.abs(dec.phi - ks.phi)) <= 1e-12
+
+
+def test_decompose_records_its_work():
+    small = GaussianSampler(GaussianModel(np.zeros(4), np.eye(4)))
+    table = decompose(LinearModel(np.ones(4), 0.0), small, np.ones(4), 10, 10, 0).meta
+    # K1 rows for each of the 15 coalitions below the full set, and one
+    # paired row for each feature but the last in each of 2 * K2 = 20
+    # orderings (the last one's copy is x itself); f(x) is one row
+    assert table["estimator"] == "table"
+    assert (table["draws"], table["permutations"]) == (10, 20)
+    assert table["model_rows"] == 1 + 10 * 15 + 20 * 3 == _row_budget(4, 10, 10)
+    big = GaussianSampler(GaussianModel(np.zeros(12), np.eye(12)))
+    walk = decompose(LinearModel(np.ones(12), 0.0), big, np.ones(12), 40, 100, 0).meta
+    # 40 // 4 = 10 draws per prefix. Each pair of permutations sends 12 v
+    # blocks and 11 t blocks twice, less the empty coalition's v block that
+    # the reverse shares: 45 blocks, so the budget 1 + 40 * 500 + 2 * 100 *
+    # 11 = 22201 rows holds 22200 // 450 = 49 pairs
+    assert walk["estimator"] == "walk"
+    assert (walk["draws"], walk["permutations"]) == (10, 98)
+    assert walk["model_rows"] == 1 + 49 * 450 <= _row_budget(12, 40, 100)
+
+
+def _kernel_shap_and_permutation_rows(m, k1, k2, seed):
+    """Model rows that Kernel SHAP at K1 and a one-draw permutation
+    estimate of phi_int at K2 send side by side: K1 for the empty
+    coalition and for each distinct interior one, one for f(x), and two
+    per feature and permutation."""
+    masks, _ = _coalition_masks(m, RngStream(seed).substream(1), DEFAULT_SAMPLED_COALITIONS)
+    return 1 + k1 * (1 + len(set(masks))) + 2 * m * k2
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 11, 12, 13, 16])
+def test_row_budget_stays_below_kernel_shap_and_permutations(m):
+    budgets = [(1, 1), (200, 400), (1000, 4000), (4000, 10), (10, 4000), (3, 100000)]
+    for seed in range(20):
+        for k1, k2 in budgets:
+            assert _row_budget(m, k1, k2) <= _kernel_shap_and_permutation_rows(m, k1, k2, seed)
+
+
+def test_walk_at_the_explain_defaults_stays_within_budget():
+    m = 13
+    cov = 0.5 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    sampler = GaussianSampler(GaussianModel(np.zeros(m), cov))
+    model = LinearModel(np.linspace(-1.0, 1.0, m), 0.0)
+    meta = decompose(model, sampler, np.linspace(1.0, -1.0, m), 1000, 4000, 3).meta
+    assert meta["estimator"] == "walk"
+    assert meta["model_rows"] <= _row_budget(m, 1000, 4000)
+    assert meta["model_rows"] <= _kernel_shap_and_permutation_rows(m, 1000, 4000, 3)
 
 
 def _kernel_shap_with_fresh_generators(vf, x, rng):
@@ -241,7 +415,7 @@ def test_interventional_parts_independent_case_is_psi():
     mean = np.array([1.0, 1.0])
     sampler = GaussianSampler(GaussianModel(mean, np.eye(2)))
     x = np.array([2.0, 0.0])
-    phi_int = interventional_parts(model, sampler, x, 5000, RngStream(5))
+    phi_int = decompose(model, sampler, x, 5000, 5000, 5).phi_int
     assert np.allclose(phi_int, coef * (x - mean), atol=0.1)
 
 
