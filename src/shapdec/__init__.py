@@ -6,7 +6,6 @@ from .core import (
     Decomposition,
     FeatureMatrix,
     RngStream,
-    enumerate_coalitions,
 )
 from .distributions import (
     CopulaSampler,
@@ -20,16 +19,10 @@ from .distributions import (
     sampler_from_json,
 )
 from .engine import (
-    ExactValueFunction,
-    ValueFunction,
     additive_split_check,
     decompose,
     exact_decomposition,
-    exact_discrete_value_function,
-    interventional_value_function,
     kernel_shap,
-    shapley_from_value_function,
-    shapley_kernel_weight,
     shapley_residuals,
 )
 from .models import (

@@ -19,8 +19,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PHILOX_ZEROS = (0, 0, 0, 0)  # counter and buffer of a freshly keyed Philox
 
-MAX_EXACT_FEATURES = 20
-
 
 def splitmix64(z: int) -> int:
     z = (z + _GOLDEN) & _MASK64
@@ -236,12 +234,4 @@ class Decomposition:
             ],
             "meta": dict(self.meta),
         }
-
-
-def enumerate_coalitions(n_features: int) -> list[Coalition]:
-    """All 2^M coalitions, ordered by (cardinality, numeric mask)."""
-    if not 1 <= n_features <= MAX_EXACT_FEATURES:
-        raise SizeError(f"exact enumeration supports 1 <= M <= {MAX_EXACT_FEATURES}")
-    masks = sorted(range(1 << n_features), key=lambda m: (m.bit_count(), m))
-    return [Coalition(m, n_features) for m in masks]
 

@@ -1,15 +1,15 @@
-"""Shapley machinery: value functions, Kernel SHAP, the shared-draw
-estimator of the split, exact enumeration oracles, and Shapley residuals.
+"""Shapley machinery: the shared-draw estimator of the split, Kernel
+SHAP, the exact enumeration oracle, and Shapley residuals.
 
 The split rests on two tables: v[S] = E[f | x_S] and t[S, i] = E[f with
 X_i := x_i | x_S]. ``decompose`` estimates both from shared draws: every
 coalition's rows, paired with their copies along random orderings, while
 2^M is small, and antithetic permutations beyond, within one budget of
-model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP and the
-exact oracles evaluate each coalition once. The sampled loops re-key one
-Philox generator to each work item's substream and draw from the
-sampler's per-mask plan (``_draw``), mapping whole row blocks to feature
-space at once (``_finish``).
+model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP reads
+v from the same coalition rows. The sampled loops re-key one Philox
+generator to each work item's substream and draw from the sampler's
+per-mask plan (``_draw``), mapping whole row blocks to feature space at
+once (``_finish``).
 """
 
 from __future__ import annotations
@@ -20,93 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AttributionVector,
-    Coalition,
-    Decomposition,
-    RngStream,
-    as_vector,
-    enumerate_coalitions,
-)
-from .distributions import DiscreteJoint, DiscreteSampler, MarginalSampler
+from .core import AttributionVector, Coalition, Decomposition, RngStream, as_vector
+from .distributions import DiscreteJoint, DiscreteSampler
 from .errors import OracleError, SizeError
 from .models import predict_batch
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
 DEFAULT_SAMPLED_COALITIONS = 1024
-MAX_ENUMERATION_FEATURES = 12
 _COALITION_DRAW_KEY = 1 << 40  # reserved substream key, above any mask
-
-
-class ValueFunction:
-    """Monte Carlo estimate of v(S) = "expected output given S known".
-
-    The missing block is drawn from the sampler: a conditional sampler
-    gives the conditional game, a MarginalSampler (whole background rows)
-    the interventional one. Deterministic given (inputs, seed, stream).
-    """
-
-    def __init__(self, model, sampler, k1: int):
-        if k1 < 1:
-            raise SizeError("draw budget K1 must be >= 1")
-        self.model = model
-        self.sampler = sampler
-        self.k1 = int(k1)
-
-    @property
-    def n_features(self) -> int:
-        return self.sampler.n_features
-
-    def evaluate(self, x, coalition: Coalition, rng: RngStream) -> float:
-        x = as_vector(x)
-        if coalition.is_full():
-            return float(predict_batch(self.model, x[None, :])[0])
-        draws = self.sampler.sample_conditional(coalition, x, self.k1, rng)
-        rows = np.tile(x, (self.k1, 1))
-        rows[:, np.array(coalition.complement_members, dtype=np.intp)] = draws
-        return float(predict_batch(self.model, rows).mean())
-
-
-def interventional_value_function(model, data, k1: int) -> ValueFunction:
-    sampler = data if isinstance(data, MarginalSampler) else MarginalSampler(data)
-    return ValueFunction(model, sampler, k1)
-
-
-class ExactValueFunction:
-    """Wraps a closed-form v(S); ignores the stream entirely."""
-
-    def __init__(self, fn, n_features: int):
-        self._fn = fn
-        self.n_features = n_features
-
-    def evaluate(self, x, coalition: Coalition, rng: RngStream | None = None) -> float:
-        del x, rng
-        return float(self._fn(coalition))
-
-
-def exact_discrete_value_function(model, joint: DiscreteJoint, x) -> ExactValueFunction:
-    """Exact conditional value function by summation over the joint pmf."""
-    x = as_vector(x)
-
-    def v(coalition: Coalition) -> float:
-        rows, probs = joint.restrict(coalition, x)
-        return float(probs @ predict_batch(model, rows))
-
-    return ExactValueFunction(v, joint.n_features)
-
-
-def _value_table(vf, x, rng: RngStream, masks) -> dict:
-    """v(S) for each distinct mask, in first-seen order. A mask's value
-    depends only on its substream, so one evaluation serves every repeat;
-    one generator is re-keyed to each mask's substream."""
-    m = vf.n_features
-    gen = rng.generator()
-    table = {}
-    for mask in masks:
-        if mask not in table:
-            rng.substream(mask).rekey(gen)
-            table[mask] = vf.evaluate(x, Coalition(mask, m), gen)
-    return table
 
 
 def _coalitions_without(m: int) -> list:
@@ -122,76 +43,6 @@ def _coalitions_without(m: int) -> list:
         without = masks[(masks >> i & 1) == 0]
         out.append((without, size_weight[sizes[without]]))
     return out
-
-
-def shapley_kernel_weight(n_features: int, size: int) -> float:
-    """Kernel SHAP regression weight for a coalition of the given size."""
-    m = n_features
-    if not 0 < size < m:
-        raise SizeError("weight defined only for proper nonempty coalitions")
-    return (m - 1) / (math.comb(m, size) * size * (m - size))
-
-
-def _coalition_masks(m: int, rng: RngStream, n_sampled: int):
-    """Interior coalition masks and their regression weights."""
-    if (1 << m) <= ENUMERATION_LIMIT:
-        masks = [c.mask for c in enumerate_coalitions(m) if 0 < c.mask.bit_count() < m]
-        weights = np.array([shapley_kernel_weight(m, mk.bit_count()) for mk in masks])
-        return masks, weights
-    gen = rng.substream(_COALITION_DRAW_KEY).generator()
-    sizes = np.arange(1, m)
-    p = (m - 1) / (sizes * (m - sizes))
-    p = p / p.sum()
-    drawn_sizes = gen.choice(sizes, size=n_sampled, p=p)
-    masks = []
-    for s in drawn_sizes:
-        idx = gen.choice(m, size=int(s), replace=False)
-        masks.append(sum(1 << int(i) for i in idx))
-    # drawn proportional to the kernel weight, so the regression weight is flat
-    return masks, np.ones(len(masks))
-
-
-def kernel_shap(
-    vf,
-    x,
-    rng: RngStream,
-    n_sampled: int = DEFAULT_SAMPLED_COALITIONS,
-) -> AttributionVector:
-    """Weighted least-squares Shapley estimate with exact anchoring.
-
-    g(empty) = v(empty) and g(full) = v(full) are enforced exactly, so the
-    attributions always sum to v(full) - v(empty). Coalitions are fully
-    enumerated while 2^M <= 2048, sampled proportional to the kernel
-    weight beyond that; each distinct coalition is evaluated once.
-    """
-    x = as_vector(x)
-    m = vf.n_features
-    if m < 1:
-        raise SizeError("need at least one feature")
-    v0, v1 = _value_table(vf, x, rng, (0, (1 << m) - 1)).values()
-    delta = v1 - v0
-    if m == 1:
-        return AttributionVector(v0, np.array([delta]))
-
-    masks, weights = _coalition_masks(m, rng, n_sampled)
-    table = _value_table(vf, x, rng, masks)
-    vals = np.array([table[mk] for mk in masks])
-    z = (np.array(masks)[:, None] >> np.arange(m) & 1).astype(float)
-
-    # eliminate the last feature through the sum constraint
-    zr = z[:, :-1] - z[:, -1:]
-    yr = (vals - v0) - z[:, -1] * delta
-    sw = np.sqrt(weights)
-    a = zr * sw[:, None]
-    b = yr * sw
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    warning = None
-    if rank < m - 1:
-        gram = a.T @ a + 1e-10 * np.eye(m - 1)
-        sol = np.linalg.solve(gram, a.T @ b)
-        warning = "singular-regression-ridge-fallback"
-    phi = np.append(sol, delta - sol.sum())
-    return AttributionVector(v0, phi, warning=warning)
 
 
 def _expectation_table(model, x, rows_of, uses=None) -> tuple:
@@ -411,6 +262,71 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     return Decomposition(base, phi, phi_int, phi_dep, meta)
 
 
+def _coalition_masks(m: int, rng: RngStream) -> list:
+    """DEFAULT_SAMPLED_COALITIONS interior masks, drawn proportional to
+    the Kernel SHAP weight: a size s with probability proportional to
+    (M - 1) / (s (M - s)), then s distinct features uniformly."""
+    gen = rng.substream(_COALITION_DRAW_KEY).generator()
+    sizes = np.arange(1, m)
+    p = (m - 1) / (sizes * (m - sizes))
+    p = p / p.sum()
+    masks = []
+    for s in gen.choice(sizes, size=DEFAULT_SAMPLED_COALITIONS, p=p):
+        idx = gen.choice(m, size=int(s), replace=False)
+        masks.append(sum(1 << int(i) for i in idx))
+    return masks
+
+
+def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
+    """Shapley values of the game v(S) = E[f | x_S] that the sampler
+    defines: the interventional game under a MarginalSampler (Kernel SHAP,
+    Lundberg & Lee, NeurIPS 2017), the conditional one otherwise.
+
+    Coalition S draws K1 rows once, from the stream ``decompose`` gives
+    it for the same seed. While 2^M <= ENUMERATION_LIMIT, phi is the
+    exact Shapley sum over every coalition's table entry, which equals
+    the enumerated kernel regression. Beyond that, DEFAULT_SAMPLED_COALITIONS
+    coalitions are sampled proportional to the kernel weight, each
+    distinct one evaluated once, and phi is the least-squares fit with
+    g(empty) = v(empty) and g(full) = f(x) enforced exactly. Either way
+    the attributions sum to f(x) - v(empty).
+    """
+    if k1 < 1:
+        raise SizeError("draw budget K1 must be >= 1")
+    x = as_vector(x)
+    m = sampler.n_features
+    if m < 1:
+        raise SizeError("need at least one feature")
+    rng = RngStream(seed).substream(1)
+    rows_of = _conditional_draws(sampler, x, k1, rng)
+    if (1 << m) <= ENUMERATION_LIMIT:
+        no_pairs = np.zeros((1 << m, m), dtype=np.intp)
+        v, t, u, _ = _expectation_table(model, x, rows_of, no_pairs)
+        return AttributionVector(v[0], _split(v, t, u)[0])
+
+    def mean_of(mask):
+        rows, weights, _ = rows_of(mask)
+        return predict_batch(model, rows) @ weights
+
+    v0, v1 = mean_of(0), mean_of((1 << m) - 1)
+    delta = v1 - v0
+    masks = _coalition_masks(m, rng)
+    table = {mask: mean_of(mask) for mask in dict.fromkeys(masks)}
+    vals = np.array([table[mask] for mask in masks])
+    z = (np.array(masks)[:, None] >> np.arange(m) & 1).astype(float)
+    # drawn proportional to the kernel weight, so the regression weight is
+    # flat; the last feature is eliminated through the sum constraint
+    a = z[:, :-1] - z[:, -1:]
+    b = (vals - v0) - z[:, -1] * delta
+    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    warning = None
+    if rank < m - 1:
+        gram = a.T @ a + 1e-10 * np.eye(m - 1)
+        sol = np.linalg.solve(gram, a.T @ b)
+        warning = "singular-regression-ridge-fallback"
+    return AttributionVector(v0, np.append(sol, delta - sol.sum()), warning=warning)
+
+
 MAX_ORACLE_FEATURES = 8
 
 
@@ -446,27 +362,6 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
     )
 
 
-def _contributions(vf, x, rng: RngStream | None) -> tuple:
-    """v over all 2^M coalitions, and per feature i the masks S without i,
-    their Shapley weights and the contributions v(S + i) - v(S)."""
-    x = as_vector(x)
-    m = vf.n_features
-    if m > MAX_ENUMERATION_FEATURES:
-        raise SizeError(f"coalition enumeration supports M <= {MAX_ENUMERATION_FEATURES}")
-    table = _value_table(vf, x, rng or RngStream(0), range(1 << m))
-    v = np.array([table[mask] for mask in range(1 << m)])
-    return v, [
-        (without, w, v[without | 1 << i] - v[without])
-        for i, (without, w) in enumerate(_coalitions_without(m))
-    ]
-
-
-def shapley_from_value_function(vf, x, rng: RngStream | None = None) -> AttributionVector:
-    """Shapley values by full coalition enumeration of v (oracle path)."""
-    v, per_feature = _contributions(vf, x, rng)
-    return AttributionVector(v[0], np.array([w @ c for _, w, c in per_feature]))
-
-
 @dataclass(frozen=True)
 class ResidualTable:
     """Shapley residuals r_{i,S} = phi_{i,S} - phi_i for every coalition
@@ -490,17 +385,22 @@ class ResidualTable:
         return float(self.weights[i] @ self.residuals[i])
 
 
-def shapley_residuals(vf, x, rng: RngStream | None = None) -> ResidualTable:
-    """Single-coalition contributions minus the Shapley value, exactly
-    enumerated over all coalitions (M <= 12)."""
-    _, per_feature = _contributions(vf, x, rng)
-    phi = np.array([w @ c for _, w, c in per_feature])
-    return ResidualTable(
-        len(phi),
-        phi,
-        tuple(w for _, w, _ in per_feature),
-        tuple(c - p for (_, _, c), p in zip(per_feature, phi)),
-    )
+def shapley_residuals(v) -> ResidualTable:
+    """Single-coalition contributions v(S + i) - v(S) minus the Shapley
+    value (Kumar et al., NeurIPS 2021), for a game given as its table of
+    2^M values indexed by coalition mask."""
+    v = np.asarray(v, dtype=float)
+    m = v.size.bit_length() - 1
+    if v.ndim != 1 or m < 1 or v.size != 1 << m:
+        raise SizeError(f"a game table needs 2^M values with M >= 1, got shape {v.shape}")
+    phi = np.zeros(m)
+    weights, residuals = [], []
+    for i, (without, w) in enumerate(_coalitions_without(m)):
+        contributions = v[without | 1 << i] - v[without]
+        phi[i] = w @ contributions
+        weights.append(w)
+        residuals.append(contributions - phi[i])
+    return ResidualTable(m, phi, tuple(weights), tuple(residuals))
 
 
 @dataclass(frozen=True)

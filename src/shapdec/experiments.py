@@ -26,14 +26,7 @@ from .distributions import (
     fit_copula,
     fit_gaussian,
 )
-from .engine import (
-    ExactValueFunction,
-    decompose,
-    exact_decomposition,
-    interventional_value_function,
-    kernel_shap,
-    shapley_residuals,
-)
+from .engine import decompose, exact_decomposition, kernel_shap, shapley_residuals
 from .errors import IngestionError
 from .models import (
     CallableModel,
@@ -51,6 +44,11 @@ IMPUTATIONS = ("marginal-mean", "conditional-mean")
 
 def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _row_seed(seed: int, i: int) -> int:
+    """The draw seed of row i of a study run with ``seed``."""
+    return (seed * 1_000_003 + i) % (1 << 63)
 
 
 def toy_joint() -> DiscreteJoint:
@@ -104,21 +102,17 @@ def interaction_model(a12: float) -> CallableModel:
     )
 
 
-def exact_interaction_value_function(a12: float, alpha: float, x) -> ExactValueFunction:
+def exact_interaction_value_function(a12: float, alpha: float, x) -> np.ndarray:
     """Closed-form conditional value function of the interaction model
-    under the standard bivariate Gaussian with correlation alpha."""
-    x = as_vector(x)
-
-    def v(coalition: Coalition) -> float:
-        if coalition.is_full():
-            return x[0] + x[1] + a12 * x[0] * x[1]
-        if coalition.is_empty():
-            return a12 * alpha
-        (i,) = coalition.members
-        xi = x[i]
-        return xi + alpha * xi + a12 * xi * alpha * xi
-
-    return ExactValueFunction(v, 2)
+    under the standard bivariate Gaussian with correlation alpha, as its
+    table v[S] over the masks S = 0 (empty), 1 ({x1}), 2 ({x2}), 3 (full)."""
+    x0, x1 = as_vector(x)
+    return np.array([
+        a12 * alpha,
+        x0 + alpha * x0 + a12 * x0 * alpha * x0,
+        x1 + alpha * x1 + a12 * x1 * alpha * x1,
+        x0 + x1 + a12 * x0 * x1,
+    ])
 
 
 def run_correlation_study(
@@ -141,7 +135,7 @@ def run_correlation_study(
             GaussianModel(np.zeros(2), np.array([[1.0, alpha], [alpha, 1.0]]))
         )
         dec = decompose(model, sampler, x, k1, k2, seed + j)
-        table = shapley_residuals(exact_interaction_value_function(a12, alpha, x), x)
+        table = shapley_residuals(exact_interaction_value_function(a12, alpha, x))
         rows.append(
             CorrelationStudyRow(
                 alpha=float(alpha),
@@ -222,21 +216,19 @@ def run_imputation_study(
     marginal = MarginalSampler(data)
     col_means = data.values.mean(axis=0)
     m = data.n_features
-    root = RngStream(seed)
-    gen = root.substream(0).generator()
+    gen = RngStream(seed).substream(0).generator()
     town_idx = np.sort(gen.choice(data.n_rows, size=towns, replace=False))
 
     changes = {
         (sel, imp): np.zeros((towns, m + 1)) for sel in SELECTIONS for imp in IMPUTATIONS
     }
-    vf_int = interventional_value_function(model, marginal, k1)
     for t, row_i in enumerate(town_idx):
         x = data.values[row_i]
-        sub = root.substream(1000 + t)
+        town_seed = _row_seed(seed, t)
         # conditional SHAP and the interventional part from the same draws
-        dec = decompose(model, gauss, x, k1, k2, sub.substream(2).index)
+        dec = decompose(model, gauss, x, k1, k2, town_seed)
         attributions = {
-            "interventional-shap": kernel_shap(vf_int, x, sub.substream(1)).phi,
+            "interventional-shap": kernel_shap(model, marginal, x, k1, town_seed).phi,
             "conditional-shap": dec.phi,
             "interventional-part": dec.phi_int,
         }
@@ -369,8 +361,7 @@ def run_fire_study(
     phi_dep = np.zeros((n, m))
     bases = np.zeros(n)
     for i in range(n):
-        row_seed = (seed * 1_000_003 + i) % (1 << 63)
-        dec = decompose(model, sampler, data.values[i], k1, k2, row_seed)
+        dec = decompose(model, sampler, data.values[i], k1, k2, _row_seed(seed, i))
         phi_int[i] = dec.phi_int
         phi_dep[i] = dec.phi_dep
         bases[i] = dec.base
@@ -403,8 +394,7 @@ def run_fire_study(
             secondary_axis=_probability_axis(),
         )
         (out_dir / "force_decomposition.svg").write_text(render_force_plot(spec))
-        vf = interventional_value_function(model, MarginalSampler(data), k1)
-        classic = kernel_shap(vf, x, RngStream(seed, 5))
+        classic = kernel_shap(model, MarginalSampler(data), x, k1, _row_seed(seed, sample_index))
         spec_classic = ForcePlotSpec(
             base=classic.base,
             features=tuple(

@@ -12,7 +12,8 @@ import os
 import select
 import subprocess
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,56 +68,30 @@ class LinearModel:
         }
 
 
-class _FlatTree:
-    """One regression tree flattened to parallel node arrays.
+class _Nodes:
+    """A forest's nodes in the order they are grown or read, tree after
+    tree, in the layout of ``ForestModel``, as typed arrays. A new node is
+    a leaf, its own child, until it is split."""
 
-    ``feature[k] == -1`` marks node k as a leaf with output ``value[k]``.
-    """
+    def __init__(self):
+        self.roots, self.left, self.right = array("i"), array("i"), array("i")
+        self.feature = array("q")  # as read, checked against M before it is narrowed
+        self.threshold, self.value = array("d"), array("d")
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    def leaf(self, value: float = 0.0) -> int:
+        k = len(self.feature)
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.value.append(value)
+        self.left.append(k)
+        self.right.append(k)
+        return k
 
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=float)
-
-    def to_json_dict(self) -> dict:
-        def build(k: int):
-            if self.feature[k] < 0:
-                return {"value": float(self.value[k])}
-            return {
-                "split": int(self.feature[k]),
-                "threshold": float(self.threshold[k]),
-                "left": build(int(self.left[k])),
-                "right": build(int(self.right[k])),
-            }
-
-        return build(0)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "_FlatTree":
-        feature, threshold, left, right, value = [], [], [], [], []
-
-        def add(node: dict) -> int:
-            k = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(0)
-            right.append(0)
-            value.append(0.0)
-            if "value" in node:
-                value[k] = float(node["value"])
-            else:
-                feature[k] = int(node["split"])
-                threshold[k] = float(node["threshold"])
-                left[k] = add(node["left"])
-                right[k] = add(node["right"])
-            return k
-
-        add(doc)
-        return cls(feature, threshold, left, right, value)
+    def split(self, k: int, feature: int, threshold: float, left: int, right: int) -> None:
+        self.feature[k] = feature
+        self.threshold[k] = threshold
+        self.left[k] = left
+        self.right[k] = right
 
 
 # Tree x row cells per walk block: a float64 temporary of one step is 64 kB.
@@ -125,32 +100,34 @@ class _FlatTree:
 _WALK_CELLS = 1 << 13
 
 
-class _StackedWalk:
-    """Every tree of a forest in one int32-indexed node array.
+class ForestModel:
+    """Bagged CART trees; regression averages leaf values, binary
+    probability averages leaf class-1 proportions.
 
-    Tree t's root is node ``roots[t]``; ``kids[2k]`` is node k's right
-    child and ``kids[2k + 1]`` its left one, so a step moves to
-    ``kids[2k + (x <= threshold)]``. A leaf's children are the leaf itself,
-    so after ``depth`` steps (the deepest leaf's depth) every tree and row
-    has reached its leaf.
+    Every tree lives in one int32-indexed node array. Tree t's root is node
+    ``roots[t]``; ``kids[2k]`` is node k's right child and ``kids[2k + 1]``
+    its left one, so a step moves to ``kids[2k + (x <= threshold)]``. A leaf
+    is its own child, so after ``depth`` steps (the deepest leaf's depth)
+    every tree and row has reached its leaf.
     """
 
-    def __init__(self, trees, n_features: int):
-        offsets = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
-        feature = np.concatenate([t.feature for t in trees]).astype(np.int32)
-        if np.any(feature >= n_features):
-            raise IngestionError(f"a tree splits on a feature beyond M={n_features}")
-        leaf = feature < 0
-        kids = np.empty((len(feature), 2), dtype=np.int32)
-        kids[:, 0] = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
-        kids[:, 1] = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
-        kids[leaf] = np.nonzero(leaf)[0][:, None]
-        feature[leaf] = 0
-        self.roots = offsets.astype(np.int32)
-        self.feature = feature
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.value = np.concatenate([t.value for t in trees])
+    def __init__(self, nodes: _Nodes, task: str, n_features: int):
+        if task not in ("regression", "binary-probability"):
+            raise IngestionError(f"unknown forest task {task!r}")
+        if not nodes.roots:
+            raise IngestionError("a forest needs at least one tree")
+        self.task = task
+        self.n_features = n_features
+        feature = np.array(nodes.feature, dtype=np.int64)
+        if np.any((feature < 0) | (feature >= n_features)):
+            raise IngestionError(f"a tree splits on a feature outside 0..{n_features - 1}")
+        self.feature = feature.astype(np.int32)
+        self.threshold = np.array(nodes.threshold, dtype=float)
+        self.value = np.array(nodes.value, dtype=float)
+        self.roots = np.array(nodes.roots, dtype=np.int32)
+        kids = np.column_stack([nodes.right, nodes.left]).astype(np.int32)
         self.kids = kids.ravel()
+        leaf = kids[:, 0] == np.arange(len(kids))
         self.depth = 0
         frontier = self.roots
         while True:
@@ -160,7 +137,7 @@ class _StackedWalk:
             frontier = kids[frontier].ravel()
             self.depth += 1
 
-    def leaf_sum(self, rows: np.ndarray) -> np.ndarray:
+    def _leaf_sum(self, rows: np.ndarray) -> np.ndarray:
         """Per row, the sum of its leaf values added tree by tree in tree
         order, the same bits as a running total over per-tree walks."""
         b, m = rows.shape
@@ -174,41 +151,46 @@ class _StackedWalk:
         self.value.take(idx, out=running[1:])
         return np.add.accumulate(running, axis=0, out=running)[-1]
 
-
-@dataclass(frozen=True)
-class ForestModel:
-    """Bagged CART trees; regression averages leaf values, binary
-    probability averages leaf class-1 proportions."""
-
-    trees: tuple
-    task: str
-    n_features: int
-
-    def __post_init__(self):
-        if self.task not in ("regression", "binary-probability"):
-            raise IngestionError(f"unknown forest task {self.task!r}")
-        if not self.trees:
-            raise IngestionError("a forest needs at least one tree")
-        object.__setattr__(self, "_walk", _StackedWalk(self.trees, self.n_features))
-
     def predict(self, rows) -> np.ndarray:
         rows = _check_rows(rows, self.n_features)
-        block = max(1, _WALK_CELLS // len(self.trees))
+        block = max(1, _WALK_CELLS // len(self.roots))
         total = np.empty(len(rows))
         for start in range(0, len(rows), block):
-            total[start:start + block] = self._walk.leaf_sum(rows[start:start + block])
-        return total / len(self.trees)
+            total[start:start + block] = self._leaf_sum(rows[start:start + block])
+        return total / len(self.roots)
 
     def describe(self) -> str:
-        return f"forest({self.task},trees={len(self.trees)})"
+        return f"forest({self.task},trees={len(self.roots)})"
 
     def to_json_dict(self) -> dict:
+        def tree(k: int) -> dict:
+            right, left = int(self.kids[2 * k]), int(self.kids[2 * k + 1])
+            if right == k:
+                return {"value": float(self.value[k])}
+            return {
+                "split": int(self.feature[k]),
+                "threshold": float(self.threshold[k]),
+                "left": tree(left),
+                "right": tree(right),
+            }
+
         return {
             "kind": "forest",
             "task": self.task,
             "n_features": self.n_features,
-            "trees": [t.to_json_dict() for t in self.trees],
+            "trees": [tree(int(root)) for root in self.roots],
         }
+
+
+def _read_tree(nodes: _Nodes, doc: dict) -> int:
+    """Add the tree of a JSON document to ``nodes``; returns its root."""
+    if "value" in doc:
+        return nodes.leaf(float(doc["value"]))
+    k = nodes.leaf()
+    left = _read_tree(nodes, doc["left"])
+    right = _read_tree(nodes, doc["right"])
+    nodes.split(k, int(doc["split"]), float(doc["threshold"]), left, right)
+    return k
 
 
 @dataclass(frozen=True)
@@ -470,44 +452,34 @@ def _best_split(x, y, feat_candidates, min_leaf):
     return best
 
 
-def _grow_tree(x, y, params, gen):
-    feature, threshold, left, right, value = [], [], [], [], []
+def _grow_tree(nodes: _Nodes, x, y, params, gen) -> int:
+    """Grow one CART tree into ``nodes``; returns its root."""
     m = x.shape[1]
     fps = params["features_per_split"] or int(np.ceil(np.sqrt(m)))
 
-    def leaf_value(ys):
-        return float(ys.mean())
-
     def build(idx, depth) -> int:
-        k = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(0)
-        right.append(0)
-        value.append(0.0)
+        k = nodes.leaf()
         ys = y[idx]
         if (
             depth >= params["max_depth"]
             or len(idx) < 2 * params["min_leaf"]
             or np.all(ys == ys[0])
         ):
-            value[k] = leaf_value(ys)
+            nodes.value[k] = float(ys.mean())
             return k
         cand = gen.choice(m, size=min(fps, m), replace=False)
         split = _best_split(x[idx], ys, sorted(cand), params["min_leaf"])
         if split is None:
-            value[k] = leaf_value(ys)
+            nodes.value[k] = float(ys.mean())
             return k
         j, thr = split
         go_left = x[idx, j] <= thr
-        feature[k] = j
-        threshold[k] = thr
-        left[k] = build(idx[go_left], depth + 1)
-        right[k] = build(idx[~go_left], depth + 1)
+        left = build(idx[go_left], depth + 1)
+        right = build(idx[~go_left], depth + 1)
+        nodes.split(k, j, thr, left, right)
         return k
 
-    build(np.arange(len(y)), 0)
-    return _FlatTree(feature, threshold, left, right, value)
+    return build(np.arange(len(y)), 0)
 
 
 def fit_forest(
@@ -531,15 +503,15 @@ def fit_forest(
         raise IngestionError("binary-probability forest needs a 0/1 target")
     if len(y) < 2 * p["min_leaf"]:
         raise SizeError(f"need at least {2 * p['min_leaf']} rows, got {len(y)}")
-    trees = []
+    nodes = _Nodes()
     for t in range(p["trees"]):
         gen = rng.substream(t).generator()
         if p["bootstrap"]:
             idx = gen.integers(0, len(y), size=len(y))
         else:
             idx = np.arange(len(y))
-        trees.append(_grow_tree(x[idx], y[idx], p, gen))
-    return ForestModel(tuple(trees), task, data.n_features)
+        nodes.roots.append(_grow_tree(nodes, x[idx], y[idx], p, gen))
+    return ForestModel(nodes, task, data.n_features)
 
 
 def model_from_json(doc: dict):
@@ -548,8 +520,10 @@ def model_from_json(doc: dict):
     if kind == "linear":
         return LinearModel(np.array(doc["coefficients"]), float(doc["intercept"]))
     if kind == "forest":
-        trees = tuple(_FlatTree.from_json_dict(t) for t in doc["trees"])
-        return ForestModel(trees, doc["task"], int(doc["n_features"]))
+        nodes = _Nodes()
+        for tree in doc["trees"]:
+            nodes.roots.append(_read_tree(nodes, tree))
+        return ForestModel(nodes, doc["task"], int(doc["n_features"]))
     if kind == "tabulated":
         return TabulatedModel(np.array(doc["support"]), np.array(doc["outputs"]))
     if kind == "external":

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shapdec.cli import main
-from shapdec.core import FeatureMatrix, RngStream
+from shapdec.core import Coalition, FeatureMatrix, RngStream
 from shapdec.distributions import (
     DiscreteJoint,
     DiscreteSampler,
@@ -27,10 +27,7 @@ from shapdec.engine import (
     additive_split_check,
     decompose,
     exact_decomposition,
-    exact_discrete_value_function,
-    interventional_value_function,
     kernel_shap,
-    shapley_from_value_function,
     shapley_residuals,
 )
 from shapdec.experiments import (
@@ -127,8 +124,11 @@ def test_a04_residual_weighted_average_vanishes():
                 lambda rows, w=w, b=b: rows @ w + b * rows[:, 0] * rows[:, 1], 3
             )
             x = joint.support[int(gen.integers(len(joint.support)))]
-            vf = exact_discrete_value_function(model, joint, x)
-            table = shapley_residuals(vf, x)
+            v = []
+            for mask in range(8):
+                rows, probs = joint.restrict(Coalition(mask, 3), x)
+                v.append(probs @ model.predict(rows))
+            table = shapley_residuals(v)
             for i in range(3):
                 assert abs(table.permutation_weighted_average(i)) < 1e-12
 
@@ -201,8 +201,7 @@ def test_a07_linear_interventional_closed_form():
         mean = rows.mean(axis=0)
         sd = rows.std(axis=0)
         x = mean + 1.5 * sd  # keep every psi_i well away from zero
-        vf = interventional_value_function(model, data, 40_000)
-        psi = kernel_shap(vf, x, RngStream(7)).phi
+        psi = kernel_shap(model, MarginalSampler(data), x, 40_000, 7).phi
         expected = coef * (x - mean)
         rel = np.abs(psi - expected) / np.abs(expected)
         assert np.max(rel) < 0.02
@@ -220,8 +219,7 @@ def test_a08_independent_sampler_collapses_the_split():
         x = np.array([1.0, -1.0, 0.5])
         dec = decompose(model, MarginalSampler(data), x, 20_000, 20_000, 0)
         assert np.max(np.abs(dec.phi_dep)) <= 0.03
-        vf = interventional_value_function(model, data, 20_000)
-        psi = kernel_shap(vf, x, RngStream(11)).phi
+        psi = kernel_shap(model, MarginalSampler(data), x, 20_000, 11).phi
         assert np.max(np.abs(dec.phi_int - psi)) <= 0.03
 
 
@@ -372,8 +370,8 @@ def test_a09_imputation_study_ordering():
 
     The sampled curves differ from these only through the sampled
     rankings. Each interior-k mean must lie within ``agree`` of its exact
-    value; ``agree`` is over six times the largest deviation seen over
-    seeds 0-4 (0.032) and below half the smallest exact gap between
+    value; ``agree`` is almost four times the largest deviation seen over
+    seeds 0-4 (0.052) and below half the smallest exact gap between
     selections under one imputation (0.470), so a faulty estimator or
     swapped curves fail.
     """
@@ -388,7 +386,7 @@ def test_a09_imputation_study_ordering():
         key: np.asarray(values) for key, values in result["curves"].items()
     }
     slack = 1e-3
-    agree = 0.2  # seeds 0-4 deviate by at most 0.032 (conditional-SHAP)
+    agree = 0.2  # seeds 0-4 deviate by at most 0.052 (conditional-SHAP)
 
     exact = _exact_imputation_curves(data, target, towns=200, seed=0)
     for key, pinned in A09_EXACT_INTERIOR_MEANS.items():
@@ -422,22 +420,24 @@ def test_a10_fire_study_on_synthetic_data():
         assert abs(rho) <= 0.1
 
 
-def test_a11_kernel_regression_equals_enumeration():
-    """With exact value functions the kernel estimate is the Shapley value."""
+def test_a11_kernel_regression_is_exact_on_an_additive_game():
+    """At M=12 Kernel SHAP samples coalitions and regresses. Against a
+    single background row z every v(S) = f(x_S, z_-S) of a linear model is
+    additive, so the regression must return coef * (x - z) exactly."""
     gen = RngStream(1111).generator()
+    m = 12
+    names = tuple(f"f{j}" for j in range(m))
     with _Stopwatch(10.0):
-        for trial in range(20):
-            joint = _random_binary_joint(3, gen)
-            w = gen.normal(size=3)
-            c = gen.normal()
-            model = CallableModel(
-                lambda rows, w=w, c=c: rows @ w + c * rows[:, 1] * rows[:, 2], 3
-            )
-            x = joint.support[int(gen.integers(len(joint.support)))]
-            vf = exact_discrete_value_function(model, joint, x)
-            ks = kernel_shap(vf, x, RngStream(trial))
-            ref = shapley_from_value_function(vf, x)
-            assert np.max(np.abs(ks.phi - ref.phi)) < 1e-9
+        for trial in range(5):
+            coef = gen.normal(size=m)
+            z = gen.normal(size=m)
+            x = gen.normal(size=m)
+            model = LinearModel(coef, gen.normal())
+            sampler = MarginalSampler(FeatureMatrix(names, np.vstack([z, z])))
+            ks = kernel_shap(model, sampler, x, 3, trial)
+            assert ks.warning is None
+            assert ks.base == pytest.approx(model.predict([z])[0], abs=1e-9)
+            assert np.max(np.abs(ks.phi - coef * (x - z))) < 1e-9
 
 
 @pytest.mark.slow

@@ -7,7 +7,6 @@ from shapdec.core import (
     Decomposition,
     FeatureMatrix,
     RngStream,
-    enumerate_coalitions,
 )
 from shapdec.errors import IngestionError, SizeError
 
@@ -127,14 +126,6 @@ def test_coalition_complement_partitions(case):
     c = Coalition.from_indices(idx, m)
     assert sorted(c.members + c.complement_members) == list(range(m))
     assert c.complement().complement() == c
-
-
-def test_enumerate_coalitions_counts_and_order():
-    cs = enumerate_coalitions(4)
-    assert len(cs) == 16
-    sizes = [len(c) for c in cs]
-    assert sizes == sorted(sizes)
-    assert cs[0].is_empty() and cs[-1].is_full()
 
 
 def test_decomposition_serialization():

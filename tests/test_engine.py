@@ -1,8 +1,12 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import shapdec
 
 from shapdec.core import Coalition, FeatureMatrix, RngStream
 from shapdec.distributions import (
@@ -15,19 +19,12 @@ from shapdec.distributions import (
     fit_copula,
 )
 from shapdec.engine import (
-    DEFAULT_SAMPLED_COALITIONS,
     AdditiveComponent,
     AdditiveModel,
-    ExactValueFunction,
-    ValueFunction,
     additive_split_check,
     decompose,
     exact_decomposition,
-    exact_discrete_value_function,
-    interventional_value_function,
     kernel_shap,
-    shapley_from_value_function,
-    shapley_kernel_weight,
     shapley_residuals,
     _coalition_masks,
     _row_budget,
@@ -49,29 +46,18 @@ def _random_joint(m, gen):
     return DiscreteJoint(support, probs)
 
 
-def test_kernel_weight_values():
-    # M=4, |S|=1: 3 / (C(4,1)*1*3) = 1/4
-    assert shapley_kernel_weight(4, 1) == pytest.approx(0.25)
-    assert shapley_kernel_weight(4, 2) == pytest.approx(3 / (6 * 2 * 2))
-    with pytest.raises(SizeError):
-        shapley_kernel_weight(4, 0)
-    with pytest.raises(SizeError):
-        shapley_kernel_weight(4, 4)
-
-
 def test_value_function_full_coalition_is_model_output():
+    # Kernel SHAP anchors v(full) = f(x): the attributions sum to it exactly
     model = LinearModel(np.array([1.0, -2.0]), 0.5)
     sampler = GaussianSampler(GaussianModel(np.zeros(2), np.eye(2)))
-    vf = ValueFunction(model, sampler, 16)
-    x = np.array([3.0, 1.0])
-    assert vf.evaluate(x, Coalition.full(2), RngStream(0)) == pytest.approx(1.5)
+    result = kernel_shap(model, sampler, np.array([3.0, 1.0]), 16, 0)
+    assert result.base + result.phi.sum() == pytest.approx(1.5, abs=1e-12)
 
 
 def test_value_function_empty_coalition_is_base_rate():
     model = LinearModel(np.array([1.0]), 0.0)
     sampler = GaussianSampler(GaussianModel(np.array([5.0]), np.eye(1)))
-    vf = ValueFunction(model, sampler, 50_000)
-    v0 = vf.evaluate(np.array([0.0]), Coalition.empty(1), RngStream(1))
+    v0 = kernel_shap(model, sampler, np.array([0.0]), 50_000, 1).base
     assert v0 == pytest.approx(5.0, abs=0.05)
 
 
@@ -81,25 +67,9 @@ def test_kernel_shap_matches_linear_closed_form():
     mean = np.array([0.5, -1.0, 2.0, 0.0])
     sampler = GaussianSampler(GaussianModel(mean, np.eye(4)))
     x = np.array([1.0, 1.0, 1.0, 1.0])
-    vf = ValueFunction(model, sampler, 4000)
-    result = kernel_shap(vf, x, RngStream(3))
+    result = kernel_shap(model, sampler, x, 4000, 3)
     assert np.allclose(result.phi, coef * (x - mean), atol=0.1)
     assert result.base + result.phi.sum() == pytest.approx(model.predict([x])[0])
-
-
-def test_kernel_shap_exact_value_function_is_exact():
-    # kernel regression on an exact v reproduces enumeration exactly
-    gen = RngStream(17).generator()
-    joint = _random_joint(3, gen)
-    model = CallableModel(
-        lambda rows: rows[:, 0] + 2.0 * rows[:, 1] * rows[:, 2], 3, name="t"
-    )
-    x = np.array([1.0, 1.0, 0.0])
-    vf = exact_discrete_value_function(model, joint, x)
-    ks = kernel_shap(vf, x, RngStream(0))
-    ref = shapley_from_value_function(vf, x)
-    assert np.allclose(ks.phi, ref.phi, atol=1e-9)
-    assert ks.base == pytest.approx(ref.base, abs=1e-12)
 
 
 def test_exact_decomposition_toy_values():
@@ -325,11 +295,11 @@ def test_permutation_walk_shared_sampler_equals_fresh_samplers(kind):
 
 @pytest.mark.parametrize("case", _CASES, ids=_CASE_IDS)
 def test_table_phi_equals_enumerated_kernel_shap(case):
+    # at M <= 11 both are the exact Shapley sum over the same coalition rows
     make, fitted, x, _ = case()
     model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
-    sampler = make(fitted)
-    dec = decompose(model, sampler, x, 50, 50, 31)
-    ks = kernel_shap(ValueFunction(model, sampler, 50), x, RngStream(31).substream(1))
+    dec = decompose(model, make(fitted), x, 50, 50, 31)
+    ks = kernel_shap(model, make(fitted), x, 50, 31)
     assert dec.base == pytest.approx(ks.base, rel=0, abs=1e-12)
     assert np.max(np.abs(dec.phi - ks.phi)) <= 1e-12
 
@@ -357,10 +327,14 @@ def test_decompose_records_its_work():
 def _kernel_shap_and_permutation_rows(m, k1, k2, seed):
     """Model rows that Kernel SHAP at K1 and a one-draw permutation
     estimate of phi_int at K2 send side by side: K1 for the empty
-    coalition and for each distinct interior one, one for f(x), and two
-    per feature and permutation."""
-    masks, _ = _coalition_masks(m, RngStream(seed).substream(1), DEFAULT_SAMPLED_COALITIONS)
-    return 1 + k1 * (1 + len(set(masks))) + 2 * m * k2
+    coalition and for each distinct interior one (all 2^M - 2 while M <=
+    11, the distinct sampled ones beyond), one for f(x), and two per
+    feature and permutation."""
+    if m <= 11:
+        interior = (1 << m) - 2
+    else:
+        interior = len(set(_coalition_masks(m, RngStream(seed).substream(1))))
+    return 1 + k1 * (1 + interior) + 2 * m * k2
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 11, 12, 13, 16])
@@ -382,31 +356,67 @@ def test_walk_at_the_explain_defaults_stays_within_budget():
     assert meta["model_rows"] <= _kernel_shap_and_permutation_rows(m, 1000, 4000, 3)
 
 
-def _kernel_shap_with_fresh_generators(vf, x, rng):
-    """kernel_shap with each coalition evaluated on a newly built generator
-    for its substream."""
+def _kernel_shap_with_fresh_generators(model, sampler, x, k1, seed):
+    """Kernel SHAP as a loop over value-function calls. Coalition S draws
+    K1 rows with ``sample_conditional`` on a newly built generator for
+    substream S of substream 1, and v(S) is their plain mean. While 2^M
+    <= 2048 every interior coalition enters the regression with its
+    kernel weight (M - 1) / (C(M, |S|) |S| (M - |S|)); beyond, the
+    engine's sampled masks enter with weight 1. The fit keeps g(empty) =
+    v(empty) and sum(phi) = f(x) - v(empty) through a Lagrange multiplier.
+    Returns (base, phi)."""
+    m = len(x)
+    full = (1 << m) - 1
+    rng = RngStream(seed).substream(1)
 
-    class FreshGenerators:
-        n_features = vf.n_features
+    def v(mask):
+        if mask == full:
+            return model.predict(x[None, :])[0]
+        known = Coalition(mask, m)
+        rows = np.tile(x, (k1, 1))
+        rows[:, list(known.complement_members)] = sampler.sample_conditional(
+            known, x, k1, rng.substream(mask).generator()
+        )
+        return model.predict(rows).mean()
 
-        def evaluate(self, x, coalition, gen):
-            del gen  # the generator kernel_shap passes in is ignored
-            return vf.evaluate(x, coalition, rng.substream(coalition.mask).generator())
+    if (1 << m) <= 2048:
+        masks = list(range(1, full))
+        sizes = np.array([mask.bit_count() for mask in masks])
+        weights = (m - 1) / (np.array([math.comb(m, s) for s in sizes]) * sizes * (m - sizes))
+    else:
+        masks = _coalition_masks(m, rng)
+        weights = np.ones(len(masks))
+    v0 = v(0)
+    values = {mask: v(mask) for mask in set(masks)}
+    z = np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=float)
+    y = np.array([values[mask] for mask in masks]) - v0
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = z.T @ (weights[:, None] * z)
+    kkt[:m, m] = kkt[m, :m] = 1.0
+    rhs = np.append(z.T @ (weights * y), v(full) - v0)
+    return v0, np.linalg.solve(kkt, rhs)[:m]
 
-    return kernel_shap(FreshGenerators(), x, rng)
+
+def _sampler_case(kind, m):
+    cov = 0.6 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    if kind == "gaussian":
+        return GaussianSampler(GaussianModel(np.zeros(m), cov))
+    rows = RngStream(19).generator().multivariate_normal(np.zeros(m), cov, 300)
+    data = FeatureMatrix(tuple(f"f{j}" for j in range(m)), np.exp(rows))
+    return CopulaSampler(fit_copula(data)) if kind == "copula" else MarginalSampler(data)
 
 
 @pytest.mark.parametrize("m", [4, 13], ids=["enumerated", "sampled"])
 def test_kernel_shap_equals_fresh_generator_draws(m):
-    cov = 0.6 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    sampler = GaussianSampler(GaussianModel(np.zeros(m), cov))
-    vf = ValueFunction(LinearModel(np.linspace(-1.0, 2.0, m), 0.5), sampler, 8)
-    x = np.linspace(1.0, -1.0, m)
-    rng = RngStream(2**63 + 9, 1)
-    result = kernel_shap(vf, x, rng)
-    expected = _kernel_shap_with_fresh_generators(vf, x, rng)
-    assert np.array_equal(result.phi, expected.phi)
-    assert result.base == expected.base
+    model = LinearModel(np.linspace(-1.0, 2.0, m), 0.5)
+    x = np.exp(np.linspace(1.0, -1.0, m))
+    for kind in ("gaussian", "copula", "marginal"):
+        result = kernel_shap(model, _sampler_case(kind, m), x, 8, 2**63 + 9)
+        base, phi = _kernel_shap_with_fresh_generators(
+            model, _sampler_case(kind, m), x, 8, 2**63 + 9
+        )
+        assert result.base == pytest.approx(base, rel=0, abs=1e-12), kind
+        assert np.max(np.abs(result.phi - phi)) <= 1e-12, kind
 
 
 def test_interventional_parts_independent_case_is_psi():
@@ -422,35 +432,56 @@ def test_interventional_parts_independent_case_is_psi():
 def test_interventional_value_function_uses_background_rows():
     data = FeatureMatrix(("a", "b"), np.array([[0.0, 1.0], [0.0, 3.0]]))
     model = LinearModel(np.array([1.0, 1.0]), 0.0)
-    vf = interventional_value_function(model, data, 64)
-    v = vf.evaluate(np.array([5.0, 0.0]), Coalition.from_indices([0], 2), RngStream(0))
-    # x_a fixed at 5, X_b drawn from {1, 3}
-    assert 6.0 <= v <= 8.0
+    result = kernel_shap(model, MarginalSampler(data), np.array([5.0, 0.0]), 64, 0)
+    # v(empty) averages a + b over background rows: a = 0, b drawn from {1, 3}
+    assert 1.0 <= result.base <= 3.0
+    assert result.base + result.phi.sum() == pytest.approx(5.0, abs=1e-12)
 
 
 def test_shapley_residuals_inessential_game_is_zero():
     # additive v: contributions are coalition-independent, residuals vanish
     x = np.array([2.0, -1.0])
-
-    def v(c):
-        return sum(x[i] for i in c.members)
-
-    table = shapley_residuals(ExactValueFunction(v, 2), x)
+    v = [sum(x[i] for i in range(2) if mask >> i & 1) for mask in range(4)]
+    table = shapley_residuals(v)
     for i in range(2):
         assert table.norm(i) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shapley_residuals_m2_norm_convention():
     # v({1}) differs from v({1}|{2}) by 2d: residuals are +/- d, norm d*sqrt(2)
-    vals = {0: 0.0, 1: 1.0, 2: 0.5, 3: 2.5}
-
-    def v(c):
-        return vals[c.mask]
-
-    table = shapley_residuals(ExactValueFunction(v, 2), np.zeros(2))
+    vals = [0.0, 1.0, 0.5, 2.5]
+    table = shapley_residuals(vals)
     d0 = (vals[3] - vals[2]) - (vals[1] - vals[0])  # 2 * residual gap
     assert table.norm(0) == pytest.approx(abs(d0) / 2 * math.sqrt(2))
     assert table.permutation_weighted_average(0) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "v", [[], [1.0], [1.0, 2.0, 3.0], np.zeros(6), np.zeros((2, 2)), 3.0],
+    ids=["empty", "one", "three", "six", "matrix", "scalar"],
+)
+def test_shapley_residuals_rejects_tables_of_bad_length(v):
+    with pytest.raises(SizeError):
+        shapley_residuals(v)
+
+
+def test_public_engine_api_is_pinned():
+    """The package exports from shapdec.engine only what the CLI, the
+    studies and the README use."""
+    init = Path(shapdec.__file__).read_text()
+    exported = {
+        alias.name
+        for node in ast.walk(ast.parse(init))
+        if isinstance(node, ast.ImportFrom) and node.module == "engine"
+        for alias in node.names
+    }
+    assert exported == {
+        "additive_split_check",
+        "decompose",
+        "exact_decomposition",
+        "kernel_shap",
+        "shapley_residuals",
+    }
 
 
 def test_additive_split_check_flags_nothing_on_additive_models():

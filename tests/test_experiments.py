@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from shapdec import experiments
 from shapdec.core import RngStream
 from shapdec.engine import shapley_residuals
 from shapdec.errors import IngestionError
@@ -63,7 +64,7 @@ def test_interaction_model_values():
 def test_exact_interaction_value_function_closed_forms(alpha):
     a12 = 2.0
     x = np.array([1.0, 1.0])
-    table = shapley_residuals(exact_interaction_value_function(a12, alpha, x), x)
+    table = shapley_residuals(exact_interaction_value_function(a12, alpha, x))
     analytic = math.sqrt(2.0) * abs(0.5 * a12 - (1.0 + 0.5 * a12) * alpha)
     assert table.norm(0) == pytest.approx(analytic, abs=1e-9)
     assert table.norm(1) == pytest.approx(analytic, abs=1e-9)
@@ -175,3 +176,25 @@ def test_experiments_reproducible():
     a = run_imputation_study(data, target, "linear", towns=3, k1=20, k2=30, seed=5)
     b = run_imputation_study(data, target, "linear", towns=3, k1=20, k2=30, seed=5)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_imputation_study_draws_depend_on_its_seed(monkeypatch):
+    # with towns = n both seeds explain the same rows; their draws must differ
+    data, target = synthetic_housing(n=16, seed=0)
+    seeds = {}
+    for name in ("decompose", "kernel_shap"):
+        real = getattr(experiments, name)
+
+        def recorder(*args, real=real, name=name):
+            seeds.setdefault(name, []).append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(experiments, name, recorder)
+    per_study = []
+    for study_seed in (0, 1):
+        seeds.clear()
+        run_imputation_study(data, target, "linear", towns=16, k1=8, k2=8, seed=study_seed)
+        per_study.append({name: set(drawn) for name, drawn in seeds.items()})
+    for name in ("decompose", "kernel_shap"):
+        assert len(per_study[0][name]) == 16
+        assert not per_study[0][name] & per_study[1][name], name

@@ -13,7 +13,6 @@ from shapdec.models import (
     _WALK_CELLS,
     CallableModel,
     ExternalModel,
-    ForestModel,
     LinearModel,
     LogOddsModel,
     TabulatedModel,
@@ -191,20 +190,21 @@ def test_model_from_json_unknown_kind():
         model_from_json({"kind": "oracle-of-delphi"})
 
 
-def _per_tree_average(forest, rows):
-    """Walk each tree on its own and average the leaf values in tree order."""
-    rows = np.asarray(rows, dtype=float).reshape(-1, forest.n_features)
+def _per_tree_average(doc, rows):
+    """Walk each tree of a forest's JSON document on its own and average
+    the leaf values in tree order."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, doc["n_features"])
     total = np.zeros(len(rows))
-    for tree in forest.trees:
+    for tree in doc["trees"]:
         leaves = []
         for row in rows:
-            k = 0
-            while tree.feature[k] >= 0:
-                go_left = row[tree.feature[k]] <= tree.threshold[k]
-                k = tree.left[k] if go_left else tree.right[k]
-            leaves.append(tree.value[k])
+            node = tree
+            while "value" not in node:
+                go_left = row[node["split"]] <= node["threshold"]
+                node = node["left"] if go_left else node["right"]
+            leaves.append(node["value"])
         total += np.array(leaves)
-    return total / len(forest.trees)
+    return total / len(doc["trees"])
 
 
 def _forest_with_a_single_leaf_tree():
@@ -216,16 +216,18 @@ def _forest_with_a_single_leaf_tree():
     )
     doc = fitted.to_json_dict()
     doc["trees"].insert(5, {"value": -0.375})
-    return model_from_json(doc)
+    return doc
 
 
 def test_stacked_forest_equals_per_tree_walk():
-    forest = _forest_with_a_single_leaf_tree()
-    block = _WALK_CELLS // len(forest.trees)
+    doc = _forest_with_a_single_leaf_tree()
+    forest = model_from_json(doc)
+    block = _WALK_CELLS // len(doc["trees"])
     rows = RngStream(7).generator().normal(size=(2 * block + 7, 3))
     clone = model_from_json(json.loads(json.dumps(forest.to_json_dict())))
+    assert clone.to_json_dict() == doc
     for batch in (rows, rows[:1], rows[:0], rows[:block]):
-        expected = _per_tree_average(forest, batch)
+        expected = _per_tree_average(doc, batch)
         assert np.array_equal(forest.predict(batch), expected)
         assert np.array_equal(clone.predict(batch), expected)
 
@@ -243,7 +245,7 @@ def test_stacked_forest_of_single_leaves_and_a_stump():
     }
     forest = model_from_json(doc)
     rows = np.array([[0.0, 0.5], [0.0, 0.6], [9.0, -3.0]])
-    assert np.array_equal(forest.predict(rows), _per_tree_average(forest, rows))
+    assert np.array_equal(forest.predict(rows), _per_tree_average(doc, rows))
     leaves_only = model_from_json(dict(doc, trees=[{"value": -0.0}]))
     # a running total that starts at 0.0 turns a -0.0 leaf into +0.0
     assert np.signbit(leaves_only.predict(rows)).sum() == 0
@@ -251,10 +253,13 @@ def test_stacked_forest_of_single_leaves_and_a_stump():
 
 def test_forest_rejects_bad_tree_sets():
     stump = {"split": 2, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 1.0}}
+    for split in (2, -1, 2**32):
+        doc = {"kind": "forest", "task": "regression", "n_features": 2,
+               "trees": [dict(stump, split=split)]}
+        with pytest.raises(IngestionError):
+            model_from_json(doc)
     with pytest.raises(IngestionError):
-        model_from_json({"kind": "forest", "task": "regression", "n_features": 2, "trees": [stump]})
-    with pytest.raises(IngestionError):
-        ForestModel((), "regression", 2)
+        model_from_json({"kind": "forest", "task": "regression", "n_features": 2, "trees": []})
 
 
 @pytest.mark.parametrize(
