@@ -2,7 +2,6 @@
 
 from .core import (
     AttributionVector,
-    Coalition,
     Decomposition,
     FeatureMatrix,
     RngStream,
@@ -16,7 +15,6 @@ from .distributions import (
     MarginalSampler,
     fit_copula,
     fit_gaussian,
-    sampler_from_json,
 )
 from .engine import (
     additive_split_check,
@@ -33,7 +31,6 @@ from .models import (
     TabulatedModel,
     fit_forest,
     fit_ols,
-    log_odds,
     model_from_json,
     predict_batch,
 )

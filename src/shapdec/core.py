@@ -1,19 +1,20 @@
-"""Domain types, coalition machinery and the seeded RNG contract.
+"""Domain types, the coalition mask and the seeded RNG contract.
 
-Everything here is immutable after construction and safe to share across
-threads. All randomness flows through :class:`RngStream`, which derives
-independent substreams from (seed, index) pairs so that parallel and
-sequential evaluation produce bit-identical results.
+A coalition of known features is an int bitmask: bit i set means feature
+i is known. Everything here is immutable after construction and safe to
+share across threads. All randomness flows through :class:`RngStream`,
+which derives independent substreams from (seed, index) pairs so that
+parallel and sequential evaluation produce bit-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import IngestionError, SizeError
+from .errors import IngestionError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,9 +70,9 @@ def _philox_key(seed: int, index: int) -> np.ndarray:
     return np.array([seed, index], dtype=np.uint64)
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or an already-built Generator."""
-    return rng.generator() if isinstance(rng, RngStream) else rng
+def missing_columns(mask: int, m: int) -> np.ndarray:
+    """The features of 0..m-1 outside coalition ``mask`` (ascending, np.intp)."""
+    return np.flatnonzero((mask >> np.arange(m) & 1) == 0)
 
 
 def as_vector(x) -> np.ndarray:
@@ -115,63 +116,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """A subset of feature indices, stored as a bitmask."""
-
-    mask: int
-    n_features: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n_features):
-            raise SizeError(f"mask {self.mask} out of range for M={self.n_features}")
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n_features: int) -> "Coalition":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n_features:
-                raise SizeError(f"feature index {i} out of range for M={n_features}")
-            mask |= 1 << i
-        return cls(mask, n_features)
-
-    @classmethod
-    def empty(cls, n_features: int) -> "Coalition":
-        return cls(0, n_features)
-
-    @classmethod
-    def full(cls, n_features: int) -> "Coalition":
-        return cls((1 << n_features) - 1, n_features)
-
-    @property
-    def members(self) -> tuple:
-        return tuple(i for i in range(self.n_features) if self.mask >> i & 1)
-
-    @property
-    def complement_members(self) -> tuple:
-        return tuple(i for i in range(self.n_features) if not self.mask >> i & 1)
-
-    def complement(self) -> "Coalition":
-        return Coalition(self.mask ^ ((1 << self.n_features) - 1), self.n_features)
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def add(self, i: int) -> "Coalition":
-        if not 0 <= i < self.n_features:
-            raise SizeError(f"feature index {i} out of range")
-        return Coalition(self.mask | (1 << i), self.n_features)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.n_features) - 1
 
 
 @dataclass(frozen=True)

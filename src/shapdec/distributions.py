@@ -1,11 +1,12 @@
 """Fitted conditional samplers: p(X_missing | X_known = x_known).
 
-Four samplers share one interface: multivariate Gaussian, Gaussian copula
-over empirical marginals, an exact discrete joint (used by the oracles),
-and a marginal whole-row sampler used by the interventional value
-function. A sampler's fitted model is immutable; it caches only work that
-repeats for one coalition or one explained row, so a draw depends on
-nothing but its inputs and its explicit RngStream.
+Four samplers share one per-mask draw interface (``_Sampler``):
+multivariate Gaussian, Gaussian copula over empirical marginals, an exact
+discrete joint (used by the oracles), and a marginal whole-row sampler
+that plays the interventional game. A sampler's fitted model is
+immutable; it caches only work that repeats for one coalition or one
+explained row, so a draw depends on nothing but its inputs and the
+generator it is given.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import ndtr, ndtri
 
-from .core import Coalition, FeatureMatrix, RngStream, as_generator, as_vector
+from .core import FeatureMatrix, as_vector, missing_columns
 from .errors import (
     ConditioningError,
     DegenerateMarginalError,
@@ -115,7 +116,6 @@ class _Sampler:
     sampler's draw space; index arrays and other per-mask work are cached.
     A caller that writes such draws into rows calls ``_finish(rows, masks)``
     once, with row r's mask in ``masks[r]``, to map them to feature space.
-    ``sample_conditional`` is ``_draw`` followed by that map.
     """
 
     def _finish(self, rows: np.ndarray, masks) -> None:
@@ -130,8 +130,6 @@ class GaussianSampler(_Sampler):
     conditional covariance depend on S only. Conditional means are cached
     per mask for the last x.
     """
-
-    kind = "gaussian"
 
     def __init__(self, model: GaussianModel):
         self.model = model
@@ -189,22 +187,10 @@ class GaussianSampler(_Sampler):
         z = gen.standard_normal((count, len(mean)))
         return cols[: len(mean)], mean + z @ chol.T
 
-    def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
-        """Exact conditional mean of the missing features (closed form)."""
-        del count  # exact here; the budget only matters for sampled estimators
-        return self._mean(known.mask, as_vector(x)).copy()
-
-    def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        """``count`` draws of the missing block, columns ordered like
-        ``known.complement_members``."""
-        return self._draw(known.mask, as_vector(x), count, as_generator(rng))[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "gaussian",
-            "mean": self.model.mean.tolist(),
-            "cov": self.model.cov.tolist(),
-        }
+    def conditional_mean(self, mask: int, x) -> np.ndarray:
+        """Exact conditional mean of the missing features of ``mask``
+        (closed form), ordered by ascending feature index."""
+        return self._mean(mask, as_vector(x)).copy()
 
 
 class _EmpiricalMarginal:
@@ -262,8 +248,6 @@ class CopulaSampler(_Sampler):
     """Conditions in Gaussian-score space, then back-transforms each
     coordinate through the interpolated inverse empirical CDF."""
 
-    kind = "copula"
-
     def __init__(self, model: CopulaModel):
         self.model = model
         self._latent = GaussianSampler(
@@ -305,28 +289,6 @@ class CopulaSampler(_Sampler):
         for j in range(self.n_features):
             rows[drawn[:, j], j] = self._from_scores(j, rows[drawn[:, j], j])
 
-    def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        cols, draws = self._draw(known.mask, as_vector(x), count, as_generator(rng))
-        out = np.empty_like(draws)
-        for col, j in enumerate(cols):
-            out[:, col] = self._from_scores(j, draws[:, col])
-        return out
-
-    def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
-        """Monte Carlo mean over ``count`` conditional draws (fixed stream)."""
-        draws = self.sample_conditional(known, x, count, RngStream(0, known.mask))
-        return draws.mean(axis=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "copula",
-            "marginals": [
-                {"values": m.values.tolist(), "cdf": m.cdf.tolist()}
-                for m in self.model.marginals
-            ],
-            "latent_corr": self.model.latent_corr.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class DiscreteJoint:
@@ -353,25 +315,25 @@ class DiscreteJoint:
     def n_features(self) -> int:
         return self.support.shape[1]
 
-    def restrict(self, known: Coalition, x) -> tuple[np.ndarray, np.ndarray]:
-        """Support rows matching x_S exactly, with renormalized probs."""
+    def restrict(self, mask: int, x) -> tuple[np.ndarray, np.ndarray]:
+        """Support rows matching x on the known features of ``mask`` exactly,
+        with renormalized probs."""
         x = as_vector(x)
-        if known.is_empty():
+        if mask == 0:
             return self.support, self.probs
-        s_idx = np.array(known.members, dtype=np.intp)
+        m = self.n_features
+        s_idx = missing_columns(mask ^ ((1 << m) - 1), m)  # the known features
         match = np.all(self.support[:, s_idx] == x[s_idx], axis=1)
         total = self.probs[match].sum()
         if total <= 0.0:
             raise ConditioningError(
-                f"no support row matches features {known.members} = {x[s_idx].tolist()}"
+                f"no support row matches features {tuple(s_idx.tolist())} = {x[s_idx].tolist()}"
             )
         return self.support[match], self.probs[match] / total
 
 
 class DiscreteSampler(_Sampler):
     """Categorical draws from the renormalized conditional pmf."""
-
-    kind = "discrete"
 
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
@@ -395,32 +357,14 @@ class DiscreteSampler(_Sampler):
             self._restricted = (key, by_mask)
         entry = by_mask.get(mask)
         if entry is None:
-            known = Coalition(mask, self.n_features)
-            rows, probs = self.joint.restrict(known, x)
-            cols = np.array(known.complement_members, dtype=np.intp)
+            rows, probs = self.joint.restrict(mask, x)
+            cols = missing_columns(mask, self.n_features)
             entry = by_mask[mask] = (cols, probs / probs.sum(), rows[:, cols])
         return entry
 
     def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
         cols, pmf, block = self._restrict(mask, x)
         return cols, block[gen.choice(len(pmf), size=count, p=pmf)]
-
-    def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        return self._draw(known.mask, as_vector(x), count, as_generator(rng))[1]
-
-    def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
-        # Exact pmf arithmetic; the draw budget is irrelevant for a finite joint.
-        del count
-        rows, probs = self.joint.restrict(known, x)
-        m_idx = np.array(known.complement_members, dtype=np.intp)
-        return probs @ rows[:, m_idx]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "discrete",
-            "support": self.joint.support.tolist(),
-            "probs": self.joint.probs.tolist(),
-        }
 
 
 class MarginalSampler(_Sampler):
@@ -430,8 +374,6 @@ class MarginalSampler(_Sampler):
     interventional expectation, which severs links between the known and
     missing blocks but keeps the joint structure of the missing block.
     """
-
-    kind = "marginal"
 
     def __init__(self, data: FeatureMatrix):
         self.data = data
@@ -447,7 +389,7 @@ class MarginalSampler(_Sampler):
     def _missing(self, mask: int) -> np.ndarray:
         cols = self._columns.get(mask)
         if cols is None:
-            cols = np.array(Coalition(mask, self.n_features).complement_members, dtype=np.intp)
+            cols = missing_columns(mask, self.n_features)
             self._columns[mask] = cols
         return cols
 
@@ -455,36 +397,3 @@ class MarginalSampler(_Sampler):
         rows = self.data.values[gen.integers(0, self.data.n_rows, size=count)]
         cols = self._missing(mask)
         return cols, rows[:, cols]
-
-    def sample_conditional(self, known: Coalition, x, count: int, rng: RngStream) -> np.ndarray:
-        return self._draw(known.mask, x, count, as_generator(rng))[1]
-
-    def conditional_mean(self, known: Coalition, x, count: int = 10_000) -> np.ndarray:
-        return self.data.values[:, self._missing(known.mask)].mean(axis=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "marginal",
-            "names": list(self.data.names),
-            "rows": self.data.values.tolist(),
-        }
-
-
-def sampler_from_json(doc: dict):
-    """Rebuild a sampler from its JSON document."""
-    kind = doc.get("kind")
-    if kind == "gaussian":
-        return GaussianSampler(GaussianModel(np.array(doc["mean"]), np.array(doc["cov"])))
-    if kind == "copula":
-        marginals = []
-        for m in doc["marginals"]:
-            obj = _EmpiricalMarginal.__new__(_EmpiricalMarginal)
-            obj.values = np.asarray(m["values"], dtype=float)
-            obj.cdf = np.asarray(m["cdf"], dtype=float)
-            marginals.append(obj)
-        return CopulaSampler(CopulaModel(tuple(marginals), np.array(doc["latent_corr"])))
-    if kind == "discrete":
-        return DiscreteSampler(DiscreteJoint(np.array(doc["support"]), np.array(doc["probs"])))
-    if kind == "marginal":
-        return MarginalSampler(FeatureMatrix(tuple(doc["names"]), np.array(doc["rows"])))
-    raise IngestionError(f"unknown sampler kind {kind!r}")

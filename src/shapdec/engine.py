@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttributionVector, Coalition, Decomposition, RngStream, as_vector
+from .core import AttributionVector, Decomposition, RngStream, as_vector, missing_columns
 from .distributions import DiscreteJoint, DiscreteSampler
-from .errors import OracleError, SizeError
+from .errors import IngestionError, OracleError, SizeError
 from .models import predict_batch
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
@@ -206,6 +206,15 @@ def _row_budget(m: int, k1: int, k2: int) -> int:
     return 1 + k1 * coalitions + 2 * k2 * (m - 1)
 
 
+def _explained_row(sampler, x) -> tuple:
+    """x as a 1-D float vector with one value per sampler feature, and M."""
+    x = as_vector(x)
+    m = sampler.n_features
+    if len(x) != m:
+        raise IngestionError(f"sample has {len(x)} values, sampler has {m} features")
+    return x, m
+
+
 def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     """Sampled split of the conditional SHAP values, with phi_int and
     phi_dep estimated from shared draws; either way phi = phi_int +
@@ -225,8 +234,7 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
         raise SizeError("draw budget K1 must be >= 1")
     if k2 < 1:
         raise SizeError("permutation budget K2 must be >= 1")
-    x = as_vector(x)
-    m = sampler.n_features
+    x, m = _explained_row(sampler, x)
     root = RngStream(seed)
     if (1 << m) <= ENUMERATION_LIMIT:
         if k2 < k1:
@@ -282,7 +290,7 @@ def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
     defines: the interventional game under a MarginalSampler (Kernel SHAP,
     Lundberg & Lee, NeurIPS 2017), the conditional one otherwise.
 
-    Coalition S draws K1 rows once, from the stream ``decompose`` gives
+    Each coalition S draws K1 rows once, from the stream ``decompose`` gives
     it for the same seed. While 2^M <= ENUMERATION_LIMIT, phi is the
     exact Shapley sum over every coalition's table entry, which equals
     the enumerated kernel regression. Beyond that, DEFAULT_SAMPLED_COALITIONS
@@ -293,8 +301,7 @@ def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
     """
     if k1 < 1:
         raise SizeError("draw budget K1 must be >= 1")
-    x = as_vector(x)
-    m = sampler.n_features
+    x, m = _explained_row(sampler, x)
     if m < 1:
         raise SizeError("need at least one feature")
     rng = RngStream(seed).substream(1)
@@ -347,9 +354,8 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
         raise OracleError("sample length does not match the joint")
 
     def support_rows(mask):
-        known = Coalition(mask, m)
-        rows, probs = joint.restrict(known, x)
-        return rows, probs, np.array(known.complement_members, dtype=np.intp)
+        rows, probs = joint.restrict(mask, x)
+        return rows, probs, missing_columns(mask, m)
 
     v, t, u, _ = _expectation_table(model, x, support_rows)
     phi, phi_int, phi_dep = _split(v, t, u)
@@ -358,7 +364,7 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
         phi,
         phi_int,
         phi_dep,
-        meta={"engine": "exact", "model": model.describe(), "permutations": math.factorial(m)},
+        meta={"engine": "exact", "model": model.describe(), "coalitions": 1 << m},
     )
 
 

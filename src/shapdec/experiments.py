@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Coalition, FeatureMatrix, RngStream, as_vector
+from .core import FeatureMatrix, RngStream, as_vector
 from .distributions import (
     CopulaSampler,
     DiscreteJoint,
@@ -243,13 +243,9 @@ def run_imputation_study(
                     if imp == "marginal-mean":
                         x_imp[imputed] = col_means[imputed]
                     else:
-                        untouched = Coalition.from_indices(
-                            [i for i in range(m) if i not in set(imputed)], m
-                        )
-                        cond = gauss.conditional_mean(untouched, x)
-                        # conditional_mean orders columns by ascending index
-                        pos = {j: c for c, j in enumerate(untouched.complement_members)}
-                        x_imp[imputed] = cond[[pos[j] for j in imputed]]
+                        untouched = ((1 << m) - 1) ^ sum(1 << int(j) for j in imputed)
+                        # the conditional mean lists the imputed block by ascending index
+                        x_imp[np.sort(imputed)] = gauss.conditional_mean(untouched, x)
                     rows.append(x_imp)
                     slots.append((sel, imp, k))
         rows.append(x)

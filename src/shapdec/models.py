@@ -371,7 +371,9 @@ class LogOddsModel:
         self.n_features = model.n_features
 
     def predict(self, rows) -> np.ndarray:
-        return log_odds(self.model, rows)
+        """ln(p / (1-p)) with p clamped into [eps, 1-eps], eps = 1e-6."""
+        p = np.clip(predict_batch(self.model, rows), LOG_ODDS_EPS, 1.0 - LOG_ODDS_EPS)
+        return np.log(p / (1.0 - p))
 
     def describe(self) -> str:
         return f"log_odds({self.model.describe()})"
@@ -387,12 +389,6 @@ def predict_batch(model, rows) -> np.ndarray:
     if not np.all(np.isfinite(outputs)):
         raise ModelOutputError("model returned non-finite outputs")
     return outputs
-
-
-def log_odds(model, rows) -> np.ndarray:
-    """ln(p / (1-p)) with p clamped into [eps, 1-eps], eps = 1e-6."""
-    p = np.clip(predict_batch(model, rows), LOG_ODDS_EPS, 1.0 - LOG_ODDS_EPS)
-    return np.log(p / (1.0 - p))
 
 
 def fit_ols(data: FeatureMatrix, target) -> LinearModel:

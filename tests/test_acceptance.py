@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shapdec.cli import main
-from shapdec.core import Coalition, FeatureMatrix, RngStream
+from shapdec.core import FeatureMatrix, RngStream
 from shapdec.distributions import (
     DiscreteJoint,
     DiscreteSampler,
@@ -126,7 +126,7 @@ def test_a04_residual_weighted_average_vanishes():
             x = joint.support[int(gen.integers(len(joint.support)))]
             v = []
             for mask in range(8):
-                rows, probs = joint.restrict(Coalition(mask, 3), x)
+                rows, probs = joint.restrict(mask, x)
                 v.append(probs @ model.predict(rows))
             table = shapley_residuals(v)
             for i in range(3):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shapdec.core import (
-    Coalition,
     Decomposition,
     FeatureMatrix,
     RngStream,
+    missing_columns,
 )
-from shapdec.errors import IngestionError, SizeError
+from shapdec.errors import IngestionError
 
 
 def test_rng_stream_is_reproducible():
@@ -100,20 +100,14 @@ def test_feature_matrix_is_immutable():
 
 
 def test_coalition_roundtrip():
-    c = Coalition.from_indices([0, 2], 4)
-    assert c.members == (0, 2)
-    assert c.complement_members == (1, 3)
-    assert c.add(3).members == (0, 2, 3)
-    assert not c.contains(1)
-    assert c.complement().members == (1, 3)
-    assert len(c) == 2
-
-
-def test_coalition_bounds():
-    with pytest.raises(SizeError):
-        Coalition.from_indices([4], 4)
-    with pytest.raises(SizeError):
-        Coalition.from_indices([-1], 4)
+    mask = 0b0101  # features 0 and 2 known, of M=4
+    missing = missing_columns(mask, 4)
+    assert missing.dtype == np.intp
+    assert missing.tolist() == [1, 3]
+    assert missing_columns(mask ^ 0b1111, 4).tolist() == [0, 2]
+    assert sum(1 << int(i) for i in missing) == mask ^ 0b1111
+    assert missing_columns(0, 3).tolist() == [0, 1, 2]
+    assert missing_columns(0b111, 3).tolist() == []
 
 
 @given(
@@ -123,9 +117,10 @@ def test_coalition_bounds():
 )
 def test_coalition_complement_partitions(case):
     m, idx = case
-    c = Coalition.from_indices(idx, m)
-    assert sorted(c.members + c.complement_members) == list(range(m))
-    assert c.complement().complement() == c
+    mask = sum(1 << i for i in idx)
+    known = missing_columns(mask ^ ((1 << m) - 1), m)
+    assert known.tolist() == sorted(idx)
+    assert sorted(known.tolist() + missing_columns(mask, m).tolist()) == list(range(m))
 
 
 def test_decomposition_serialization():

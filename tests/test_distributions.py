@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from shapdec.core import Coalition, FeatureMatrix, RngStream
+from shapdec.core import FeatureMatrix, RngStream
 from shapdec.distributions import (
     CopulaSampler,
     DiscreteJoint,
@@ -14,7 +14,6 @@ from shapdec.distributions import (
     _partition_solve,
     fit_copula,
     fit_gaussian,
-    sampler_from_json,
 )
 from shapdec.errors import ConditioningError, DegenerateMarginalError, IngestionError
 
@@ -31,12 +30,29 @@ def _toy_gaussian():
     return GaussianModel(mu, cov)
 
 
-def _hand_solve(model, known, x):
+def _split_mask(mask, m):
+    """(known, missing) feature indices of coalition ``mask``, ascending."""
+    known = [i for i in range(m) if mask >> i & 1]
+    return known, [i for i in range(m) if not mask >> i & 1]
+
+
+def _sample(sampler, mask, x, count, rng):
+    """``count`` draws of the missing block of ``mask`` in feature space,
+    columns ascending: the sampler's ``_draw`` on a newly built generator,
+    mapped to feature space by its ``_finish``."""
+    x = np.asarray(x, dtype=float)
+    cols, draws = sampler._draw(mask, x, count, rng.generator())
+    rows = np.tile(x, (count, 1))
+    rows[:, cols] = draws
+    sampler._finish(rows, np.full(count, mask))
+    return rows[:, cols]
+
+
+def _hand_solve(model, mask, x):
     """Conditional mean and covariance of the missing block, solved with
     plain numpy: mu_m + Sigma_ms Sigma_ss^-1 (x_s - mu_s) and
     Sigma_mm - Sigma_ms Sigma_ss^-1 Sigma_sm."""
-    s = list(known.members)
-    m = list(known.complement_members)
+    s, m = _split_mask(mask, len(x))
     gain = np.linalg.solve(model.cov[np.ix_(s, s)], model.cov[np.ix_(s, m)]).T
     mean = model.mean[m] + gain @ (x[s] - model.mean[s])
     cov = model.cov[np.ix_(m, m)] - gain @ model.cov[np.ix_(s, m)]
@@ -47,31 +63,31 @@ def test_condition_gaussian_matches_hand_solve():
     model = _toy_gaussian()
     sampler = GaussianSampler(model)
     x = np.array([2.0, 0.0, 0.0])
-    known = Coalition.from_indices([0], 3)
+    known = 0b001
     expected_mean, expected_cov = _hand_solve(model, known, x)
     # known block is feature 0: the gain is Sigma_m0 / Sigma_00
     gain = model.cov[1:, 0] / model.cov[0, 0]
     assert np.allclose(expected_mean, model.mean[1:] + gain * (x[0] - model.mean[0]))
     assert np.allclose(sampler.conditional_mean(known, x), expected_mean, atol=1e-12)
-    draws = sampler.sample_conditional(known, x, 200_000, RngStream(3))
+    draws = _sample(sampler, known, x, 200_000, RngStream(3))
     assert np.allclose(np.cov(draws.T), expected_cov, atol=0.05)
 
 
 def test_condition_gaussian_empty_coalition_is_marginal():
     model = _toy_gaussian()
     sampler = GaussianSampler(model)
-    known = Coalition.empty(3)
+    known = 0
     assert np.allclose(sampler.conditional_mean(known, np.zeros(3)), model.mean)
-    draws = sampler.sample_conditional(known, np.zeros(3), 200_000, RngStream(4))
+    draws = _sample(sampler, known, np.zeros(3), 200_000, RngStream(4))
     assert np.allclose(np.cov(draws.T), model.cov, atol=0.05)
 
 
 def test_conditional_moments_by_monte_carlo():
     model = _toy_gaussian()
     sampler = GaussianSampler(model)
-    known = Coalition.from_indices([1], 3)
+    known = 0b010
     x = np.array([0.0, -1.0, 0.0])
-    draws = sampler.sample_conditional(known, x, 200_000, RngStream(5))
+    draws = _sample(sampler, known, x, 200_000, RngStream(5))
     cond_mean, cond_cov = _hand_solve(model, known, x)
     assert draws.shape == (200_000, 2)
     assert np.allclose(draws.mean(axis=0), cond_mean, atol=0.02)
@@ -90,7 +106,7 @@ def test_fit_gaussian_recovers_moments():
 def test_gaussian_sampler_full_coalition_returns_x():
     sampler = GaussianSampler(_toy_gaussian())
     x = np.array([1.0, 2.0, 3.0])
-    draws = sampler.sample_conditional(Coalition.full(3), x, 4, RngStream(0))
+    draws = _sample(sampler, 0b111, x, 4, RngStream(0))
     assert draws.shape == (4, 0)
 
 
@@ -119,9 +135,7 @@ def test_copula_conditional_sampling_respects_support():
     gen = RngStream(4).generator()
     rows = np.column_stack([gen.uniform(0, 1, 300), gen.uniform(10, 20, 300)])
     sampler = CopulaSampler(fit_copula(FeatureMatrix(("u", "v"), rows)))
-    draws = sampler.sample_conditional(
-        Coalition.from_indices([0], 2), np.array([0.5, 0.0]), 500, RngStream(9)
-    )
+    draws = _sample(sampler, 0b01, np.array([0.5, 0.0]), 500, RngStream(9))
     assert draws.shape == (500, 1)
     assert draws.min() >= 10.0 - 1e-9
     assert draws.max() <= 20.0 + 1e-9
@@ -142,7 +156,7 @@ def _xor_joint():
 
 def test_discrete_joint_restrict_renormalizes():
     joint = _xor_joint()
-    rows, probs = joint.restrict(Coalition.from_indices([0], 2), np.array([1.0, 0.0]))
+    rows, probs = joint.restrict(0b01, np.array([1.0, 0.0]))
     assert np.allclose(probs.sum(), 1.0)
     assert np.allclose(probs, [0.3, 0.7])
     assert np.allclose(rows[:, 0], 1.0)
@@ -151,7 +165,7 @@ def test_discrete_joint_restrict_renormalizes():
 def test_discrete_joint_restrict_off_support_errors():
     joint = _xor_joint()
     with pytest.raises(ConditioningError):
-        joint.restrict(Coalition.from_indices([0], 2), np.array([2.0, 0.0]))
+        joint.restrict(0b01, np.array([2.0, 0.0]))
 
 
 def test_discrete_joint_probability_validation():
@@ -161,47 +175,42 @@ def test_discrete_joint_probability_validation():
 
 
 def test_discrete_sampler_conditional_mean_is_exact():
-    joint = _xor_joint()
-    sampler = DiscreteSampler(joint)
-    mean = sampler.conditional_mean(
-        Coalition.from_indices([0], 2), np.array([1.0, 0.0])
-    )
+    sampler = DiscreteSampler(_xor_joint())
+    cols, pmf, block = sampler._restrict(0b01, np.array([1.0, 0.0]))
     # P(X2=1 | X1=1) = 0.7
-    assert np.allclose(mean, [0.7], atol=1e-12)
+    assert cols.tolist() == [1]
+    assert np.allclose(pmf @ block, [0.7], atol=1e-12)
 
 
 def test_discrete_sampler_frequencies_converge():
     sampler = DiscreteSampler(_xor_joint())
-    draws = sampler.sample_conditional(
-        Coalition.from_indices([0], 2), np.array([1.0, 0.0]), 50_000, RngStream(6)
-    )
+    draws = _sample(sampler, 0b01, np.array([1.0, 0.0]), 50_000, RngStream(6))
     assert abs(draws.mean() - 0.7) < 0.01
 
 
-def _copula_draws_from_scratch(model, known, x, count, rng):
+def _copula_draws_from_scratch(model, mask, x, count, rng):
     """The copula's draw recomputed from scratch: scores of x, a latent
     Gaussian draw, then each missing column back through its marginal."""
     u = np.array([model.marginals[j].to_uniform(x[j]) for j in range(len(x))])
     z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     latent = GaussianSampler(GaussianModel(np.zeros(len(x)), model.latent_corr))
-    draws = latent.sample_conditional(known, z, count, rng)
+    draws = _sample(latent, mask, z, count, rng)
     out = np.empty_like(draws)
-    for c, j in enumerate(known.complement_members):
+    for c, j in enumerate(_split_mask(mask, len(x))[1]):
         out[:, c] = model.marginals[j].from_uniform(ndtr(draws[:, c]))
     return out
 
 
-def _discrete_draws_from_scratch(joint, known, x, count, rng):
-    rows, probs = joint.restrict(known, x)
+def _discrete_draws_from_scratch(joint, mask, x, count, rng):
+    rows, probs = joint.restrict(mask, x)
     idx = rng.generator().choice(len(rows), size=count, p=probs / probs.sum())
-    return rows[np.ix_(idx, np.array(known.complement_members, dtype=np.intp))]
+    return rows[np.ix_(idx, np.array(_split_mask(mask, len(x))[1], dtype=np.intp))]
 
 
-def _gaussian_draws_from_scratch(model, known, x, count, rng):
+def _gaussian_draws_from_scratch(model, mask, x, count, rng):
     """The Gaussian draw recomputed from scratch: solve for the coalition,
     then the conditional mean plus a correlated normal draw."""
-    s = np.array(known.members, dtype=np.intp)
-    m = np.array(known.complement_members, dtype=np.intp)
+    s, m = (np.array(idx, dtype=np.intp) for idx in _split_mask(mask, len(x)))
     if len(s):
         gain, cond_cov = _partition_solve(model, s, m)
         mean = model.mean[m] + gain @ (x[s] - model.mean[s])
@@ -242,46 +251,14 @@ def test_shared_sampler_draws_match_a_fresh_one_as_rows_alternate(case):
     shared = make(fitted)
     for turn, x in enumerate((x1, x2, x1)):
         for mask in range(8):
-            known = Coalition(mask, 3)
             rng = RngStream(turn, mask)
-            draws = shared.sample_conditional(known, x, 25, rng)
-            assert np.array_equal(draws, make(fitted).sample_conditional(known, x, 25, rng))
-            assert np.array_equal(draws, old(fitted, known, x, 25, rng))
+            draws = _sample(shared, mask, x, 25, rng)
+            assert np.array_equal(draws, _sample(make(fitted), mask, x, 25, rng))
+            assert np.array_equal(draws, old(fitted, mask, x, 25, rng))
 
 
 def test_marginal_sampler_ignores_conditioning():
     data = FeatureMatrix(("a", "b"), np.array([[0.0, 10.0], [1.0, 20.0]]))
     sampler = MarginalSampler(data)
-    draws = sampler.sample_conditional(
-        Coalition.from_indices([0], 2), np.array([555.0, 0.0]), 2000, RngStream(8)
-    )
+    draws = _sample(sampler, 0b01, np.array([555.0, 0.0]), 2000, RngStream(8))
     assert set(np.unique(draws)) <= {10.0, 20.0}
-    mean = sampler.conditional_mean(Coalition.from_indices([0], 2), np.zeros(2))
-    assert np.allclose(mean, [15.0])
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "copula", "discrete", "marginal"])
-def test_sampler_json_roundtrip(kind):
-    gen = RngStream(13).generator()
-    rows = np.round(gen.normal(size=(60, 2)), 3)
-    data = FeatureMatrix(("a", "b"), rows)
-    if kind == "gaussian":
-        sampler = GaussianSampler(fit_gaussian(data))
-    elif kind == "copula":
-        sampler = CopulaSampler(fit_copula(data))
-    elif kind == "discrete":
-        uniq, counts = np.unique(rows, axis=0, return_counts=True)
-        sampler = DiscreteSampler(DiscreteJoint(uniq, counts / counts.sum()))
-    else:
-        sampler = MarginalSampler(data)
-    clone = sampler_from_json(sampler.to_json_dict())
-    known = Coalition.from_indices([1], 2)
-    x = rows[0]
-    a = sampler.sample_conditional(known, x, 32, RngStream(77))
-    b = clone.sample_conditional(known, x, 32, RngStream(77))
-    assert np.allclose(a, b)
-
-
-def test_sampler_from_json_unknown_kind():
-    with pytest.raises(IngestionError):
-        sampler_from_json({"kind": "wishful"})

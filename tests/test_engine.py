@@ -8,7 +8,7 @@ import pytest
 
 import shapdec
 
-from shapdec.core import Coalition, FeatureMatrix, RngStream
+from shapdec.core import FeatureMatrix, RngStream
 from shapdec.distributions import (
     CopulaSampler,
     DiscreteJoint,
@@ -29,7 +29,7 @@ from shapdec.engine import (
     _coalition_masks,
     _row_budget,
 )
-from shapdec.errors import OracleError, SizeError
+from shapdec.errors import IngestionError, OracleError, SizeError
 from shapdec.models import CallableModel, LinearModel, toy_risk_model
 
 
@@ -80,6 +80,14 @@ def test_exact_decomposition_toy_values():
     assert np.allclose(dec.phi_dep, [0.0, 0.1], atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_exact_decomposition_meta_counts_coalitions(m):
+    joint = _random_joint(m, RngStream(23).generator())
+    model = CallableModel(lambda rows: rows.sum(axis=1), m)
+    meta = exact_decomposition(model, joint, joint.support[0]).meta
+    assert meta == {"engine": "exact", "model": model.describe(), "coalitions": 2**m}
+
+
 def test_exact_decomposition_feature_cap():
     m = 9
     support = np.zeros((2, m))
@@ -123,9 +131,20 @@ def test_interventional_parts_deterministic():
     assert a.meta == b.meta
 
 
+def _fresh_rows(sampler, mask, x, count, gen):
+    """``count`` copies of x with the missing block of coalition ``mask``
+    drawn from ``gen``: the sampler's ``_draw``, mapped to feature space
+    by its ``_finish``."""
+    cols, draws = sampler._draw(mask, x, count, gen)
+    rows = np.tile(x, (count, 1))
+    rows[:, cols] = draws
+    sampler._finish(rows, np.full(count, mask))
+    return rows
+
+
 def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
     """The coalition-table split from first principles. Coalition S draws
-    K1 rows with ``sample_conditional`` on a newly built generator for
+    K1 rows with ``_fresh_rows`` on a newly built generator for
     substream S of substream 1, and phi is the Shapley-weighted sum of the
     differences of their means. 2 K2 orderings come from uniform keys on
     substream 2; in each, feature i takes the next row of the coalition
@@ -136,12 +155,8 @@ def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
     root = RngStream(seed)
     rows = {full: x[None, :]}
     for mask in range(full):
-        known = Coalition(mask, m)
         gen = root.substream(1).substream(mask).generator()
-        rows[mask] = np.tile(x, (k1, 1))
-        rows[mask][:, list(known.complement_members)] = sampler.sample_conditional(
-            known, x, k1, gen
-        )
+        rows[mask] = _fresh_rows(sampler, mask, x, k1, gen)
     v = {mask: model.predict(block).mean() for mask, block in rows.items()}
     phi = np.zeros(m)
     for i in range(m):
@@ -233,7 +248,7 @@ def _walk_case(kind):
 def _walk_with_fresh_generators(model, sampler, x, draws, pairs, rng):
     """The permutation walk from first principles: pair q builds a new
     generator for substream q, draws a permutation, and walks it and its
-    reverse; each prefix draws its rows with ``sample_conditional``, except
+    reverse; each prefix draws its rows with ``_fresh_rows``, except
     that the reverse reuses the empty coalition's rows, and v and t of the
     prefix are plain means over them."""
     m = len(x)
@@ -245,13 +260,11 @@ def _walk_with_fresh_generators(model, sampler, x, draws, pairs, rng):
         for perm in (order, order[::-1]):
             v, t = [], []
             for j, i in enumerate(perm):
-                known = Coalition.from_indices(perm[:j], m)
                 if j == 0 and empty is not None:
                     rows = empty
                 else:
-                    rows = np.tile(x, (draws, 1))
-                    missing = list(known.complement_members)
-                    rows[:, missing] = sampler.sample_conditional(known, x, draws, gen)
+                    mask = sum(1 << int(k) for k in perm[:j])
+                    rows = _fresh_rows(sampler, mask, x, draws, gen)
                     if j == 0:
                         empty = rows
                 paired = rows.copy()
@@ -358,7 +371,7 @@ def test_walk_at_the_explain_defaults_stays_within_budget():
 
 def _kernel_shap_with_fresh_generators(model, sampler, x, k1, seed):
     """Kernel SHAP as a loop over value-function calls. Coalition S draws
-    K1 rows with ``sample_conditional`` on a newly built generator for
+    K1 rows with ``_fresh_rows`` on a newly built generator for
     substream S of substream 1, and v(S) is their plain mean. While 2^M
     <= 2048 every interior coalition enters the regression with its
     kernel weight (M - 1) / (C(M, |S|) |S| (M - |S|)); beyond, the
@@ -372,11 +385,7 @@ def _kernel_shap_with_fresh_generators(model, sampler, x, k1, seed):
     def v(mask):
         if mask == full:
             return model.predict(x[None, :])[0]
-        known = Coalition(mask, m)
-        rows = np.tile(x, (k1, 1))
-        rows[:, list(known.complement_members)] = sampler.sample_conditional(
-            known, x, k1, rng.substream(mask).generator()
-        )
+        rows = _fresh_rows(sampler, mask, x, k1, rng.substream(mask).generator())
         return model.predict(rows).mean()
 
     if (1 << m) <= 2048:
@@ -466,22 +475,73 @@ def test_shapley_residuals_rejects_tables_of_bad_length(v):
 
 
 def test_public_engine_api_is_pinned():
-    """The package exports from shapdec.engine only what the CLI, the
-    studies and the README use."""
+    """The package exports from core, distributions, engine and models
+    only what the CLI, the studies and the README use."""
     init = Path(shapdec.__file__).read_text()
-    exported = {
-        alias.name
-        for node in ast.walk(ast.parse(init))
-        if isinstance(node, ast.ImportFrom) and node.module == "engine"
-        for alias in node.names
-    }
+    exported = {}
+    for node in ast.walk(ast.parse(init)):
+        if isinstance(node, ast.ImportFrom):
+            exported.setdefault(node.module, set()).update(a.name for a in node.names)
     assert exported == {
-        "additive_split_check",
-        "decompose",
-        "exact_decomposition",
-        "kernel_shap",
-        "shapley_residuals",
+        "core": {"AttributionVector", "Decomposition", "FeatureMatrix", "RngStream"},
+        "distributions": {
+            "CopulaSampler",
+            "DiscreteJoint",
+            "DiscreteSampler",
+            "GaussianModel",
+            "GaussianSampler",
+            "MarginalSampler",
+            "fit_copula",
+            "fit_gaussian",
+        },
+        "engine": {
+            "additive_split_check",
+            "decompose",
+            "exact_decomposition",
+            "kernel_shap",
+            "shapley_residuals",
+        },
+        "models": {
+            "ExternalModel",
+            "ForestModel",
+            "LinearModel",
+            "LogOddsModel",
+            "TabulatedModel",
+            "fit_forest",
+            "fit_ols",
+            "model_from_json",
+            "predict_batch",
+        },
     }
+    for gone in ("Coalition", "sampler_from_json", "log_odds"):
+        assert not hasattr(shapdec, gone)
+
+
+def test_readme_quick_start_runs():
+    """The README's Python example runs, and its interventional parts are
+    those of the closed form under the fitted Gaussian: the model reads
+    only x1, so x2's part is 0, and x1's is b1 (x1 - mean of E[X1 | x_S])
+    over S = {} and S = {x2}."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    namespace = {}
+    exec(readme.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    dec, model, x = namespace["dec"], namespace["model"], np.array([1.0, 1.0])
+    fitted = shapdec.fit_gaussian(namespace["data"])
+    mean, cov = fitted.mean, fitted.cov
+    given_x2 = mean[0] + cov[0, 1] / cov[1, 1] * (x[1] - mean[1])
+    exact = model.coefficients[0] * (x[0] - (mean[0] + given_x2) / 2)
+    assert abs(dec.phi_int[1]) < 1e-9
+    assert abs(dec.phi_int[0] - exact) < 0.05
+
+
+@pytest.mark.parametrize("fn", [decompose, kernel_shap], ids=["decompose", "kernel_shap"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_sample_length_must_match_the_sampler(fn, length):
+    model = LinearModel(np.array([1.0, -1.0]), 0.0)
+    sampler = GaussianSampler(GaussianModel(np.zeros(2), np.eye(2)))
+    budgets = (8, 8, 0) if fn is decompose else (8, 0)
+    with pytest.raises(IngestionError, match="sample has .* sampler has 2 features"):
+        fn(model, sampler, np.ones(length), *budgets)
 
 
 def test_additive_split_check_flags_nothing_on_additive_models():
@@ -525,7 +585,7 @@ def _decomposition_by_orderings(model, joint, x):
     m = joint.n_features
 
     def expect(mask, override=None):
-        rows, probs = joint.restrict(Coalition(mask, m), x)
+        rows, probs = joint.restrict(mask, x)
         if override is not None:
             rows = rows.copy()
             rows[:, override] = x[override]

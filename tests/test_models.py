@@ -18,7 +18,6 @@ from shapdec.models import (
     TabulatedModel,
     fit_forest,
     fit_ols,
-    log_odds,
     model_from_json,
     predict_batch,
     toy_risk_model,
@@ -114,8 +113,8 @@ def test_tabulated_model_json_roundtrip():
 
 
 def test_log_odds_clamps_extreme_probabilities():
-    model = LinearModel(np.array([0.0]), 0.0)  # constant p = 0
-    lo = log_odds(model, [[0.0]])
+    model = LogOddsModel(LinearModel(np.array([0.0]), 0.0))  # constant p = 0
+    lo = model.predict([[0.0]])
     assert np.isfinite(lo[0])
     assert lo[0] == pytest.approx(np.log(1e-6 / (1 - 1e-6)))
 
