@@ -351,7 +351,7 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
     if m > MAX_ORACLE_FEATURES:
         raise OracleError(f"exact oracle supports M <= {MAX_ORACLE_FEATURES}, got {m}")
     if len(x) != m:
-        raise OracleError("sample length does not match the joint")
+        raise IngestionError(f"sample has {len(x)} values, joint has {m} features")
 
     def support_rows(mask):
         rows, probs = joint.restrict(mask, x)

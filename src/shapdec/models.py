@@ -7,6 +7,7 @@ through a line-delimited JSON bridge over a child process's stdin/stdout.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import select
@@ -22,6 +23,10 @@ from .errors import BridgeError, IngestionError, ModelOutputError, SizeError
 
 LOG_ODDS_EPS = 1e-6
 BRIDGE_REPLY_TIMEOUT_S = 60.0  # longest wait for one reply line from a bridge
+# Rows per bridge request line: the CLI encodes one line (about 65 kB at
+# M=13) while the child parses and computes the one before.
+_REQUEST_ROWS = 256
+_STDERR_TAIL = 1 << 16  # bytes of a bridge's stderr quoted in its errors
 
 
 def _check_rows(rows, n_features: int | None = None) -> np.ndarray:
@@ -238,11 +243,13 @@ class ExternalModel:
     """Bridge to a child process speaking line-delimited JSON.
 
     Handshake: {"op":"hello","version":1,"n_features":M} -> {"ok":true}.
-    Prediction: {"op":"predict","inputs":[[...],...]} -> {"outputs":[...]}.
-    Requests are serialized per process instance; a reply carrying
-    {"error": ...}, a dead process, or no reply line within
-    BRIDGE_REPLY_TIMEOUT_S raises BridgeError with captured diagnostics.
-    A child that died or stayed silent is stopped and reaped first.
+    Prediction: {"op":"predict","inputs":[[...],...]} -> {"outputs":[...]},
+    at most _REQUEST_ROWS rows per request line. Several lines may be in
+    flight; the child answers each with one reply line, in order. Its
+    stderr is read all along, and the last _STDERR_TAIL bytes are quoted
+    in every BridgeError. A reply carrying {"error": ...}, a dead process,
+    or no reply line within BRIDGE_REPLY_TIMEOUT_S raises BridgeError; the
+    child is stopped and reaped first.
     """
 
     PROTOCOL_VERSION = 1
@@ -251,7 +258,8 @@ class ExternalModel:
         self.cmd = list(cmd)
         self.n_features = int(n_features)
         self._proc = None
-        self._unread = b""  # bytes of the child's output past the last reply line
+        self._unread = bytearray()  # the child's output past the last reply line
+        self._err_tail = bytearray()  # the last _STDERR_TAIL bytes of the child's stderr
 
     def describe(self) -> str:
         return f"external({' '.join(self.cmd)})"
@@ -268,67 +276,97 @@ class ExternalModel:
             )
         except OSError as err:
             raise BridgeError(f"failed to launch {self.cmd}: {err}") from err
-        self._unread = b""
-        reply = self._roundtrip(
-            {"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._unread = bytearray()
+        self._err_tail = bytearray()
+        (reply,) = self._roundtrip(
+            [{"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}]
         )
         if reply.get("ok") is not True:
-            # _stderr() also stops and reaps the child
-            raise BridgeError(f"handshake rejected: {reply}; stderr: {self._stderr()}")
+            # _error() also stops and reaps the child
+            raise self._error(f"handshake rejected: {reply}")
 
-    def _roundtrip(self, request: dict) -> dict:
+    def _roundtrip(self, requests: list) -> list:
+        """Send each request as one JSON line and return the child's reply
+        to each, in order. One select loop writes the next line while it
+        reads reply lines and drains stderr; a line is encoded only once the
+        one before it is fully written. Each reply line must come within
+        BRIDGE_REPLY_TIMEOUT_S of the start or of the reply line before it."""
         proc = self._proc
-        try:
-            proc.stdin.write((json.dumps(request) + "\n").encode())
-            proc.stdin.flush()
-            line = self._reply_line(proc.stdout.fileno())
-        except (BrokenPipeError, OSError) as err:
-            raise BridgeError(f"bridge I/O failed: {err}; stderr: {self._stderr()}") from err
-        if not line:
-            raise BridgeError(f"bridge closed its output; stderr: {self._stderr()}")
+        in_fd, out_fd, err_fd = proc.stdin.fileno(), proc.stdout.fileno(), proc.stderr.fileno()
+        readers = [out_fd, err_fd]
+        replies = []
+        sent, line, offset = 0, b"", 0
+        buf = self._unread
+        deadline = time.monotonic() + BRIDGE_REPLY_TIMEOUT_S
+        while len(replies) < len(requests):
+            if offset == len(line) and sent < len(requests):
+                line = json.dumps(requests[sent], separators=(",", ":")).encode() + b"\n"
+                sent, offset = sent + 1, 0
+            writers = [in_fd] if offset < len(line) else []
+            left = deadline - time.monotonic()
+            ready = select.select(readers, writers, [], left) if left > 0 else ([], [], [])
+            if not (ready[0] or ready[1]):
+                raise self._error(f"bridge sent no reply within {BRIDGE_REPLY_TIMEOUT_S} s")
+            try:
+                if ready[1]:
+                    with contextlib.suppress(BlockingIOError):
+                        offset += os.write(in_fd, memoryview(line)[offset:])
+                if err_fd in ready[0]:
+                    said = os.read(err_fd, 1 << 16)
+                    if not said:
+                        readers.remove(err_fd)
+                    self._err_tail += said
+                    del self._err_tail[:-_STDERR_TAIL]
+                chunk = os.read(out_fd, 1 << 16) if out_fd in ready[0] else None
+            except OSError as err:
+                raise self._error(f"bridge I/O failed: {err}") from err
+            if chunk is None:
+                continue
+            if not chunk:
+                raise self._error("bridge closed its output")
+            buf += chunk
+            while len(replies) < len(requests) and (end := buf.find(b"\n")) >= 0:
+                replies.append(self._parse_reply(bytes(buf[:end])))
+                del buf[:end + 1]
+                deadline = time.monotonic() + BRIDGE_REPLY_TIMEOUT_S
+        return replies
+
+    def _parse_reply(self, line: bytes) -> dict:
         try:
             reply = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise BridgeError(f"malformed bridge reply {line!r}: {err}") from err
+        except ValueError as err:
+            raise self._error(f"malformed bridge reply {line[:200]!r}: {err}") from err
+        if not isinstance(reply, dict):
+            raise self._error(f"malformed bridge reply {line[:200]!r}: not a JSON object")
         if "error" in reply:
-            raise BridgeError(f"bridge reported: {reply['error']}")
+            raise self._error(f"bridge reported: {reply['error']}")
         return reply
 
-    def _reply_line(self, fd: int) -> str:
-        """The child's next output line, or "" at end of output. Waits at
-        most BRIDGE_REPLY_TIMEOUT_S for it, then stops the child."""
-        deadline = time.monotonic() + BRIDGE_REPLY_TIMEOUT_S
-        buf = self._unread
-        while b"\n" not in buf:
-            left = deadline - time.monotonic()
-            if left <= 0 or not select.select([fd], [], [], left)[0]:
-                raise BridgeError(
-                    f"bridge sent no reply within {BRIDGE_REPLY_TIMEOUT_S} s; "
-                    f"stderr: {self._stderr()}"
-                )
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                self._unread = b""
-                return buf.decode(errors="replace")
-            buf += chunk
-        line, _, self._unread = buf.partition(b"\n")
-        return (line + b"\n").decode(errors="replace")
-
-    def _stderr(self) -> str:
-        if self._proc is None:
-            return ""
-        self._proc.kill()
-        _, err = self._proc.communicate()
-        self._proc = None
-        return (err or b"").decode(errors="replace").strip()
+    def _error(self, message: str) -> BridgeError:
+        """Stop and reap the child; a BridgeError quoting its stderr's tail."""
+        tail = bytes(self._err_tail)
+        if self._proc is not None:
+            self._proc.kill()
+            tail += self._proc.communicate()[1] or b""
+            self._proc = None
+        tail = tail[-_STDERR_TAIL:].decode(errors="replace").strip()
+        return BridgeError(f"{message}; stderr: {tail}")
 
     def predict(self, rows) -> np.ndarray:
         rows = _check_rows(rows, self.n_features)
         self._ensure_started()
-        reply = self._roundtrip({"op": "predict", "inputs": rows.tolist()})
-        outputs = np.asarray(reply.get("outputs", []), dtype=float)
-        if outputs.shape != (len(rows),):
-            raise BridgeError(f"expected {len(rows)} outputs, got shape {outputs.shape}")
+        starts = range(0, len(rows), _REQUEST_ROWS)
+        replies = self._roundtrip(
+            [{"op": "predict", "inputs": rows[s:s + _REQUEST_ROWS].tolist()} for s in starts]
+        )
+        outputs = np.empty(len(rows))
+        for s, reply in zip(starts, replies):
+            part = np.asarray(reply.get("outputs", []), dtype=float)
+            want = min(_REQUEST_ROWS, len(rows) - s)
+            if part.shape != (want,):
+                raise BridgeError(f"expected {want} outputs, got shape {part.shape}")
+            outputs[s:s + want] = part
         return outputs
 
     def close(self):

@@ -544,6 +544,12 @@ def test_sample_length_must_match_the_sampler(fn, length):
         fn(model, sampler, np.ones(length), *budgets)
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_exact_sample_length_must_match_the_joint(length):
+    with pytest.raises(IngestionError, match="sample has .* joint has 2 features"):
+        exact_decomposition(toy_risk_model(), _toy_joint(), np.ones(length))
+
+
 def test_additive_split_check_flags_nothing_on_additive_models():
     gen = RngStream(21).generator()
     joint = _random_joint(3, gen)

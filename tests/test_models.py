@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from shapdec.core import FeatureMatrix, RngStream
 from shapdec.distributions import GaussianModel, GaussianSampler
 from shapdec.engine import decompose
 from shapdec.errors import BridgeError, IngestionError, ModelOutputError, SizeError
+import shapdec.models
 from shapdec.models import (
+    _REQUEST_ROWS,
+    _STDERR_TAIL,
     _WALK_CELLS,
     CallableModel,
     ExternalModel,
@@ -160,21 +164,33 @@ def test_external_model_roundtrip(tmp_path):
         model.close()
 
 
-def test_external_model_bad_handshake(tmp_path):
-    pid_file = tmp_path / "pid"
-    script = _bridge_script(
+def _answering_once(tmp_path, reply):
+    """A bridge that writes its pid file, answers ``reply`` to the
+    handshake and then reads its input to the end."""
+    return _bridge_script(
         tmp_path,
         "import os, pathlib, sys\n"
-        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
-        "print('{\"ok\": false}'); sys.stdout.flush()\n"
+        f"pathlib.Path({str(tmp_path / 'pid')!r}).write_text(str(os.getpid()))\n"
+        f"print({reply!r}); sys.stdout.flush()\n"
         "sys.stdin.read()\n",
     )
-    model = ExternalModel(script, 2)
+
+
+def test_external_model_bad_handshake(tmp_path):
+    model = ExternalModel(_answering_once(tmp_path, '{"ok": false}'), 2)
     with pytest.raises(BridgeError, match="handshake rejected"):
         model.predict([[0.0, 0.0]])
     # the child was stopped and reaped before the error was raised
     with pytest.raises(ProcessLookupError):
-        os.kill(int(pid_file.read_text()), 0)
+        os.kill(int((tmp_path / "pid").read_text()), 0)
+
+
+def test_external_model_reply_that_is_not_an_object(tmp_path):
+    model = ExternalModel(_answering_once(tmp_path, "[1]"), 2)
+    with pytest.raises(BridgeError, match="not a JSON object"):
+        model.predict([[0.0, 0.0]])
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((tmp_path / "pid").read_text()), 0)
 
 
 def test_external_model_crash_reports_stderr(tmp_path):
@@ -182,6 +198,132 @@ def test_external_model_crash_reports_stderr(tmp_path):
     model = ExternalModel(script, 2)
     with pytest.raises(BridgeError, match="bridge exploded"):
         model.predict([[0.0, 0.0]])
+
+
+# Echoes a non-linear function of each row, appends each predict line's
+# row count to RECORD, and answers its line number ERROR_AT with an error.
+_RECORDING = """\
+import json, os, pathlib, sys
+pathlib.Path({pidfile!r}).write_text(str(os.getpid()))
+record = open({record!r}, "a")
+lines = 0
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["op"] == "hello":
+        print(json.dumps({{"ok": True}}), flush=True)
+        continue
+    lines += 1
+    record.write(f"{{len(req['inputs'])}} {{', ' in line}}\\n")
+    record.flush()
+    if lines == {error_at}:
+        print(json.dumps({{"error": "line two is cursed"}}), flush=True)
+        continue
+    outs = [r[0] * 1e3 + r[1] / 7.0 for r in req["inputs"]]
+    print(json.dumps({{"outputs": outs, "pad": "x" * {pad}}}), flush=True)
+"""
+
+
+def _recording_bridge(tmp_path, error_at=0, pad=0):
+    body = _RECORDING.format(
+        pidfile=str(tmp_path / "pid"), record=str(tmp_path / "record"), error_at=error_at, pad=pad
+    )
+    return ExternalModel(_bridge_script(tmp_path, body), 2)
+
+
+def _recorded_lines(tmp_path):
+    lines = (tmp_path / "record").read_text().split("\n")[:-1]
+    (tmp_path / "record").write_text("")  # the bridge appends to it
+    assert all(line.endswith(" False") for line in lines)  # compact separators
+    return [int(line.split()[0]) for line in lines]
+
+
+def test_external_model_pipelined_batches_match_one_request_per_row(tmp_path):
+    assert _REQUEST_ROWS == 256  # the line size the README documents
+    rows = RngStream(8).generator().normal(size=(1250, 2))
+    model = _recording_bridge(tmp_path)
+    try:
+        one_by_one = np.concatenate([model.predict(row[None]) for row in rows])
+        assert _recorded_lines(tmp_path) == [1] * len(rows)
+        for n in (1, 255, 256, 257, 1250):
+            assert np.array_equal(model.predict(rows[:n]), one_by_one[:n])
+            starts = range(0, n, _REQUEST_ROWS)
+            assert _recorded_lines(tmp_path) == [min(_REQUEST_ROWS, n - s) for s in starts]
+    finally:
+        model.close()
+    assert np.array_equal(one_by_one, rows[:, 0] * 1e3 + rows[:, 1] / 7.0)
+
+
+def test_external_model_replies_past_the_pipe_buffer(tmp_path, monkeypatch):
+    monkeypatch.setattr(shapdec.models, "BRIDGE_REPLY_TIMEOUT_S", 10.0)
+    rows = RngStream(9).generator().normal(size=(1250, 2))
+    model = _recording_bridge(tmp_path, pad=200_000)
+    try:
+        out = model.predict(rows)
+    finally:
+        model.close()
+    assert np.array_equal(out, rows[:, 0] * 1e3 + rows[:, 1] / 7.0)
+    assert _recorded_lines(tmp_path) == [256, 256, 256, 256, 226]
+
+
+def test_external_model_error_reply_to_a_later_line_stops_the_child(tmp_path):
+    model = _recording_bridge(tmp_path, error_at=2)
+    try:
+        with pytest.raises(BridgeError, match="bridge reported: line two is cursed"):
+            model.predict(np.zeros((3 * _REQUEST_ROWS, 2)))
+    finally:
+        model.close()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((tmp_path / "pid").read_text()), 0)
+
+
+def test_external_model_child_exiting_mid_batch_reports_stderr(tmp_path):
+    script = _bridge_script(
+        tmp_path,
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "print('{\"ok\": true}', flush=True)\n"
+        "sys.stdin.readline()\n"
+        "sys.exit('gave up after one line')\n",
+    )
+    model = ExternalModel(script, 2)
+    try:
+        with pytest.raises(BridgeError, match="gave up after one line"):
+            model.predict(np.zeros((1250, 2)))
+    finally:
+        model.close()
+
+
+_CHATTY = """\
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    sys.stderr.write("chatter " * 2500 + "\\n")
+    sys.stderr.flush()
+    if req["op"] == "hello":
+        print(json.dumps({"ok": True}), flush=True)
+    elif req["inputs"][0][0] < 0:
+        sys.exit("last words")
+    else:
+        print(json.dumps({"outputs": [sum(r) for r in req["inputs"]]}), flush=True)
+"""
+
+
+def test_external_model_drains_a_chatty_stderr(tmp_path, monkeypatch):
+    monkeypatch.setattr(shapdec.models, "BRIDGE_REPLY_TIMEOUT_S", 3.0)
+    model = ExternalModel(_bridge_script(tmp_path, _CHATTY), 2)
+    rows = np.ones((10, 2))
+    try:
+        start = time.monotonic()
+        for _ in range(10):
+            assert np.array_equal(model.predict(rows), np.full(10, 2.0))
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(BridgeError) as err:
+            model.predict(-rows)
+    finally:
+        model.close()
+    message = str(err.value)
+    assert message.endswith("last words")
+    assert len(message.partition("stderr: ")[2]) <= _STDERR_TAIL
 
 
 def test_model_from_json_unknown_kind():
