@@ -97,18 +97,15 @@ def _build_sampler(kind: str, data: FeatureMatrix):
 
 
 def _resolve_sample(args, data: FeatureMatrix) -> np.ndarray:
+    """The explained row; ``decompose`` checks its length."""
     if args.sample is not None:
         try:
-            x = np.array([float(v) for v in args.sample.split(",")])
+            return np.array([float(v) for v in args.sample.split(",")])
         except ValueError as err:
             raise IngestionError(f"bad --sample value: {err}") from err
-    else:
-        if not 0 <= args.row < data.n_rows:
-            raise IngestionError(f"--row {args.row} out of range")
-        x = data.values[args.row]
-    if len(x) != data.n_features:
-        raise IngestionError(f"sample has {len(x)} values, data has {data.n_features} features")
-    return x
+    if not 0 <= args.row < data.n_rows:
+        raise IngestionError(f"--row {args.row} out of range")
+    return data.values[args.row]
 
 
 def _load_or_fit_model(args, data: FeatureMatrix):

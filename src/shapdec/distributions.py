@@ -7,6 +7,12 @@ that plays the interventional game. A sampler's fitted model is
 immutable; it caches only work that repeats for one coalition or one
 explained row, so a draw depends on nothing but its inputs and the
 generator it is given.
+
+The Gaussian conditions with one Cholesky factor per coalition: the
+covariance permuted to known-then-missing order, ``L = [[L_ss, 0], [L_ms,
+L_mm]]``, gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
+conditional covariance ``L_mm L_mm^T``. It needs numpy alone; scipy is
+imported only by the copula's normal transforms.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
-from scipy.special import ndtr, ndtri
 
 from .core import FeatureMatrix, as_vector, missing_columns
 from .errors import (
@@ -28,21 +32,19 @@ from .errors import (
 _JITTER_ATTEMPTS = 10
 
 
-def _jittered_cholesky(a: np.ndarray, scale: float, what: str) -> np.ndarray:
-    """Lower Cholesky factor of ``a``, adding eps*I (doubling) if needed."""
-    if a.size == 0:
-        return a.reshape(0, 0)
+def _jittered_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the covariance ``a``; if ``a`` is not
+    positive definite, of ``a + eps*I`` with eps 1e-9 times the mean
+    variance, doubled up to ten times."""
+    scale = np.trace(a) / len(a)
     eps = 1e-9 * scale if scale > 0 else 1e-12
-    try:
-        return cholesky(a, lower=True)
-    except np.linalg.LinAlgError:
-        pass
-    for _ in range(_JITTER_ATTEMPTS):
+    for attempt in range(_JITTER_ATTEMPTS + 1):
         try:
-            return cholesky(a + eps * np.eye(a.shape[0]), lower=True)
+            return np.linalg.cholesky(a if attempt == 0 else a + eps * np.eye(len(a)))
         except np.linalg.LinAlgError:
-            eps *= 2.0
-    raise SingularityError(f"{what} stayed non-positive-definite after jitter")
+            if attempt > 0:
+                eps *= 2.0
+    raise SingularityError("covariance stayed non-positive-definite after jitter")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class GaussianModel:
 
     mean: np.ndarray
     cov: np.ndarray
-    constant_features: tuple = ()
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -72,40 +73,8 @@ class GaussianModel:
 def fit_gaussian(data: FeatureMatrix) -> GaussianModel:
     """Column means and sample covariance (divisor n-1), symmetrized."""
     x = data.values
-    mean = x.mean(axis=0)
     cov = np.cov(x, rowvar=False, ddof=1).reshape(data.n_features, data.n_features)
-    variances = np.diag(cov)
-    constant = tuple(data.names[i] for i in range(data.n_features) if variances[i] == 0.0)
-    return GaussianModel(mean, cov, constant_features=constant)
-
-
-def _partition_solve(model: GaussianModel, s_idx: np.ndarray, m_idx: np.ndarray):
-    """Return (gain, cond_cov) with gain = Sigma_mS Sigma_SS^-1."""
-    cov = model.cov
-    c_ss = cov[np.ix_(s_idx, s_idx)]
-    c_ms = cov[np.ix_(m_idx, s_idx)]
-    c_mm = cov[np.ix_(m_idx, m_idx)]
-    scale = np.trace(cov) / model.n_features
-    eps = 1e-9 * scale if scale > 0 else 1e-12
-    last_err = None
-    for attempt in range(_JITTER_ATTEMPTS + 1):
-        a = c_ss if attempt == 0 else c_ss + eps * np.eye(len(s_idx))
-        if attempt > 1:
-            eps *= 2.0
-        try:
-            factor = cho_factor(a, lower=True)
-            gain = cho_solve(factor, c_ms.T).T
-            break
-        except np.linalg.LinAlgError as err:
-            last_err = err
-    else:
-        known = tuple(s_idx.tolist())
-        raise SingularityError(
-            f"covariance block for known features {known} is singular: {last_err}"
-        )
-    cond_cov = c_mm - gain @ c_ms.T
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return gain, cond_cov
+    return GaussianModel(x.mean(axis=0), cov)
 
 
 class _Sampler:
@@ -125,10 +94,10 @@ class _Sampler:
 class GaussianSampler(_Sampler):
     """Conditional sampler backed by a fitted multivariate Gaussian.
 
-    Conditioning solves are cached per coalition mask: the column order
-    (missing, then known), the gain matrix and the Cholesky factor of the
-    conditional covariance depend on S only. Conditional means are cached
-    per mask for the last x.
+    Each coalition mask is solved once and cached: one Cholesky factor of
+    the covariance in known-then-missing order yields the gain matrix and,
+    as its missing-by-missing block, the factor of the conditional
+    covariance. Conditional means are cached per mask for the last x.
     """
 
     def __init__(self, model: GaussianModel):
@@ -144,21 +113,21 @@ class GaussianSampler(_Sampler):
         return f"gaussian(M={self.n_features})"
 
     def _solved(self, mask: int):
-        """(columns missing-then-known, gain, Cholesky factor) for ``mask``."""
+        """(columns known-then-missing, number known, gain, conditional
+        factor) for ``mask``."""
         entry = self._cache.get(mask)
         if entry is None:
             m = self.n_features
-            missing = [i for i in range(m) if not mask >> i & 1]
-            cols = np.array(missing + [i for i in range(m) if mask >> i & 1], dtype=np.intp)
-            m_idx, s_idx = cols[: len(missing)], cols[len(missing):]
-            if mask == 0:
-                gain = np.empty((len(missing), 0))
-                cond_cov = self.model.cov[np.ix_(m_idx, m_idx)]
-            else:
-                gain, cond_cov = _partition_solve(self.model, s_idx, m_idx)
-            scale = np.trace(self.model.cov) / self.n_features
-            chol = _jittered_cholesky(cond_cov, scale, "conditional covariance")
-            entry = (cols, gain, chol)
+            known = missing_columns(mask ^ ((1 << m) - 1), m)
+            missing = missing_columns(mask, m)
+            order = np.concatenate([known, missing])
+            lower = _jittered_cholesky(self.model.cov[np.ix_(order, order)])
+            k = len(known)
+            # Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1; the conditional covariance
+            # is L_mm L_mm^T. The copies let the full factor go, in the
+            # layouts that make gain @ v and z @ chol.T fastest.
+            gain = np.ascontiguousarray(np.linalg.solve(lower[:k, :k].T, lower[k:, :k].T).T)
+            entry = (order, k, gain, np.asfortranarray(lower[k:, k:]))
             self._cache[mask] = entry
         return entry
 
@@ -171,21 +140,17 @@ class GaussianSampler(_Sampler):
             self._means = (key, means)
         mean = means.get(mask)
         if mean is None:
-            cols, gain, _ = self._solved(mask)
-            m_idx, s_idx = cols[: len(gain)], cols[len(gain):]
-            if mask == 0:
-                mean = self.model.mean[m_idx]
-            else:
-                mean = self.model.mean[m_idx] + gain @ (x[s_idx] - self.model.mean[s_idx])
+            order, k, gain, _ = self._solved(mask)
+            known, missing = order[:k], order[k:]
+            mean = self.model.mean[missing] + gain @ (x[known] - self.model.mean[known])
             mean.setflags(write=False)
             means[mask] = mean
         return mean
 
     def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
-        cols, _, chol = self._solved(mask)
-        mean = self._mean(mask, x)
-        z = gen.standard_normal((count, len(mean)))
-        return cols[: len(mean)], mean + z @ chol.T
+        order, k, _, chol = self._solved(mask)
+        z = gen.standard_normal((count, len(chol)))
+        return order[k:], self._mean(mask, x) + z @ chol.T
 
     def conditional_mean(self, mask: int, x) -> np.ndarray:
         """Exact conditional mean of the missing features of ``mask``
@@ -230,7 +195,11 @@ class CopulaModel:
 
 
 def fit_copula(data: FeatureMatrix) -> CopulaModel:
-    """Fit empirical marginals and the correlation of the Gaussian scores."""
+    """Fit empirical marginals and the correlation of the Gaussian scores.
+    scipy.special is imported here, and in the sampler's transforms, so
+    the other samplers never load scipy."""
+    from scipy.special import ndtri
+
     marginals = tuple(
         _EmpiricalMarginal(data.values[:, j], data.names[j])
         for j in range(data.n_features)
@@ -264,6 +233,8 @@ class CopulaSampler(_Sampler):
 
     def _to_scores(self, x: np.ndarray) -> np.ndarray:
         """Gaussian scores of x, computed once per explained row."""
+        from scipy.special import ndtri
+
         key = x.tobytes()
         cached, z = self._scores
         if cached != key:
@@ -277,6 +248,8 @@ class CopulaSampler(_Sampler):
 
     def _from_scores(self, j: int, z: np.ndarray) -> np.ndarray:
         """Feature j's values at latent scores z (elementwise)."""
+        from scipy.special import ndtr
+
         return self.model.marginals[j].from_uniform(ndtr(z))
 
     def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:

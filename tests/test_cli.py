@@ -192,12 +192,43 @@ def test_outputs_byte_identical_across_thread_counts(tmp_path):
         assert first[name] == second[name], name
 
 
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_does_not_load_scipy_stats():
-    code = "import sys, shapdec.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, shapdec.cli; print({_LOADED_SCIPY})"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("sampler", ["gaussian", "copula"])
+def test_explain_loads_scipy_only_for_the_copula(tmp_path, housing_csv, sampler):
+    argv = [
+        "explain", "--data", str(housing_csv), "--fit", "linear", "--target", "price",
+        "--sampler", sampler, "--k1", "20", "--k2", "20", "--out", str(tmp_path / "out"),
+        "--plot",
+    ]
+    code = f"import sys; from shapdec.cli import main; print(main({argv!r}), {_LOADED_SCIPY})"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    exit_code, loaded = done.stdout.split(" ", 1)
+    assert exit_code == "0"
+    if sampler == "gaussian":
+        assert loaded.strip() == "[]"
+    else:
+        assert "scipy.special" in loaded
+
+
+def test_explain_short_sample_is_ingestion_error(tmp_path, housing_csv, capsys):
+    argv = [
+        "explain", "--data", str(housing_csv), "--fit", "linear", "--target", "price",
+        "--sample", "1,0", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    assert "sample has 2 values" in capsys.readouterr().err
 
 
 # A stand-in model process: writes its pid to PIDFILE, answers the

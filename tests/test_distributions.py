@@ -11,11 +11,17 @@ from shapdec.distributions import (
     GaussianSampler,
     MarginalSampler,
     _jittered_cholesky,
-    _partition_solve,
     fit_copula,
     fit_gaussian,
 )
-from shapdec.errors import ConditioningError, DegenerateMarginalError, IngestionError
+from shapdec.engine import decompose
+from shapdec.errors import (
+    ConditioningError,
+    DegenerateMarginalError,
+    IngestionError,
+    SingularityError,
+)
+from shapdec.models import LinearModel
 
 
 def _toy_gaussian():
@@ -108,6 +114,57 @@ def test_gaussian_sampler_full_coalition_returns_x():
     x = np.array([1.0, 2.0, 3.0])
     draws = _sample(sampler, 0b111, x, 4, RngStream(0))
     assert draws.shape == (4, 0)
+
+
+def _rank_deficient_rows(kind):
+    """Three columns whose sample covariance is singular: ``a, b`` and a
+    copy of ``a``, or ``a, b`` and a constant."""
+    gen = RngStream(0).generator()
+    base = gen.multivariate_normal([0.0, 1.0], [[1.0, 0.5], [0.5, 2.0]], 200)
+    third = base[:, 0] if kind == "twin" else np.full(200, 4.0)
+    return np.column_stack([base, third])
+
+
+@pytest.mark.parametrize("kind", ["twin", "constant"])
+def test_rank_deficient_covariance_decomposes_through_the_jitter(kind):
+    rows = _rank_deficient_rows(kind)
+    model = fit_gaussian(FeatureMatrix(("a", "b", "c"), rows))
+    # the plain factor fails, so every coalition goes through the jitter
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(model.cov)
+    dec = decompose(LinearModel([1.0, -2.0, 0.5]), GaussianSampler(model), rows[3], 50, 50, 0)
+    for arr in (dec.phi, dec.phi_int, dec.phi_dep):
+        assert np.all(np.isfinite(arr))
+    assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, rtol=0, atol=1e-12)
+
+
+def test_twin_conditional_mean_given_its_twin_is_its_value():
+    rows = _rank_deficient_rows("twin")
+    sampler = GaussianSampler(fit_gaussian(FeatureMatrix(("a", "b", "c"), rows)))
+    for x in rows[:5]:
+        # know a: the missing block is (b, c), and c is a's copy
+        assert abs(sampler.conditional_mean(0b001, x)[1] - x[0]) < 1e-6
+        # know c: the missing block is (a, b)
+        assert abs(sampler.conditional_mean(0b100, x)[0] - x[2]) < 1e-6
+
+
+def test_indefinite_covariance_raises_singularity_error():
+    model = GaussianModel(np.zeros(2), [[0.0, 1.0], [1.0, 0.0]])  # eigenvalues +-1
+    sampler = GaussianSampler(model)
+    for mask in range(4):
+        with pytest.raises(SingularityError):
+            sampler.conditional_mean(mask, np.zeros(2))
+
+
+def test_jitter_tries_ten_doublings_from_1e_9_times_the_mean_variance():
+    # eps is about 1e-9; the tenth jitter, 2^9 eps = 5.12e-7, is the first
+    # to exceed 3e-7
+    a = np.diag([2.0, -3e-7])
+    lower = _jittered_cholesky(a)
+    jitter = 2**9 * 1e-9 * np.trace(a) / 2
+    assert np.allclose(lower @ lower.T, a + jitter * np.eye(2), rtol=0, atol=1e-15)
+    with pytest.raises(SingularityError):
+        _jittered_cholesky(np.diag([2.0, -6e-7]))
 
 
 def test_copula_marginals_roundtrip_on_observed_points():
@@ -208,16 +265,16 @@ def _discrete_draws_from_scratch(joint, mask, x, count, rng):
 
 
 def _gaussian_draws_from_scratch(model, mask, x, count, rng):
-    """The Gaussian draw recomputed from scratch: solve for the coalition,
-    then the conditional mean plus a correlated normal draw."""
+    """The Gaussian draw recomputed from scratch: one Cholesky factor of
+    the covariance in known-then-missing order, the gain from it by one
+    solve, then the conditional mean plus a correlated normal draw."""
     s, m = (np.array(idx, dtype=np.intp) for idx in _split_mask(mask, len(x)))
-    if len(s):
-        gain, cond_cov = _partition_solve(model, s, m)
-        mean = model.mean[m] + gain @ (x[s] - model.mean[s])
-    else:
-        cond_cov, mean = model.cov[np.ix_(m, m)], model.mean[m]
-    chol = _jittered_cholesky(cond_cov, np.trace(model.cov) / len(x), "conditional covariance")
-    return mean + rng.generator().standard_normal((count, len(m))) @ chol.T
+    order = np.concatenate([s, m])
+    lower = np.linalg.cholesky(model.cov[np.ix_(order, order)])
+    k = len(s)
+    gain = np.linalg.solve(lower[:k, :k].T, lower[k:, :k].T).T
+    mean = model.mean[m] + gain @ (x[s] - model.mean[s])
+    return mean + rng.generator().standard_normal((count, len(m))) @ lower[k:, k:].T
 
 
 def _gaussian_case():
