@@ -17,7 +17,6 @@ from .distributions import (
     fit_gaussian,
 )
 from .engine import (
-    additive_split_check,
     decompose,
     exact_decomposition,
     kernel_shap,

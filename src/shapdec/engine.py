@@ -9,21 +9,24 @@ model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP reads
 v from the same coalition rows. The sampled loops re-key one Philox
 generator to each work item's substream and draw from the sampler's
 per-mask plan (``_draw``), mapping whole row blocks to feature space at
-once (``_finish``).
+once (``_finish``). Each loop is a generator of model batches and a
+consumer of their outputs, joined by ``predict_batches``: through an
+external model the next batch is drawn while the child works on the last.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AttributionVector, Decomposition, RngStream, as_vector, missing_columns
-from .distributions import DiscreteJoint, DiscreteSampler
+from .distributions import DiscreteJoint
 from .errors import IngestionError, OracleError, SizeError
-from .models import predict_batch
+from .models import predict_batches
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
 DEFAULT_SAMPLED_COALITIONS = 1024
@@ -45,6 +48,21 @@ def _coalitions_without(m: int) -> list:
     return out
 
 
+def _evaluated(model, plans):
+    """(payload, outputs) for each (payload, rows) of ``plans``, in order.
+    Through an external model the next plan is built while the child works
+    on the one before; no plan here writes to rows it has yielded."""
+    payloads = deque()
+
+    def batches():
+        for payload, rows in plans:
+            payloads.append(payload)
+            yield rows
+
+    for outputs in predict_batches(model, batches()):
+        yield payloads.popleft(), outputs
+
+
 def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     """v[S] = E[f | x_S] over all 2^M coalitions and, for each i outside
     S, the paired means t[S, i] = E[f with X_i := x_i | x_S] and u[S, i] =
@@ -57,26 +75,30 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     t[S, i] = f(x) needs no rows. Returns (v, t, u, model rows)."""
     m = len(x)
     full = (1 << m) - 1
+
+    def plans():
+        for mask in range(full + 1):
+            rows, weights, cols = rows_of(mask)
+            if uses is None:
+                pairs = [(i, weights) for i in cols]
+            else:
+                # c picks cycle through the rows: each row is sent once, weighted by its picks
+                pairs = [(i, np.bincount(np.arange(c) % len(rows)) / c)
+                         for i, c in zip(cols, uses[mask, cols]) if c]
+            copies = []
+            for i, w in pairs:
+                if mask | 1 << i != full:
+                    copies.append(rows[:len(w)].copy())
+                    copies[-1][:, i] = x[i]
+            yield (mask, weights, pairs), np.concatenate([rows, *copies])
+
     v = np.empty(full + 1)
     t = np.zeros((full + 1, m))
     u = np.zeros((full + 1, m))
     model_rows = 0
-    for mask in range(full + 1):
-        rows, weights, cols = rows_of(mask)
-        if uses is None:
-            pairs = [(i, weights) for i in cols]
-        else:
-            # c picks cycle through the rows: each row is sent once, weighted by its picks
-            pairs = [(i, np.bincount(np.arange(c) % len(rows)) / c)
-                     for i, c in zip(cols, uses[mask, cols]) if c]
-        copies = []
-        for i, w in pairs:
-            if mask | 1 << i != full:
-                copies.append(rows[:len(w)].copy())
-                copies[-1][:, i] = x[i]
-        pred = predict_batch(model, np.concatenate([rows, *copies]))
-        v[mask] = pred[:len(rows)] @ weights
-        lo = len(rows)
+    for (mask, weights, pairs), pred in _evaluated(model, plans()):
+        v[mask] = pred[:len(weights)] @ weights
+        lo = len(weights)
         for i, w in pairs:
             u[mask, i] = pred[:len(w)] @ w
             if mask | 1 << i != full:
@@ -143,8 +165,9 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     v[S_j] and, with the next feature i set to x_i, t[S_j, i]. Feature i
     gains t[S_j, i] - v[S_j] in phi_int and v[S_j + i] - t[S_j, i] in
     phi_dep, so its phi telescopes to f(x) - v[empty] per permutation and
-    efficiency is exact. One model batch per permutation holds the v rows,
-    then the t rows; the last prefix's t rows are x itself and are skipped.
+    efficiency is exact. x is the first model batch, then one batch per
+    permutation holds the v rows, then the t rows; the last prefix's t rows
+    are x itself and are skipped.
     The two permutations of a pair share the empty coalition's rows. Only
     the first feature of a permutation uses them, and no feature is first
     in both, so each feature's estimate keeps its variance. Returns (base,
@@ -152,41 +175,51 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     """
     m = len(x)
     n_v, n_t = draws * m, draws * (m - 1)
-    fx = predict_batch(model, x[None, :])[0]
+
+    def plans():
+        """x, then one batch per permutation: its v rows, then its t rows."""
+        yield None, x[None, :]
+        gen = rng.generator()  # one build, re-keyed to each pair's substream
+        for q in range(pairs):
+            rng.substream(q).rekey(gen)
+            order = gen.permutation(m)
+            empty = None  # the pair's rows of the empty coalition
+            for perm in (order, order[::-1]):
+                lo = 0 if empty is None else draws  # the rows this permutation draws
+                rows = np.tile(x, (n_v + n_t, 1))
+                mask, masks = 0, []
+                for j, i in enumerate(perm.tolist()):
+                    if j or empty is None:
+                        cols, draw = sampler._draw(mask, x, draws, gen)
+                        rows[j * draws:(j + 1) * draws, cols] = draw
+                    masks.append(mask)
+                    mask |= 1 << i
+                sampler._finish(rows[lo:n_v], np.repeat(masks, draws)[lo:])
+                if empty is None:
+                    empty = rows[:draws]
+                else:
+                    rows[:draws] = empty
+                paired = rows[n_v:].reshape(m - 1, draws, m)  # a view: the t rows
+                paired[:] = rows[:n_t].reshape(m - 1, draws, m)
+                paired[np.arange(m - 1), :, perm[:-1]] = x[perm[:-1], None]
+                yield perm, rows[lo:]
+
     base = 0.0
     phi_int = np.zeros(m)
     phi_dep = np.zeros(m)
-    gen = rng.generator()  # one build, re-keyed to each pair's substream
-    for q in range(pairs):
-        rng.substream(q).rekey(gen)
-        order = gen.permutation(m)
-        empty = None  # the pair's rows of the empty coalition and their mean
-        for perm in (order, order[::-1]):
-            lo = 0 if empty is None else draws  # the rows this permutation draws
-            rows = np.tile(x, (n_v + n_t, 1))
-            mask, masks = 0, []
-            for j, i in enumerate(perm.tolist()):
-                if j or empty is None:
-                    cols, draw = sampler._draw(mask, x, draws, gen)
-                    rows[j * draws:(j + 1) * draws, cols] = draw
-                masks.append(mask)
-                mask |= 1 << i
-            sampler._finish(rows[lo:n_v], np.repeat(masks, draws)[lo:])
-            if empty is not None:
-                rows[:draws] = empty[0]
-            paired = rows[n_v:].reshape(m - 1, draws, m)  # a view: the t rows
-            paired[:] = rows[:n_t].reshape(m - 1, draws, m)
-            paired[np.arange(m - 1), :, perm[:-1]] = x[perm[:-1], None]
-            means = predict_batch(model, rows[lo:]).reshape(-1, draws).mean(axis=1)
-            if empty is None:
-                empty = (rows[:draws], means[0])
-            else:
-                means = np.insert(means, 0, empty[1])
-            v = np.append(means[:m], fx)
-            t = np.append(means[m:], fx)
-            phi_int[perm] += t - v[:-1]
-            phi_dep[perm] += v[1:] - t
-            base += v[0]
+    evaluated = _evaluated(model, plans())
+    fx = next(evaluated)[1][0]
+    for k, (perm, pred) in enumerate(evaluated):
+        means = pred.reshape(-1, draws).mean(axis=1)
+        if k % 2 == 0:
+            empty_mean = means[0]  # the pair's second permutation reuses it
+        else:
+            means = np.insert(means, 0, empty_mean)
+        v = np.append(means[:m], fx)
+        t = np.append(means[m:], fx)
+        phi_int[perm] += t - v[:-1]
+        phi_dep[perm] += v[1:] - t
+        base += v[0]
     n = 2 * pairs
     return base / n, phi_int / n, phi_dep / n, 1 + pairs * (2 * (n_v + n_t) - draws)
 
@@ -311,14 +344,17 @@ def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
         v, t, u, _ = _expectation_table(model, x, rows_of, no_pairs)
         return AttributionVector(v[0], _split(v, t, u)[0])
 
-    def mean_of(mask):
-        rows, weights, _ = rows_of(mask)
-        return predict_batch(model, rows) @ weights
-
-    v0, v1 = mean_of(0), mean_of((1 << m) - 1)
-    delta = v1 - v0
+    full = (1 << m) - 1
     masks = _coalition_masks(m, rng)
-    table = {mask: mean_of(mask) for mask in dict.fromkeys(masks)}
+
+    def plans():
+        for mask in (0, full, *dict.fromkeys(masks)):
+            rows, weights, _ = rows_of(mask)
+            yield (mask, weights), rows
+
+    table = {mask: pred @ weights for (mask, weights), pred in _evaluated(model, plans())}
+    v0, v1 = table[0], table[full]
+    delta = v1 - v0
     vals = np.array([table[mask] for mask in masks])
     z = (np.array(masks)[:, None] >> np.arange(m) & 1).astype(float)
     # drawn proportional to the kernel weight, so the regression weight is
@@ -407,55 +443,3 @@ def shapley_residuals(v) -> ResidualTable:
         weights.append(w)
         residuals.append(contributions - phi[i])
     return ResidualTable(m, phi, tuple(weights), tuple(residuals))
-
-
-@dataclass(frozen=True)
-class AdditiveComponent:
-    """One additive term of a model; ``fn`` maps full rows to outputs but
-    may only read the listed feature columns."""
-
-    features: tuple
-    fn: object
-
-    def predict(self, rows) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(rows, dtype=float)), dtype=float)
-
-
-class AdditiveModel:
-    """Sum of declared components, usable anywhere a model is."""
-
-    def __init__(self, components, n_features: int):
-        self.components = tuple(components)
-        self.n_features = n_features
-
-    def predict(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        total = np.zeros(len(rows))
-        for comp in self.components:
-            total += comp.predict(rows)
-        return total
-
-    def describe(self) -> str:
-        return f"additive({len(self.components)} components)"
-
-    def restricted_to(self, i: int) -> "AdditiveModel":
-        keep = tuple(c for c in self.components if i in c.features)
-        return AdditiveModel(keep, self.n_features)
-
-
-def additive_split_check(model: AdditiveModel, joint, x) -> dict:
-    """Verify that each feature's interventional part only depends on the
-    components containing it (exact oracle on a discrete joint)."""
-    if isinstance(joint, DiscreteSampler):
-        joint = joint.joint
-    if not isinstance(joint, DiscreteJoint):
-        raise OracleError("additive split check is an oracle-only feature "
-                          "and needs a discrete joint")
-    x = as_vector(x)
-    full = exact_decomposition(model, joint, x)
-    m = model.n_features
-    deltas = np.zeros(m)
-    for i in range(m):
-        restricted = exact_decomposition(model.restricted_to(i), joint, x)
-        deltas[i] = full.phi_int[i] - restricted.phi_int[i]
-    return {"deltas": deltas, "max_abs_delta": float(np.max(np.abs(deltas)))}

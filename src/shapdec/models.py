@@ -14,6 +14,7 @@ import select
 import subprocess
 import time
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,17 +240,42 @@ class TabulatedModel:
         }
 
 
+def _request_lines(rows: np.ndarray) -> list:
+    """A batch's predict lines, at most _REQUEST_ROWS rows each, byte-equal
+    to json.dumps({"op": "predict", "inputs": part.tolist()}) with compact
+    separators. Each distinct float64 bit pattern is turned into text once
+    (so -0.0 and 0.0 stay apart), and each line is one join over those
+    texts: a batch repeats x's known values and copies its own rows."""
+    rows = np.ascontiguousarray(rows)
+    n, m = rows.shape
+    bits, cell = np.unique(rows.view(np.int64), return_inverse=True)
+    text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    text += [",", "],["]  # between two values of a row, and after a row
+    idx = np.full((n, 2 * m), len(text) - 2)
+    idx[:, 0::2] = cell.reshape(n, m)
+    idx[:, -1] = len(text) - 1
+    text = np.array(text, dtype=object)
+    lines = []
+    for s in range(0, n, _REQUEST_ROWS):
+        parts = text[idx[s:s + _REQUEST_ROWS].ravel()].tolist()
+        parts[-1] = "]]}\n"
+        lines.append(('{"op":"predict","inputs":[[' + "".join(parts)).encode())
+    return lines
+
+
 class ExternalModel:
     """Bridge to a child process speaking line-delimited JSON.
 
     Handshake: {"op":"hello","version":1,"n_features":M} -> {"ok":true}.
     Prediction: {"op":"predict","inputs":[[...],...]} -> {"outputs":[...]},
     at most _REQUEST_ROWS rows per request line. Several lines may be in
-    flight; the child answers each with one reply line, in order. Its
-    stderr is read all along, and the last _STDERR_TAIL bytes are quoted
-    in every BridgeError. A reply carrying {"error": ...}, a dead process,
-    or no reply line within BRIDGE_REPLY_TIMEOUT_S raises BridgeError; the
-    child is stopped and reaped first.
+    flight, the next batch's among them; the child answers each with one
+    reply line, in order. Its stderr is read all along, and the last
+    _STDERR_TAIL bytes are quoted in every BridgeError. A reply carrying
+    {"error": ...} or an output that is not a number, a dead process, or
+    no reply line within BRIDGE_REPLY_TIMEOUT_S of waiting raises
+    BridgeError; the child is stopped and reaped first. It is also stopped
+    when a stream of batches ends early with lines in flight.
     """
 
     PROTOCOL_VERSION = 1
@@ -279,58 +305,83 @@ class ExternalModel:
         os.set_blocking(self._proc.stdin.fileno(), False)
         self._unread = bytearray()
         self._err_tail = bytearray()
-        (reply,) = self._roundtrip(
-            [{"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}]
-        )
+        hello = {"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}
+        [[line]] = self._exchange([[json.dumps(hello, separators=(",", ":")).encode() + b"\n"]])
+        reply = self._parse_reply(line)
         if reply.get("ok") is not True:
             # _error() also stops and reaps the child
             raise self._error(f"handshake rejected: {reply}")
 
-    def _roundtrip(self, requests: list) -> list:
-        """Send each request as one JSON line and return the child's reply
-        to each, in order. One select loop writes the next line while it
-        reads reply lines and drains stderr; a line is encoded only once the
-        one before it is fully written. Each reply line must come within
-        BRIDGE_REPLY_TIMEOUT_S of the start or of the reply line before it."""
+    def _exchange(self, groups):
+        """The one bridge I/O loop. ``groups`` yields lists of request lines;
+        for each list, in order, the reply lines to it are yielded once the
+        last of them is read. One select loop writes lines while it reads
+        reply lines and drains stderr. The next list is pulled once the line
+        before it is fully written, so the caller builds it while the child
+        works; a list's replies are yielded while later lines are in flight.
+        If the caller closes the stream, or a pull raises, while lines are in
+        flight, the child is stopped and reaped. Each reply line must come
+        within BRIDGE_REPLY_TIMEOUT_S of waiting on the child since the start
+        or the reply line before it; time spent in the caller does not count."""
         proc = self._proc
         in_fd, out_fd, err_fd = proc.stdin.fileno(), proc.stdout.fileno(), proc.stderr.fileno()
         readers = [out_fd, err_fd]
-        replies = []
-        sent, line, offset = 0, b"", 0
+        groups = iter(groups)
+        todo = deque()  # lines of the pulled lists not yet begun
+        due = deque()  # per pulled list not yet yielded: its number of lines
+        replies = deque()  # reply lines read and not yet yielded
+        line, offset, begun, more = b"", 0, 0, True
+        read = 0  # reply lines read; lines begun and not answered are in flight
         buf = self._unread
-        deadline = time.monotonic() + BRIDGE_REPLY_TIMEOUT_S
-        while len(replies) < len(requests):
-            if offset == len(line) and sent < len(requests):
-                line = json.dumps(requests[sent], separators=(",", ":")).encode() + b"\n"
-                sent, offset = sent + 1, 0
-            writers = [in_fd] if offset < len(line) else []
-            left = deadline - time.monotonic()
-            ready = select.select(readers, writers, [], left) if left > 0 else ([], [], [])
-            if not (ready[0] or ready[1]):
-                raise self._error(f"bridge sent no reply within {BRIDGE_REPLY_TIMEOUT_S} s")
-            try:
-                if ready[1]:
-                    with contextlib.suppress(BlockingIOError):
-                        offset += os.write(in_fd, memoryview(line)[offset:])
-                if err_fd in ready[0]:
-                    said = os.read(err_fd, 1 << 16)
-                    if not said:
-                        readers.remove(err_fd)
-                    self._err_tail += said
-                    del self._err_tail[:-_STDERR_TAIL]
-                chunk = os.read(out_fd, 1 << 16) if out_fd in ready[0] else None
-            except OSError as err:
-                raise self._error(f"bridge I/O failed: {err}") from err
-            if chunk is None:
-                continue
-            if not chunk:
-                raise self._error("bridge closed its output")
-            buf += chunk
-            while len(replies) < len(requests) and (end := buf.find(b"\n")) >= 0:
-                replies.append(self._parse_reply(bytes(buf[:end])))
-                del buf[:end + 1]
-                deadline = time.monotonic() + BRIDGE_REPLY_TIMEOUT_S
-        return replies
+        waited = 0.0
+        try:
+            while True:
+                if offset == len(line):
+                    while more and not todo:
+                        group = next(groups, None)
+                        more = group is not None
+                        if more:
+                            todo.extend(group)
+                            due.append(len(group))
+                    if todo:
+                        line, offset, begun = todo.popleft(), 0, begun + 1
+                while due and len(replies) >= due[0]:
+                    yield [replies.popleft() for _ in range(due.popleft())]
+                if not due:
+                    return
+                writers = [in_fd] if offset < len(line) else []
+                left = BRIDGE_REPLY_TIMEOUT_S - waited
+                start = time.monotonic()
+                ready = select.select(readers, writers, [], left) if left > 0 else ([], [], [])
+                waited += time.monotonic() - start
+                if not (ready[0] or ready[1]):
+                    raise self._error(f"bridge sent no reply within {BRIDGE_REPLY_TIMEOUT_S} s")
+                try:
+                    if ready[1]:
+                        with contextlib.suppress(BlockingIOError):
+                            offset += os.write(in_fd, memoryview(line)[offset:])
+                    if err_fd in ready[0]:
+                        said = os.read(err_fd, 1 << 16)
+                        if not said:
+                            readers.remove(err_fd)
+                        self._err_tail += said
+                        del self._err_tail[:-_STDERR_TAIL]
+                    chunk = os.read(out_fd, 1 << 16) if out_fd in ready[0] else None
+                except OSError as err:
+                    raise self._error(f"bridge I/O failed: {err}") from err
+                if chunk is None:
+                    continue
+                if not chunk:
+                    raise self._error("bridge closed its output")
+                buf += chunk
+                while read < begun and (end := buf.find(b"\n")) >= 0:
+                    replies.append(bytes(buf[:end]))
+                    del buf[:end + 1]
+                    read, waited = read + 1, 0.0
+        except BaseException:
+            if read < begun and self._proc is proc:
+                self._stop()
+            raise
 
     def _parse_reply(self, line: bytes) -> dict:
         try:
@@ -343,30 +394,54 @@ class ExternalModel:
             raise self._error(f"bridge reported: {reply['error']}")
         return reply
 
-    def _error(self, message: str) -> BridgeError:
-        """Stop and reap the child; a BridgeError quoting its stderr's tail."""
+    def _outputs(self, line: bytes, want: int) -> np.ndarray:
+        """The ``want`` numbers a predict reply line carries, as float64."""
+        outputs = self._parse_reply(line).get("outputs")
+        numbers = isinstance(outputs, list) and set(map(type, outputs)) <= {int, float}
+        try:
+            values = np.array(outputs, dtype=float) if numbers else None
+        except OverflowError:  # an int beyond the float64 range
+            values = None
+        if values is None:
+            raise self._error(f"bridge reply {line[:200]!r}: outputs are not all float64 numbers")
+        if len(values) != want:
+            raise self._error(f"expected {want} outputs, got {len(values)}")
+        return values
+
+    def _stop(self) -> str:
+        """Stop and reap the child; the tail of its stderr."""
         tail = bytes(self._err_tail)
         if self._proc is not None:
             self._proc.kill()
             tail += self._proc.communicate()[1] or b""
             self._proc = None
-        tail = tail[-_STDERR_TAIL:].decode(errors="replace").strip()
-        return BridgeError(f"{message}; stderr: {tail}")
+        return tail[-_STDERR_TAIL:].decode(errors="replace").strip()
+
+    def _error(self, message: str) -> BridgeError:
+        """Stop and reap the child; a BridgeError quoting its stderr's tail."""
+        return BridgeError(f"{message}; stderr: {self._stop()}")
+
+    def _stream(self, batches):
+        """Each batch's outputs, in order, from one exchange that carries the
+        lines of every batch; a 0-row batch sends no line."""
+        self._ensure_started()
+        sizes = deque()
+
+        def requests():
+            for rows in batches:
+                sizes.append(len(rows))
+                yield _request_lines(rows)
+
+        with contextlib.closing(self._exchange(requests())) as replies:
+            for lines in replies:
+                n = sizes.popleft()
+                outputs = np.empty(n)
+                for s, line in zip(range(0, n, _REQUEST_ROWS), lines):
+                    outputs[s:s + _REQUEST_ROWS] = self._outputs(line, min(_REQUEST_ROWS, n - s))
+                yield outputs
 
     def predict(self, rows) -> np.ndarray:
-        rows = _check_rows(rows, self.n_features)
-        self._ensure_started()
-        starts = range(0, len(rows), _REQUEST_ROWS)
-        replies = self._roundtrip(
-            [{"op": "predict", "inputs": rows[s:s + _REQUEST_ROWS].tolist()} for s in starts]
-        )
-        outputs = np.empty(len(rows))
-        for s, reply in zip(starts, replies):
-            part = np.asarray(reply.get("outputs", []), dtype=float)
-            want = min(_REQUEST_ROWS, len(rows) - s)
-            if part.shape != (want,):
-                raise BridgeError(f"expected {want} outputs, got shape {part.shape}")
-            outputs[s:s + want] = part
+        (outputs,) = self._stream([_check_rows(rows, self.n_features)])
         return outputs
 
     def close(self):
@@ -417,15 +492,42 @@ class LogOddsModel:
         return f"log_odds({self.model.describe()})"
 
 
+def predict_batches(model, batches):
+    """Yield the model's outputs on each k x M batch of ``batches``, in
+    order; deterministic, pure. The one check of model inputs and outputs:
+    each batch must be finite rows of M values and give k finite outputs.
+    An in-process model predicts each batch as it is pulled. An
+    ExternalModel sends the lines of every batch through one exchange and
+    pulls the next batch once the line before it is written, so the next
+    batch is built while the child works on this one; each batch is read
+    in full before the next is pulled."""
+    n_features = getattr(model, "n_features", None)
+    sizes = deque()
+
+    def checked():
+        for rows in batches:
+            rows = _check_rows(rows, n_features)
+            sizes.append(len(rows))
+            yield rows
+
+    if isinstance(model, ExternalModel):
+        stream = model._stream(checked())
+    else:
+        stream = (model.predict(rows) for rows in checked())
+    with contextlib.closing(stream):
+        for outputs in stream:
+            outputs = np.asarray(outputs, dtype=float)
+            k = sizes.popleft()
+            if outputs.shape != (k,):
+                raise ModelOutputError(f"model returned shape {outputs.shape} for {k} rows")
+            if not np.all(np.isfinite(outputs)):
+                raise ModelOutputError("model returned non-finite outputs")
+            yield outputs
+
+
 def predict_batch(model, rows) -> np.ndarray:
-    """Evaluate the model on a k x M batch; deterministic, pure. The one
-    check of model outputs: they must be k finite values."""
-    rows = _check_rows(rows, getattr(model, "n_features", None))
-    outputs = np.asarray(model.predict(rows), dtype=float)
-    if outputs.shape != (len(rows),):
-        raise ModelOutputError(f"model returned shape {outputs.shape} for {len(rows)} rows")
-    if not np.all(np.isfinite(outputs)):
-        raise ModelOutputError("model returned non-finite outputs")
+    """The model's outputs on one k x M batch, checked by predict_batches."""
+    (outputs,) = predict_batches(model, [rows])
     return outputs
 
 

@@ -22,9 +22,6 @@ from shapdec.distributions import (
     fit_gaussian,
 )
 from shapdec.engine import (
-    AdditiveComponent,
-    AdditiveModel,
-    additive_split_check,
     decompose,
     exact_decomposition,
     kernel_shap,
@@ -165,6 +162,21 @@ def test_a05_dummy_feature_gets_zero_interventional_part():
             assert abs(dec.phi_int[j]) < 1e-12
 
 
+def _additive_split_deltas(components, m, joint, x) -> np.ndarray:
+    """Per feature i, phi_int[i] of the sum of ``components`` minus that of
+    the sum of the components that read i, both exact. A component is a
+    (features, fn) pair whose fn reads only those feature columns."""
+
+    def summed(parts):
+        return CallableModel(lambda rows: sum((fn(rows) for _, fn in parts), np.zeros(len(rows))), m)
+
+    full = exact_decomposition(summed(components), joint, x).phi_int
+    return np.array([
+        full[i] - exact_decomposition(summed([c for c in components if i in c[0]]), joint, x).phi_int[i]
+        for i in range(m)
+    ])
+
+
 def test_a06_additive_models_split_cleanly():
     """A feature's interventional part only sees components containing it."""
     gen = RngStream(606).generator()
@@ -172,20 +184,22 @@ def test_a06_additive_models_split_cleanly():
         for _ in range(10):
             joint = _random_binary_joint(4, gen)
             w = gen.normal(size=6)
-            model = AdditiveModel(
-                [
-                    AdditiveComponent((0,), lambda r, w=w: w[0] * r[:, 0]),
-                    AdditiveComponent((1, 2), lambda r, w=w: w[1] * r[:, 1] * r[:, 2]),
-                    AdditiveComponent(
-                        (2, 3), lambda r, w=w: w[2] * r[:, 2] + w[3] * r[:, 3] * r[:, 2]
-                    ),
-                    AdditiveComponent((3,), lambda r, w=w: w[4] * r[:, 3] + w[5]),
-                ],
-                4,
-            )
+            components = [
+                ((0,), lambda r, w=w: w[0] * r[:, 0]),
+                ((1, 2), lambda r, w=w: w[1] * r[:, 1] * r[:, 2]),
+                ((2, 3), lambda r, w=w: w[2] * r[:, 2] + w[3] * r[:, 3] * r[:, 2]),
+                ((3,), lambda r, w=w: w[4] * r[:, 3] + w[5]),
+            ]
             x = joint.support[int(gen.integers(len(joint.support)))]
-            report = additive_split_check(model, joint, x)
-            assert report["max_abs_delta"] <= 1e-12
+            deltas = _additive_split_deltas(components, 4, joint, x)
+            assert np.max(np.abs(deltas)) <= 1e-12
+
+
+def test_additive_split_check_flags_nothing_on_additive_models():
+    joint = _random_binary_joint(3, RngStream(21).generator())
+    components = [((0,), lambda rows: 2.0 * rows[:, 0]), ((1, 2), lambda rows: rows[:, 1] * rows[:, 2])]
+    deltas = _additive_split_deltas(components, 3, joint, np.array([1.0, 0.0, 1.0]))
+    assert np.max(np.abs(deltas)) <= 1e-12
 
 
 def test_a07_linear_interventional_closed_form():

@@ -19,9 +19,6 @@ from shapdec.distributions import (
     fit_copula,
 )
 from shapdec.engine import (
-    AdditiveComponent,
-    AdditiveModel,
-    additive_split_check,
     decompose,
     exact_decomposition,
     kernel_shap,
@@ -495,7 +492,6 @@ def test_public_engine_api_is_pinned():
             "fit_gaussian",
         },
         "engine": {
-            "additive_split_check",
             "decompose",
             "exact_decomposition",
             "kernel_shap",
@@ -548,20 +544,6 @@ def test_sample_length_must_match_the_sampler(fn, length):
 def test_exact_sample_length_must_match_the_joint(length):
     with pytest.raises(IngestionError, match="sample has .* joint has 2 features"):
         exact_decomposition(toy_risk_model(), _toy_joint(), np.ones(length))
-
-
-def test_additive_split_check_flags_nothing_on_additive_models():
-    gen = RngStream(21).generator()
-    joint = _random_joint(3, gen)
-    model = AdditiveModel(
-        [
-            AdditiveComponent((0,), lambda rows: 2.0 * rows[:, 0]),
-            AdditiveComponent((1, 2), lambda rows: rows[:, 1] * rows[:, 2]),
-        ],
-        3,
-    )
-    report = additive_split_check(model, joint, np.array([1.0, 0.0, 1.0]))
-    assert report["max_abs_delta"] <= 1e-12
 
 
 def test_efficiency_of_exact_decomposition_random_problems():

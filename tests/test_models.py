@@ -15,6 +15,7 @@ from shapdec.models import (
     _REQUEST_ROWS,
     _STDERR_TAIL,
     _WALK_CELLS,
+    _request_lines,
     CallableModel,
     ExternalModel,
     LinearModel,
@@ -24,6 +25,7 @@ from shapdec.models import (
     fit_ols,
     model_from_json,
     predict_batch,
+    predict_batches,
     toy_risk_model,
 )
 
@@ -291,6 +293,130 @@ def test_external_model_child_exiting_mid_batch_reports_stderr(tmp_path):
             model.predict(np.zeros((1250, 2)))
     finally:
         model.close()
+
+
+def _pid_gone(tmp_path):
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((tmp_path / "pid").read_text()), 0)
+
+
+def _recorded(rows):
+    return rows[:, 0] * 1e3 + rows[:, 1] / 7.0
+
+
+def test_external_model_streams_batches_through_one_exchange(tmp_path):
+    rows = RngStream(10).generator().normal(size=(700, 2))
+    buffer = np.empty((400, 2))
+
+    def batches():
+        # one buffer, overwritten after each yield: a batch is read in full
+        # before the next is pulled
+        for part in (rows[:300], rows[300:300], rows[300:305], rows[305:]):
+            buffer[:len(part)] = part
+            yield buffer[:len(part)]
+            buffer[:] = np.nan
+
+    model = _recording_bridge(tmp_path)
+    try:
+        outputs = list(predict_batches(model, batches()))
+        # no line spans two batches, and a 0-row batch sends none
+        assert _recorded_lines(tmp_path) == [256, 44, 5, 256, 139]
+        assert [len(out) for out in outputs] == [300, 0, 5, 395]
+        assert outputs[1].shape == (0,)
+        assert np.array_equal(np.concatenate(outputs), _recorded(rows))
+        in_process = CallableModel(_recorded, 2)
+        for a, b in zip(predict_batches(in_process, batches()), outputs):
+            assert np.array_equal(a, b)
+    finally:
+        model.close()
+
+
+def test_request_lines_equal_json_dumps():
+    values = [-0.0, 0.0, 5e-324, 1e16, 2.0**53, 1 / 3, 1 / 3, -0.0, 0.1, -1e300, 2.5, 0.0]
+    rows = np.array(values * 50).reshape(-1, 4)  # 150 rows: repeated values and rows
+    rows[7] = RngStream(11).generator().normal(size=4)
+    for batch in (rows, rows[:1], rows.T.copy().T, np.tile(rows, (2, 1))):
+        want = [
+            json.dumps({"op": "predict", "inputs": batch[s:s + _REQUEST_ROWS].tolist()},
+                       separators=(",", ":")).encode() + b"\n"
+            for s in range(0, len(batch), _REQUEST_ROWS)
+        ]
+        assert _request_lines(batch) == want
+    head = b'{"op":"predict","inputs":[[-0.0,0.0,5e-324,1e+16],[9007199254740992.0,0.3333333333333333,'
+    assert _request_lines(rows)[0].startswith(head)
+
+
+@pytest.mark.parametrize("stop", ["consumer", "non-finite output", "producer"])
+def test_external_model_stream_stopped_early_stops_the_child(tmp_path, stop):
+    rows = RngStream(12).generator().normal(size=(600, 2))
+    model = _recording_bridge(tmp_path)
+
+    def batches():
+        for q in range(4):
+            if stop == "producer" and q == 1:
+                raise RuntimeError("sampler failed")
+            batch = rows.copy()
+            if stop == "non-finite output" and q == 1:
+                batch[100, 0] = 1e306  # the bridge answers 1e309: Infinity
+            yield batch
+
+    try:
+        with pytest.raises((RuntimeError, ModelOutputError)):
+            for _ in predict_batches(model, batches()):
+                if stop == "consumer":
+                    raise RuntimeError("consumer failed")
+        # lines of a later batch were in flight: the child was stopped and reaped
+        _pid_gone(tmp_path)
+        assert np.array_equal(model.predict(rows), _recorded(rows))
+    finally:
+        model.close()
+
+
+def test_external_model_reply_timeout_counts_only_waiting_on_the_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(shapdec.models, "BRIDGE_REPLY_TIMEOUT_S", 0.3)
+    rows = RngStream(13).generator().normal(size=(600, 2))
+
+    def slow_batches():
+        for part in (rows[:200], rows[200:400], rows[400:]):
+            time.sleep(0.4)
+            yield part
+
+    model = _recording_bridge(tmp_path)
+    try:
+        model.predict(rows[:1])  # the child is up before the clock matters
+        outputs = []
+        for out in predict_batches(model, slow_batches()):
+            time.sleep(0.4)
+            outputs.append(out)
+    finally:
+        model.close()
+    assert np.array_equal(np.concatenate(outputs), _recorded(rows))
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    ["[true, \"1.5\", true]", "[1.0, null, 2.0]", "[[1.0], 2.0, 3.0]", "[1.0, false, 3.0]",
+     "\"1.0\"", "[1.0, 1" + "0" * 400 + ", 3.0]"],
+    ids=["bool-string", "null", "list", "false", "string", "int-beyond-float64"],
+)
+def test_external_model_rejects_outputs_that_are_not_numbers(tmp_path, outputs):
+    script = _bridge_script(
+        tmp_path,
+        "import os, pathlib, sys\n"
+        f"pathlib.Path({str(tmp_path / 'pid')!r}).write_text(str(os.getpid()))\n"
+        "print('{\"ok\": true}', flush=True)\n"
+        "sys.stdin.readline()\n"
+        "for line in sys.stdin:\n"
+        f"    print('{{\"outputs\": {outputs}}}', flush=True)\n",
+    )
+    model = ExternalModel(script, 2)
+    try:
+        with pytest.raises(BridgeError, match="not all float64 numbers") as err:
+            model.predict(np.ones((3, 2)))
+    finally:
+        model.close()
+    assert repr(f'{{"outputs": {outputs}}}'.encode()[:200]) in str(err.value)
+    _pid_gone(tmp_path)
 
 
 _CHATTY = """\
