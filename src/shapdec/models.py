@@ -17,6 +17,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
+try:
+    import fcntl
+except ImportError:  # not POSIX: the bridge's pipes keep their default size
+    fcntl = None
+
 import numpy as np
 
 from .core import FeatureMatrix, RngStream
@@ -24,9 +29,15 @@ from .errors import BridgeError, IngestionError, ModelOutputError, SizeError
 
 LOG_ODDS_EPS = 1e-6
 BRIDGE_REPLY_TIMEOUT_S = 60.0  # longest wait for one reply line from a bridge
-# Rows per bridge request line: the CLI encodes one line (about 65 kB at
-# M=13) while the child parses and computes the one before.
+# Rows per bridge request line, about 65 kB at M=13: the lines of one
+# batch are encoded together, and the child parses and computes them one by
+# one while the CLI draws and encodes the next batch.
 _REQUEST_ROWS = 256
+# Capacity asked for the child's stdin pipe: Linux's default pipe-max-size
+# for unprivileged processes, room for more than a batch of request lines.
+# A default 64 KiB pipe holds about one line, so the CLI would wait on the
+# child after each line instead of drawing the next batch.
+_REQUEST_PIPE_BYTES = 1 << 20
 _STDERR_TAIL = 1 << 16  # bytes of a bridge's stderr quoted in its errors
 
 
@@ -303,6 +314,9 @@ class ExternalModel:
         except OSError as err:
             raise BridgeError(f"failed to launch {self.cmd}: {err}") from err
         os.set_blocking(self._proc.stdin.fileno(), False)
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux only
+            with contextlib.suppress(OSError):  # refused: the default size stays
+                fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, _REQUEST_PIPE_BYTES)
         self._unread = bytearray()
         self._err_tail = bytearray()
         hello = {"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}
@@ -319,6 +333,10 @@ class ExternalModel:
         reply lines and drains stderr. The next list is pulled once the line
         before it is fully written, so the caller builds it while the child
         works; a list's replies are yielded while later lines are in flight.
+        On Linux the child's stdin pipe holds about 1 MiB
+        (_REQUEST_PIPE_BYTES), so a whole list of lines can queue ahead of
+        the child while the caller builds the next one; the bytes written and
+        their order do not depend on how much the pipe holds.
         If the caller closes the stream, or a pull raises, while lines are in
         flight, the child is stopped and reaped. Each reply line must come
         within BRIDGE_REPLY_TIMEOUT_S of waiting on the child since the start
@@ -499,7 +517,8 @@ def predict_batches(model, batches):
     An in-process model predicts each batch as it is pulled. An
     ExternalModel sends the lines of every batch through one exchange and
     pulls the next batch once the line before it is written, so the next
-    batch is built while the child works on this one; each batch is read
+    batch is built while the child works on this one; on Linux about 1 MiB
+    of request lines may be queued ahead of the child. Each batch is read
     in full before the next is pulled."""
     n_features = getattr(model, "n_features", None)
     sizes = deque()

@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import sys
@@ -12,6 +13,7 @@ from shapdec.engine import decompose
 from shapdec.errors import BridgeError, IngestionError, ModelOutputError, SizeError
 import shapdec.models
 from shapdec.models import (
+    _REQUEST_PIPE_BYTES,
     _REQUEST_ROWS,
     _STDERR_TAIL,
     _WALK_CELLS,
@@ -450,6 +452,72 @@ def test_external_model_drains_a_chatty_stderr(tmp_path, monkeypatch):
     message = str(err.value)
     assert message.endswith("last words")
     assert len(message.partition("stderr: ")[2]) <= _STDERR_TAIL
+
+
+# Answers the handshake, then sleeps before it reads its first predict line.
+_SLOW_START = """\
+import json, sys, time
+sys.stdin.readline()
+print(json.dumps({"ok": True}), flush=True)
+time.sleep(0.5)
+for line in sys.stdin:
+    outs = [r[0] * 1e3 + r[1] / 7.0 for r in json.loads(line)["inputs"]]
+    print(json.dumps({"outputs": outs}), flush=True)
+"""
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="no pipe capacity to set")
+def test_external_model_queues_a_batch_of_lines_ahead_of_the_child(tmp_path):
+    rows = RngStream(14).generator().normal(size=(24 * _REQUEST_ROWS, 13))
+    pulled = []  # request-line bytes of each batch the stream has pulled
+
+    def batches():
+        for s in range(0, len(rows), _REQUEST_ROWS):
+            batch = rows[s:s + _REQUEST_ROWS]
+            pulled.append(sum(map(len, _request_lines(batch))))
+            yield batch
+
+    model = ExternalModel(_bridge_script(tmp_path, _SLOW_START), 13)
+    try:
+        model._ensure_started()
+        assert fcntl.fcntl(model._proc.stdin.fileno(), fcntl.F_GETPIPE_SZ) >= 1 << 20
+        stream = predict_batches(model, batches())
+        outputs = [next(stream)]
+        # while the child slept, the pipe took far more than one line
+        assert sum(pulled) >= 512 * 1024
+        outputs.extend(stream)
+    finally:
+        model.close()
+    assert np.array_equal(np.concatenate(outputs), _recorded(rows))
+
+
+@pytest.mark.parametrize("setting", ["refused", "missing"])
+def test_external_model_keeps_the_default_pipe_where_its_size_cannot_be_set(
+    tmp_path, monkeypatch, setting
+):
+    if setting == "missing":
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+    else:
+        real = fcntl.fcntl
+
+        def refusing(fd, cmd, arg=0):
+            if cmd == getattr(fcntl, "F_SETPIPE_SZ", None):
+                raise PermissionError("pipe size refused")
+            return real(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refusing)
+    rows = RngStream(15).generator().normal(size=(1250, 2))
+    model = _recording_bridge(tmp_path)
+    try:
+        out = model.predict(rows)
+        if hasattr(fcntl, "F_GETPIPE_SZ"):
+            size = fcntl.fcntl(model._proc.stdin.fileno(), fcntl.F_GETPIPE_SZ)
+            assert size < _REQUEST_PIPE_BYTES
+    finally:
+        model.close()
+    in_process = predict_batch(CallableModel(_recorded, 2), rows)
+    assert np.array_equal(out, in_process)
+    assert _recorded_lines(tmp_path) == [256, 256, 256, 256, 226]
 
 
 def test_model_from_json_unknown_kind():
