@@ -34,6 +34,7 @@ from .experiments import (
     write_json,
 )
 from .models import fit_forest, fit_ols, model_from_json
+from .synthetic import synthetic_fire, synthetic_housing
 from .viz import ForceFeature, ForcePlotSpec, render_force_plot
 
 EXIT_OK = 0
@@ -159,9 +160,6 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # the generators load scipy.stats, which `explain` never needs
-    from .synthetic import synthetic_fire, synthetic_housing
-
     out = Path(args.out)
     if args.name == "toy":
         run_toy(args.k1, args.k2, args.seed, out)

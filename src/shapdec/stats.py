@@ -30,11 +30,26 @@ class CorrelationMatrix:
 
 
 def _ranks(v) -> np.ndarray:
-    """Mid-ranks (ties get average ranks). scipy.stats is imported here,
-    on first use, so loading the package does not pay for it."""
-    from scipy.stats import rankdata
+    """Mid-ranks of a NaN-free vector: 1-based positions in sorted order,
+    with tied values sharing the mean of their positions. Mid-ranks are
+    whole numbers or halves, so they equal scipy's ``rankdata``
+    (method "average") exactly; numpy alone computes them."""
+    v = np.asarray(v, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(first) - 1]
+    return ranks
 
-    return rankdata(v)
+
+def _reject_nan(columns: np.ndarray, names) -> None:
+    """Ranks are undefined next to a NaN: name every column holding one."""
+    bad = [repr(name) for name, col in zip(names, columns.T) if np.isnan(col).any()]
+    if bad:
+        raise IngestionError(f"NaN in {', '.join(bad)}; ranks are undefined")
 
 
 def spearman(x, y) -> float:
@@ -43,6 +58,7 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if len(x) != len(y) or len(x) < 3:
         raise IngestionError("need two equal-length vectors with >= 3 entries")
+    _reject_nan(np.column_stack([x, y]), ("x", "y"))
     rx = _ranks(x)
     ry = _ranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
@@ -63,6 +79,7 @@ def partial_correlation_graph(columns, names) -> CorrelationMatrix:
     n, p = cols.shape
     if n < p + 2:
         raise IngestionError(f"need at least p+2={p + 2} rows, got {n}")
+    _reject_nan(cols, names)
     ranks = np.column_stack([_ranks(cols[:, j]) for j in range(p)])
     if np.any(np.ptp(ranks, axis=0) == 0):
         raise IngestionError("a column has zero rank variance")

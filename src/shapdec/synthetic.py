@@ -9,10 +9,9 @@ binary fire label) so every experiment runs out of the box.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
 from .core import FeatureMatrix, RngStream
+from .stats import _ranks
 
 HOUSING_NAMES = (
     "CRIM", "ZN", "INDUS", "CHAS", "NOX", "RM", "AGE",
@@ -53,10 +52,14 @@ def synthetic_housing(n: int = 506, seed: int = 0):
 
 
 def _rank_scores(z: np.ndarray) -> np.ndarray:
-    """Mid-rank Gaussian scores of every column."""
+    """Mid-rank Gaussian scores of every column. scipy.special is
+    imported here, and in ``synthetic_fire``, so housing data needs no
+    scipy."""
+    from scipy.special import ndtri
+
     n = len(z)
     return np.column_stack(
-        [ndtri((rankdata(z[:, j]) - 0.5) / n) for j in range(z.shape[1])]
+        [ndtri((_ranks(z[:, j]) - 0.5) / n) for j in range(z.shape[1])]
     )
 
 
@@ -90,6 +93,8 @@ def synthetic_fire(n: int = 250, seed: int = 0, correlated: bool = False):
         rain = np.maximum(0.0, 0.05 * (rh - 62.0) + gen.exponential(0.6, size=n) - 0.3)
         ws = gen.normal(15.0, 3.0, size=n)
     else:
+        from scipy.special import ndtr
+
         z = _decorrelate_ranks(gen.standard_normal((n, 4)))
         t = 32.0 + 4.0 * z[:, 0]
         rh = 62.0 + 10.0 * z[:, 1]

@@ -222,6 +222,40 @@ def test_explain_loads_scipy_only_for_the_copula(tmp_path, housing_csv, sampler)
         assert "scipy.special" in loaded
 
 
+def _loaded_scipy(code):
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}; print({_LOADED_SCIPY})"],
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_housing_generator_loads_no_scipy():
+    code = "import sys, shapdec.synthetic as s; s.synthetic_housing()"
+    assert _loaded_scipy(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["toy", "--k1", "50", "--k2", "50"],
+        ["correlation", "--alphas", "0,0.5", "--k1", "50", "--k2", "50"],
+        ["housing", "--synthetic", "--towns", "2", "--k1", "10", "--k2", "10"],
+        ["fire", "--synthetic", "--k1", "10", "--k2", "10"],
+    ],
+    ids=["toy", "correlation", "housing", "fire"],
+)
+def test_experiment_loads_scipy_special_only_for_fire(tmp_path, flags):
+    argv = ["experiment", *flags, "--out", str(tmp_path / "out")]
+    code = f"import sys; from shapdec.cli import main; assert main({argv!r}) == 0"
+    loaded = _loaded_scipy(code)
+    if flags[0] == "fire":
+        assert "'scipy.special'" in loaded
+        assert "scipy.stats" not in loaded
+    else:
+        assert loaded == "[]"
+
+
 def test_explain_short_sample_is_ingestion_error(tmp_path, housing_csv, capsys):
     argv = [
         "explain", "--data", str(housing_csv), "--fit", "linear", "--target", "price",

@@ -113,6 +113,36 @@ def test_fire_generator_shapes_and_labels():
     assert 0 < labels.mean() < 1
 
 
+def _scipy_fire(n, seed):
+    """The independent fire generator rebuilt on scipy.stats.rankdata."""
+    from scipy.special import ndtr, ndtri
+    from scipy.stats import rankdata
+
+    def scores(z):
+        return np.column_stack([ndtri((rankdata(col) - 0.5) / n) for col in z.T])
+
+    gen = RngStream(seed, 3).generator()
+    z = gen.standard_normal((n, 4))
+    for _ in range(4):
+        s = scores(z)
+        vals, vecs = np.linalg.eigh(np.corrcoef(s, rowvar=False))
+        z = s @ (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
+    z = scores(z)
+    t, rh, ws = 32.0 + 4.0 * z[:, 0], 62.0 + 10.0 * z[:, 1], 15.0 + 3.0 * z[:, 2]
+    rain = 0.8 * -np.log1p(-np.clip(ndtr(z[:, 3]), 0.0, 1.0 - 1e-12))
+    logit = 0.45 * (t - 32.0) - 0.12 * (rh - 62.0) + 0.25 * (ws - 15.0) - 1.8 * rain + 0.4
+    labels = (gen.uniform(size=n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
+    return np.column_stack([t, rh, ws, rain]), labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fire_generator_matches_a_scipy_rank_rebuild(seed):
+    data, labels = synthetic_fire(seed=seed)
+    values, ref_labels = _scipy_fire(250, seed)
+    assert np.array_equal(data.values, values)
+    assert np.array_equal(labels, ref_labels)
+
+
 def test_run_imputation_study_small(tmp_path):
     data, target = synthetic_housing(n=60, seed=0)
     result = run_imputation_study(

@@ -4,7 +4,7 @@ from scipy import stats as sps
 
 from shapdec.core import RngStream
 from shapdec.errors import IngestionError
-from shapdec.stats import partial_correlation_graph, spearman, to_dot
+from shapdec.stats import _ranks, partial_correlation_graph, spearman, to_dot
 
 
 def test_spearman_matches_scipy():
@@ -20,6 +20,45 @@ def test_spearman_handles_ties():
     x = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0])
     y = np.array([2.0, 1.0, 3.0, 5.0, 4.0, 6.0])
     assert spearman(x, y) == pytest.approx(sps.spearmanr(x, y).statistic, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 3.0],
+        [0.0, -0.0, 1.0, -0.0, -1.0, 0.0],
+        [np.inf, -np.inf, 1.0, np.inf, 0.0, -np.inf, -np.inf],
+        [2.5],
+        RngStream(6).generator().integers(0, 40, 10_000).astype(float),
+    ],
+    ids=["ties", "signed-zeros", "infinities", "single", "heavy-ties"],
+)
+def test_mid_ranks_equal_scipy_rankdata(values):
+    ours = _ranks(values)
+    assert ours.dtype == np.float64
+    assert np.array_equal(ours, sps.rankdata(values))
+
+
+def test_spearman_names_the_input_holding_nan():
+    y = np.arange(10.0)
+    y[3] = np.nan
+    with pytest.raises(IngestionError, match="'y'"):
+        spearman(np.arange(10), y)
+    with pytest.raises(IngestionError, match="'x'"):
+        spearman(y, np.arange(10))
+
+
+def test_spearman_ranks_infinities():
+    x = np.array([-np.inf, 1.0, 2.0, np.inf, 5.0])
+    assert spearman(x, np.arange(5.0)) == pytest.approx(sps.spearmanr(x, np.arange(5.0)).statistic)
+
+
+def test_partial_correlation_names_the_column_holding_nan():
+    cols = RngStream(7).generator().normal(size=(20, 3))
+    cols[5, 1] = np.nan
+    with pytest.raises(IngestionError, match="'b'") as err:
+        partial_correlation_graph(cols, ["a", "b", "c"])
+    assert "'a'" not in str(err.value) and "'c'" not in str(err.value)
 
 
 def test_spearman_monotone_is_one():
