@@ -31,7 +31,6 @@ from .models import (
     fit_forest,
     fit_ols,
     model_from_json,
-    predict_batch,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

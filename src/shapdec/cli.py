@@ -63,6 +63,10 @@ def read_csv(path, target: str | None = None):
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}:{lineno}: {len(row)} values, header has {len(header)}"
+                    )
                 try:
                     rows.append([float(v) for v in row])
                 except ValueError as err:
@@ -72,8 +76,6 @@ def read_csv(path, target: str | None = None):
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     values = np.array(rows)
-    if values.shape[1] != len(header):
-        raise IngestionError(f"{path}: ragged rows")
     if target is None:
         return FeatureMatrix(tuple(header), values), None
     if target not in header:

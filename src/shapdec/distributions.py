@@ -59,6 +59,8 @@ class GaussianModel:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (len(mean), len(mean)):
             raise IngestionError("covariance shape does not match mean")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise IngestionError("Gaussian mean and covariance must be finite")
         cov = 0.5 * (cov + cov.T)
         for arr in (mean, cov):
             arr.setflags(write=False)
@@ -275,7 +277,10 @@ class DiscreteJoint:
         probs = np.asarray(self.probs, dtype=float)
         if support.ndim != 2 or len(support) != len(probs):
             raise IngestionError("support and probs must have matching length")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(support)):
+            raise IngestionError("support must be finite")
+        # written so that a NaN fails it
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise IngestionError("probs must be nonnegative and sum to 1")
         if len(np.unique(support, axis=0)) != len(support):
             raise IngestionError("support rows must be distinct")

@@ -9,16 +9,16 @@ model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP reads
 v from the same coalition rows. The sampled loops re-key one Philox
 generator to each work item's substream and draw from the sampler's
 per-mask plan (``_draw``), mapping whole row blocks to feature space at
-once (``_finish``). Each loop is a generator of model batches and a
-consumer of their outputs, joined by ``predict_batches``: through an
-external model the next batch is drawn while the child works on the last.
+once (``_finish``). Each loop is a generator of (payload, rows) model
+batches and a consumer of their outputs, joined by ``predict_batches``:
+through an external model the next batch is drawn while the child works on
+the last. No plan writes to rows it has yielded.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +46,6 @@ def _coalitions_without(m: int) -> list:
         without = masks[(masks >> i & 1) == 0]
         out.append((without, size_weight[sizes[without]]))
     return out
-
-
-def _evaluated(model, plans):
-    """(payload, outputs) for each (payload, rows) of ``plans``, in order.
-    Through an external model the next plan is built while the child works
-    on the one before; no plan here writes to rows it has yielded."""
-    payloads = deque()
-
-    def batches():
-        for payload, rows in plans:
-            payloads.append(payload)
-            yield rows
-
-    for outputs in predict_batches(model, batches()):
-        yield payloads.popleft(), outputs
 
 
 def _expectation_table(model, x, rows_of, uses=None) -> tuple:
@@ -96,7 +81,7 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     t = np.zeros((full + 1, m))
     u = np.zeros((full + 1, m))
     model_rows = 0
-    for (mask, weights, pairs), pred in _evaluated(model, plans()):
+    for (mask, weights, pairs), pred in predict_batches(model, plans()):
         v[mask] = pred[:len(weights)] @ weights
         lo = len(weights)
         for i, w in pairs:
@@ -207,7 +192,7 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     base = 0.0
     phi_int = np.zeros(m)
     phi_dep = np.zeros(m)
-    evaluated = _evaluated(model, plans())
+    evaluated = predict_batches(model, plans())
     fx = next(evaluated)[1][0]
     for k, (perm, pred) in enumerate(evaluated):
         means = pred.reshape(-1, draws).mean(axis=1)
@@ -239,12 +224,19 @@ def _row_budget(m: int, k1: int, k2: int) -> int:
     return 1 + k1 * coalitions + 2 * k2 * (m - 1)
 
 
-def _explained_row(sampler, x) -> tuple:
-    """x as a 1-D float vector with one value per sampler feature, and M."""
+def _explained_row(model, source, x, kind: str = "sampler") -> tuple:
+    """x as a 1-D float vector, and M: x must hold one finite value per
+    feature of ``source`` (a sampler or a joint, named by ``kind``), and
+    the model must take M features. The fitted distributions hold finite
+    parameters, so every row built from x is finite k x M float64."""
     x = as_vector(x)
-    m = sampler.n_features
+    m = source.n_features
     if len(x) != m:
-        raise IngestionError(f"sample has {len(x)} values, sampler has {m} features")
+        raise IngestionError(f"sample has {len(x)} values, {kind} has {m} features")
+    if not np.all(np.isfinite(x)):
+        raise IngestionError("sample contains non-finite values")
+    if model.n_features != m:
+        raise IngestionError(f"model has {model.n_features} features, {kind} has {m}")
     return x, m
 
 
@@ -267,7 +259,7 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
         raise SizeError("draw budget K1 must be >= 1")
     if k2 < 1:
         raise SizeError("permutation budget K2 must be >= 1")
-    x, m = _explained_row(sampler, x)
+    x, m = _explained_row(model, sampler, x)
     root = RngStream(seed)
     if (1 << m) <= ENUMERATION_LIMIT:
         if k2 < k1:
@@ -334,7 +326,7 @@ def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
     """
     if k1 < 1:
         raise SizeError("draw budget K1 must be >= 1")
-    x, m = _explained_row(sampler, x)
+    x, m = _explained_row(model, sampler, x)
     if m < 1:
         raise SizeError("need at least one feature")
     rng = RngStream(seed).substream(1)
@@ -352,7 +344,7 @@ def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
             rows, weights, _ = rows_of(mask)
             yield (mask, weights), rows
 
-    table = {mask: pred @ weights for (mask, weights), pred in _evaluated(model, plans())}
+    table = {mask: pred @ weights for (mask, weights), pred in predict_batches(model, plans())}
     v0, v1 = table[0], table[full]
     delta = v1 - v0
     vals = np.array([table[mask] for mask in masks])
@@ -382,12 +374,11 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
     the dependent part that of v[S + i] - t[S, i]; together they give the
     conditional Shapley value to machine precision.
     """
-    x = as_vector(x)
-    m = joint.n_features
-    if m > MAX_ORACLE_FEATURES:
-        raise OracleError(f"exact oracle supports M <= {MAX_ORACLE_FEATURES}, got {m}")
-    if len(x) != m:
-        raise IngestionError(f"sample has {len(x)} values, joint has {m} features")
+    if joint.n_features > MAX_ORACLE_FEATURES:
+        raise OracleError(
+            f"exact oracle supports M <= {MAX_ORACLE_FEATURES}, got {joint.n_features}"
+        )
+    x, m = _explained_row(model, joint, x, "joint")
 
     def support_rows(mask):
         rows, probs = joint.restrict(mask, x)

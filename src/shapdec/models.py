@@ -41,7 +41,7 @@ _REQUEST_PIPE_BYTES = 1 << 20
 _STDERR_TAIL = 1 << 16  # bytes of a bridge's stderr quoted in its errors
 
 
-def _check_rows(rows, n_features: int | None = None) -> np.ndarray:
+def _check_rows(rows, n_features: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows[None, :]
@@ -49,7 +49,7 @@ def _check_rows(rows, n_features: int | None = None) -> np.ndarray:
         raise IngestionError(f"prediction input must be 2-D, got shape {rows.shape}")
     if not np.all(np.isfinite(rows)):
         raise IngestionError("prediction input contains non-finite values")
-    if n_features is not None and rows.shape[1] != n_features:
+    if rows.shape[1] != n_features:
         raise IngestionError(f"expected {n_features} columns, got {rows.shape[1]}")
     return rows
 
@@ -320,21 +320,22 @@ class ExternalModel:
         self._unread = bytearray()
         self._err_tail = bytearray()
         hello = {"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}
-        [[line]] = self._exchange([[json.dumps(hello, separators=(",", ":")).encode() + b"\n"]])
+        hello_line = json.dumps(hello, separators=(",", ":")).encode() + b"\n"
+        [(_, [line])] = self._exchange([(None, [hello_line])])
         reply = self._parse_reply(line)
         if reply.get("ok") is not True:
             # _error() also stops and reaps the child
             raise self._error(f"handshake rejected: {reply}")
 
     def _exchange(self, groups):
-        """The one bridge I/O loop. ``groups`` yields lists of request lines;
-        for each list, in order, the reply lines to it are yielded once the
-        last of them is read. One select loop writes lines while it reads
-        reply lines and drains stderr. The next list is pulled once the line
-        before it is fully written, so the caller builds it while the child
-        works; a list's replies are yielded while later lines are in flight.
-        On Linux the child's stdin pipe holds about 1 MiB
-        (_REQUEST_PIPE_BYTES), so a whole list of lines can queue ahead of
+        """The one bridge I/O loop. ``groups`` yields (tag, request lines)
+        pairs; for each, in order, (tag, reply lines) is yielded once the
+        last of its reply lines is read. One select loop writes lines while
+        it reads reply lines and drains stderr. The next group is pulled once
+        the line before it is fully written, so the caller builds it while
+        the child works; a group's replies are yielded while later lines are
+        in flight. On Linux the child's stdin pipe holds about 1 MiB
+        (_REQUEST_PIPE_BYTES), so a whole group of lines can queue ahead of
         the child while the caller builds the next one; the bytes written and
         their order do not depend on how much the pipe holds.
         If the caller closes the stream, or a pull raises, while lines are in
@@ -345,8 +346,8 @@ class ExternalModel:
         in_fd, out_fd, err_fd = proc.stdin.fileno(), proc.stdout.fileno(), proc.stderr.fileno()
         readers = [out_fd, err_fd]
         groups = iter(groups)
-        todo = deque()  # lines of the pulled lists not yet begun
-        due = deque()  # per pulled list not yet yielded: its number of lines
+        todo = deque()  # lines of the pulled groups not yet begun
+        due = deque()  # per pulled group not yet yielded: its tag and number of lines
         replies = deque()  # reply lines read and not yet yielded
         line, offset, begun, more = b"", 0, 0, True
         read = 0  # reply lines read; lines begun and not answered are in flight
@@ -359,12 +360,14 @@ class ExternalModel:
                         group = next(groups, None)
                         more = group is not None
                         if more:
-                            todo.extend(group)
-                            due.append(len(group))
+                            tag, lines = group
+                            todo.extend(lines)
+                            due.append((tag, len(lines)))
                     if todo:
                         line, offset, begun = todo.popleft(), 0, begun + 1
-                while due and len(replies) >= due[0]:
-                    yield [replies.popleft() for _ in range(due.popleft())]
+                while due and len(replies) >= due[0][1]:
+                    tag, n = due.popleft()
+                    yield tag, [replies.popleft() for _ in range(n)]
                 if not due:
                     return
                 writers = [in_fd] if offset < len(line) else []
@@ -439,27 +442,27 @@ class ExternalModel:
         """Stop and reap the child; a BridgeError quoting its stderr's tail."""
         return BridgeError(f"{message}; stderr: {self._stop()}")
 
-    def _stream(self, batches):
-        """Each batch's outputs, in order, from one exchange that carries the
-        lines of every batch; a 0-row batch sends no line."""
+    def _stream(self, plans):
+        """(payload, outputs) for each (payload, rows) of ``plans``, in
+        order, from one exchange that carries the lines of every batch; a
+        0-row batch sends no line. Rows are checked as they are encoded:
+        nothing else stands between them and the child."""
         self._ensure_started()
-        sizes = deque()
 
         def requests():
-            for rows in batches:
-                sizes.append(len(rows))
-                yield _request_lines(rows)
+            for payload, rows in plans:
+                rows = _check_rows(rows, self.n_features)
+                yield (payload, len(rows)), _request_lines(rows)
 
         with contextlib.closing(self._exchange(requests())) as replies:
-            for lines in replies:
-                n = sizes.popleft()
+            for (payload, n), lines in replies:
                 outputs = np.empty(n)
                 for s, line in zip(range(0, n, _REQUEST_ROWS), lines):
                     outputs[s:s + _REQUEST_ROWS] = self._outputs(line, min(_REQUEST_ROWS, n - s))
-                yield outputs
+                yield payload, outputs
 
     def predict(self, rows) -> np.ndarray:
-        (outputs,) = self._stream([_check_rows(rows, self.n_features)])
+        [(_, outputs)] = self._stream([(None, rows)])
         return outputs
 
     def close(self):
@@ -502,52 +505,41 @@ class LogOddsModel:
         self.n_features = model.n_features
 
     def predict(self, rows) -> np.ndarray:
-        """ln(p / (1-p)) with p clamped into [eps, 1-eps], eps = 1e-6."""
-        p = np.clip(predict_batch(self.model, rows), LOG_ODDS_EPS, 1.0 - LOG_ODDS_EPS)
+        """ln(p / (1-p)) with p clamped into [eps, 1-eps], eps = 1e-6. A
+        non-finite p gives NaN, for ``predict_batches`` to reject."""
+        p = np.asarray(self.model.predict(rows), dtype=float)
+        p = np.where(np.isfinite(p), np.clip(p, LOG_ODDS_EPS, 1.0 - LOG_ODDS_EPS), np.nan)
         return np.log(p / (1.0 - p))
 
     def describe(self) -> str:
         return f"log_odds({self.model.describe()})"
 
 
-def predict_batches(model, batches):
-    """Yield the model's outputs on each k x M batch of ``batches``, in
-    order; deterministic, pure. The one check of model inputs and outputs:
-    each batch must be finite rows of M values and give k finite outputs.
-    An in-process model predicts each batch as it is pulled. An
-    ExternalModel sends the lines of every batch through one exchange and
-    pulls the next batch once the line before it is written, so the next
-    batch is built while the child works on this one; on Linux about 1 MiB
-    of request lines may be queued ahead of the child. Each batch is read
-    in full before the next is pulled."""
-    n_features = getattr(model, "n_features", None)
-    sizes = deque()
+def predict_batches(model, plans):
+    """(payload, outputs) for each (payload, rows) of ``plans``, in order:
+    the model's outputs on each k x M batch; deterministic, pure. The one
+    check of model outputs: k finite values per batch. Rows are checked
+    where they enter a model, by the bundled models' ``predict`` or by an
+    ExternalModel as it encodes them. An in-process model predicts each
+    batch as it is pulled. An ExternalModel sends the lines of every batch
+    through one exchange and pulls the next plan once the line before it is
+    written, so the next batch is built while the child works on this one;
+    on Linux about 1 MiB of request lines may be queued ahead of the child.
+    Each batch is read in full before the next is pulled."""
 
-    def checked():
-        for rows in batches:
-            rows = _check_rows(rows, n_features)
-            sizes.append(len(rows))
-            yield rows
-
-    if isinstance(model, ExternalModel):
-        stream = model._stream(checked())
-    else:
-        stream = (model.predict(rows) for rows in checked())
-    with contextlib.closing(stream):
-        for outputs in stream:
-            outputs = np.asarray(outputs, dtype=float)
-            k = sizes.popleft()
+    def in_process():
+        for payload, rows in plans:
+            outputs, k = np.asarray(model.predict(rows), dtype=float), len(rows)
             if outputs.shape != (k,):
                 raise ModelOutputError(f"model returned shape {outputs.shape} for {k} rows")
+            yield payload, outputs
+
+    stream = model._stream(plans) if isinstance(model, ExternalModel) else in_process()
+    with contextlib.closing(stream):
+        for payload, outputs in stream:
             if not np.all(np.isfinite(outputs)):
                 raise ModelOutputError("model returned non-finite outputs")
-            yield outputs
-
-
-def predict_batch(model, rows) -> np.ndarray:
-    """The model's outputs on one k x M batch, checked by predict_batches."""
-    (outputs,) = predict_batches(model, [rows])
-    return outputs
+            yield payload, outputs
 
 
 def fit_ols(data: FeatureMatrix, target) -> LinearModel:
@@ -565,13 +557,7 @@ def fit_ols(data: FeatureMatrix, target) -> LinearModel:
     return LinearModel(beta[1:], float(beta[0]))
 
 
-_FOREST_DEFAULTS = {
-    "trees": 200,
-    "max_depth": 8,
-    "min_leaf": 5,
-    "features_per_split": None,  # ceil(sqrt(M)) when None
-    "bootstrap": True,
-}
+_FOREST_DEFAULTS = {"trees": 200, "max_depth": 8, "min_leaf": 5}
 
 
 def _best_split(x, y, feat_candidates, min_leaf):
@@ -608,9 +594,10 @@ def _best_split(x, y, feat_candidates, min_leaf):
 
 
 def _grow_tree(nodes: _Nodes, x, y, params, gen) -> int:
-    """Grow one CART tree into ``nodes``; returns its root."""
+    """Grow one CART tree into ``nodes``, trying ceil(sqrt(M)) features
+    per split; returns its root."""
     m = x.shape[1]
-    fps = params["features_per_split"] or int(np.ceil(np.sqrt(m)))
+    fps = int(np.ceil(np.sqrt(m)))
 
     def build(idx, depth) -> int:
         k = nodes.leaf()
@@ -622,7 +609,7 @@ def _grow_tree(nodes: _Nodes, x, y, params, gen) -> int:
         ):
             nodes.value[k] = float(ys.mean())
             return k
-        cand = gen.choice(m, size=min(fps, m), replace=False)
+        cand = gen.choice(m, size=fps, replace=False)
         split = _best_split(x[idx], ys, sorted(cand), params["min_leaf"])
         if split is None:
             nodes.value[k] = float(ys.mean())
@@ -644,14 +631,17 @@ def fit_forest(
     rng: RngStream = RngStream(0),
     task: str = "regression",
 ) -> ForestModel:
-    """Bagged CART forest, deterministic given the stream.
+    """Bagged CART forest, deterministic given the stream: each tree grows
+    on a bootstrap sample. ``params`` may set any of _FOREST_DEFAULTS.
 
     Regression splits maximize variance reduction; for 0/1 targets the
     same criterion equals the Gini gain, and leaves hold class-1
     proportions.
     """
-    p = dict(_FOREST_DEFAULTS)
-    p.update(params or {})
+    unknown = sorted(set(params or {}) - set(_FOREST_DEFAULTS))
+    if unknown:
+        raise IngestionError(f"unknown forest parameters {unknown}")
+    p = {**_FOREST_DEFAULTS, **(params or {})}
     y = np.asarray(target, dtype=float)
     x = data.values
     if task == "binary-probability" and not np.all(np.isin(y, (0.0, 1.0))):
@@ -661,10 +651,7 @@ def fit_forest(
     nodes = _Nodes()
     for t in range(p["trees"]):
         gen = rng.substream(t).generator()
-        if p["bootstrap"]:
-            idx = gen.integers(0, len(y), size=len(y))
-        else:
-            idx = np.arange(len(y))
+        idx = gen.integers(0, len(y), size=len(y))
         nodes.roots.append(_grow_tree(nodes, x[idx], y[idx], p, gen))
     return ForestModel(nodes, task, data.n_features)
 

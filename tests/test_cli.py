@@ -53,6 +53,12 @@ def test_read_csv_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(IngestionError):
         read_csv(empty)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("a,b,c\n1,2,3\n4,5\n")
+    with pytest.raises(IngestionError, match=r"ragged\.csv:3: 2 values, header has 3"):
+        read_csv(ragged)
+    code = main(["explain", "--data", str(ragged), "--fit", "linear", "--target", "c"])
+    assert code == 2
 
 
 def test_usage_error_exit_code():
@@ -333,6 +339,17 @@ def test_external_model_wrong_output_count(tmp_path):
     finally:
         model.close()
     assert _explain_with(model_path, tmp_path) == 3
+
+
+def test_explain_model_sampler_mismatch_is_ingestion_error(tmp_path, capsys):
+    model_path, _ = _bridge_model_json(tmp_path)  # a 3-feature bridge
+    data = tmp_path / "two.csv"
+    _write_csv(data, ["a", "b"], RngStream(2).generator().normal(size=(30, 2)).tolist())
+    code = main(["explain", "--data", str(data), "--model", str(model_path), "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert "model has 3 features, sampler has 2" in capsys.readouterr().err
+    assert not (tmp_path / "bridge-pid").exists()  # the bridge was never started
 
 
 def test_explain_closes_the_external_model(tmp_path):

@@ -227,8 +227,24 @@ def test_discrete_joint_restrict_off_support_errors():
 
 def test_discrete_joint_probability_validation():
     support = np.array([[0.0], [1.0]])
-    with pytest.raises(IngestionError):
-        DiscreteJoint(support, np.array([0.6, 0.5]))
+    for probs in ([0.6, 0.5], [np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
+        with pytest.raises(IngestionError, match="probs must be nonnegative and sum to 1"):
+            DiscreteJoint(support, np.array(probs))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(IngestionError, match="support must be finite"):
+            DiscreteJoint(np.array([[0.0], [bad]]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("part", ["mean", "cov"])
+def test_gaussian_model_rejects_non_finite_parameters(part, bad):
+    mean, cov = np.zeros(2), np.eye(2)
+    if part == "mean":
+        mean[1] = bad
+    else:
+        cov[0, 1] = cov[1, 0] = bad
+    with pytest.raises(IngestionError, match="must be finite"):
+        GaussianModel(mean, cov)
 
 
 def test_discrete_sampler_conditional_mean_is_exact():

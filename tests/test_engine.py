@@ -506,10 +506,9 @@ def test_public_engine_api_is_pinned():
             "fit_forest",
             "fit_ols",
             "model_from_json",
-            "predict_batch",
         },
     }
-    for gone in ("Coalition", "sampler_from_json", "log_odds"):
+    for gone in ("Coalition", "sampler_from_json", "log_odds", "predict_batch"):
         assert not hasattr(shapdec, gone)
 
 
@@ -544,6 +543,54 @@ def test_sample_length_must_match_the_sampler(fn, length):
 def test_exact_sample_length_must_match_the_joint(length):
     with pytest.raises(IngestionError, match="sample has .* joint has 2 features"):
         exact_decomposition(toy_risk_model(), _toy_joint(), np.ones(length))
+
+
+class _PlainModel:
+    """A model of no shapdec class: what it is sent is checked here, by
+    the test, and nowhere else on the way."""
+
+    def __init__(self, n_features):
+        self.n_features = n_features
+        self.calls = 0
+
+    def predict(self, rows):
+        self.calls += 1
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.ndim == 2 and rows.shape[1] == self.n_features
+        assert np.all(np.isfinite(rows))
+        return rows @ np.arange(1.0, self.n_features + 1)
+
+    def describe(self):
+        return "plain"
+
+
+def _explain_with(fn, model, x):
+    if fn == "exact_decomposition":
+        return exact_decomposition(model, _toy_joint(), x)
+    sampler = GaussianSampler(GaussianModel(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]])))
+    if fn == "decompose":
+        return decompose(model, sampler, x, 8, 8, 0)
+    return kernel_shap(model, sampler, x, 8, 0)
+
+
+_ENTRY_FAULTS = {
+    "model-M": (3, [0.0, 1.0], r"model has 3 features, (sampler|joint) has 2"),
+    "nan-x": (2, [np.nan, 1.0], "sample contains non-finite values"),
+    "inf-x": (2, [0.0, np.inf], "sample contains non-finite values"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_ENTRY_FAULTS))
+@pytest.mark.parametrize("fn", ["decompose", "kernel_shap", "exact_decomposition"])
+def test_a_bad_row_or_model_fails_before_any_model_call(fn, fault):
+    n_features, x, message = _ENTRY_FAULTS[fault]
+    model = _PlainModel(n_features)
+    with pytest.raises(IngestionError, match=message):
+        _explain_with(fn, model, np.array(x))
+    assert model.calls == 0
+    good = _PlainModel(2)
+    _explain_with(fn, good, np.array([0.0, 1.0]))
+    assert good.calls > 0
 
 
 def test_efficiency_of_exact_decomposition_random_problems():

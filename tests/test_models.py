@@ -26,7 +26,6 @@ from shapdec.models import (
     fit_forest,
     fit_ols,
     model_from_json,
-    predict_batch,
     predict_batches,
     toy_risk_model,
 )
@@ -83,6 +82,13 @@ def test_forest_is_deterministic_in_the_seed():
     assert np.array_equal(m1.predict(grid), m2.predict(grid))
 
 
+@pytest.mark.parametrize("key", ["max_dept", "features_per_split", "bootstrap"])
+def test_fit_forest_rejects_unknown_parameters(key):
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    with pytest.raises(IngestionError, match=f"unknown forest parameters \\['{key}'\\]"):
+        fit_forest(data, data.values[:, 0], {"trees": 2, key: 3}, RngStream(0))
+
+
 def test_forest_json_roundtrip():
     gen = RngStream(4).generator()
     x = gen.normal(size=(150, 2))
@@ -133,12 +139,13 @@ def test_log_odds_model_wraps_prediction():
     assert wrapped.predict([[0.0]])[0] == pytest.approx(np.log(0.8 / 0.2))
 
 
-def test_predict_batch_shapes():
+def test_predict_batches_shapes():
     model = LinearModel(np.array([1.0, 1.0]), 0.0)
-    out = predict_batch(model, np.zeros((5, 2)))
+    [(payload, out)] = predict_batches(model, [("tag", np.zeros((5, 2)))])
+    assert payload == "tag"
     assert out.shape == (5,)
     with pytest.raises(IngestionError):
-        predict_batch(model, np.zeros((5, 3)))
+        list(predict_batches(model, [(None, np.zeros((5, 3)))]))
 
 
 def _bridge_script(tmp_path, body):
@@ -297,6 +304,27 @@ def test_external_model_child_exiting_mid_batch_reports_stderr(tmp_path):
         model.close()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_external_model_checks_rows_before_it_sends_them(tmp_path, bad):
+    rows = np.ones((300, 2))
+    rows[280, 1] = bad
+    model = _recording_bridge(tmp_path)
+    try:
+        model.predict(rows[:5])
+        assert _recorded_lines(tmp_path) == [5]
+        with pytest.raises(IngestionError, match="non-finite"):
+            model.predict(rows)
+        with pytest.raises(IngestionError, match="non-finite"):
+            list(predict_batches(model, [(None, rows)]))
+        with pytest.raises(IngestionError, match="expected 2 columns, got 3"):
+            list(predict_batches(model, [(None, np.ones((4, 3)))]))
+        # no line of a bad batch was sent, and the child still serves
+        assert np.array_equal(model.predict(rows[:7]), _recorded(rows[:7]))
+        assert _recorded_lines(tmp_path) == [7]
+    finally:
+        model.close()
+
+
 def _pid_gone(tmp_path):
     with pytest.raises(ProcessLookupError):
         os.kill(int((tmp_path / "pid").read_text()), 0)
@@ -313,21 +341,23 @@ def test_external_model_streams_batches_through_one_exchange(tmp_path):
     def batches():
         # one buffer, overwritten after each yield: a batch is read in full
         # before the next is pulled
-        for part in (rows[:300], rows[300:300], rows[300:305], rows[305:]):
+        for q, part in enumerate((rows[:300], rows[300:300], rows[300:305], rows[305:])):
             buffer[:len(part)] = part
-            yield buffer[:len(part)]
+            yield q, buffer[:len(part)]
             buffer[:] = np.nan
 
     model = _recording_bridge(tmp_path)
     try:
-        outputs = list(predict_batches(model, batches()))
+        payloads, outputs = zip(*predict_batches(model, batches()))
         # no line spans two batches, and a 0-row batch sends none
         assert _recorded_lines(tmp_path) == [256, 44, 5, 256, 139]
+        assert payloads == (0, 1, 2, 3)
         assert [len(out) for out in outputs] == [300, 0, 5, 395]
         assert outputs[1].shape == (0,)
         assert np.array_equal(np.concatenate(outputs), _recorded(rows))
-        in_process = CallableModel(_recorded, 2)
-        for a, b in zip(predict_batches(in_process, batches()), outputs):
+        in_process = list(predict_batches(CallableModel(_recorded, 2), batches()))
+        assert tuple(q for q, _ in in_process) == payloads
+        for (_, a), b in zip(in_process, outputs, strict=True):
             assert np.array_equal(a, b)
     finally:
         model.close()
@@ -354,13 +384,16 @@ def test_external_model_stream_stopped_early_stops_the_child(tmp_path, stop):
     model = _recording_bridge(tmp_path)
 
     def batches():
-        for q in range(4):
+        # more batches than the stream can answer before it stops: a stop at
+        # batch 1 always leaves a line of a later batch in flight, however
+        # many reply lines one read brings in
+        for q in range(64):
             if stop == "producer" and q == 1:
                 raise RuntimeError("sampler failed")
             batch = rows.copy()
             if stop == "non-finite output" and q == 1:
                 batch[100, 0] = 1e306  # the bridge answers 1e309: Infinity
-            yield batch
+            yield q, batch
 
     try:
         with pytest.raises((RuntimeError, ModelOutputError)):
@@ -381,13 +414,13 @@ def test_external_model_reply_timeout_counts_only_waiting_on_the_child(tmp_path,
     def slow_batches():
         for part in (rows[:200], rows[200:400], rows[400:]):
             time.sleep(0.4)
-            yield part
+            yield None, part
 
     model = _recording_bridge(tmp_path)
     try:
         model.predict(rows[:1])  # the child is up before the clock matters
         outputs = []
-        for out in predict_batches(model, slow_batches()):
+        for _, out in predict_batches(model, slow_batches()):
             time.sleep(0.4)
             outputs.append(out)
     finally:
@@ -475,17 +508,17 @@ def test_external_model_queues_a_batch_of_lines_ahead_of_the_child(tmp_path):
         for s in range(0, len(rows), _REQUEST_ROWS):
             batch = rows[s:s + _REQUEST_ROWS]
             pulled.append(sum(map(len, _request_lines(batch))))
-            yield batch
+            yield s, batch
 
     model = ExternalModel(_bridge_script(tmp_path, _SLOW_START), 13)
     try:
         model._ensure_started()
         assert fcntl.fcntl(model._proc.stdin.fileno(), fcntl.F_GETPIPE_SZ) >= 1 << 20
         stream = predict_batches(model, batches())
-        outputs = [next(stream)]
+        outputs = [next(stream)[1]]
         # while the child slept, the pipe took far more than one line
         assert sum(pulled) >= 512 * 1024
-        outputs.extend(stream)
+        outputs.extend(out for _, out in stream)
     finally:
         model.close()
     assert np.array_equal(np.concatenate(outputs), _recorded(rows))
@@ -515,7 +548,7 @@ def test_external_model_keeps_the_default_pipe_where_its_size_cannot_be_set(
             assert size < _REQUEST_PIPE_BYTES
     finally:
         model.close()
-    in_process = predict_batch(CallableModel(_recorded, 2), rows)
+    [(_, in_process)] = predict_batches(CallableModel(_recorded, 2), [(None, rows)])
     assert np.array_equal(out, in_process)
     assert _recorded_lines(tmp_path) == [256, 256, 256, 256, 226]
 
@@ -609,11 +642,21 @@ def test_forest_rejects_bad_tree_sets():
     ids=["scalar", "column", "one-too-many", "nan", "inf"],
 )
 def test_predict_batch_rejects_bad_outputs(fn):
-    model = CallableModel(fn, 2)
     rows = np.array([[1.0, 0.0], [-1.0, 2.0], [3.0, 1.0]])
-    with pytest.raises(ModelOutputError) as err:
-        predict_batch(model, rows)
-    assert not isinstance(err.value, IngestionError)  # a computation failure
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return fn(rows)
+
+    for model in (CallableModel(counted, 2), LogOddsModel(CallableModel(counted, 2))):
+        calls.clear()
+        with pytest.raises(ModelOutputError) as err:
+            list(predict_batches(model, [(None, rows)]))
+        assert not isinstance(err.value, IngestionError)  # a computation failure
+        # the model ran once, and its outputs failed at the one boundary
+        assert calls == [3]
+        assert err.traceback[-1].name in ("predict_batches", "in_process")
 
 
 def test_decompose_stops_at_a_nan_model_output():
