@@ -1,18 +1,21 @@
 """Fitted conditional samplers: p(X_missing | X_known = x_known).
 
-Four samplers share one per-mask draw interface (``_Sampler``):
-multivariate Gaussian, Gaussian copula over empirical marginals, an exact
-discrete joint (used by the oracles), and a marginal whole-row sampler
-that plays the interventional game. A sampler's fitted model is
-immutable; it caches only work that repeats for one coalition or one
-explained row, so a draw depends on nothing but its inputs and the
-generator it is given.
+Four samplers share one draw interface (``_Sampler``), per coalition
+mask and per permutation of the walk: multivariate Gaussian, Gaussian
+copula over empirical marginals, an exact discrete joint (used by the
+oracles), and a marginal whole-row sampler that plays the interventional
+game. A sampler's fitted model is immutable; it caches only work that
+repeats for one coalition or one explained row, so a draw depends on
+nothing but its inputs and the generator it is given.
 
-The Gaussian conditions with one Cholesky factor per coalition: the
-covariance permuted to known-then-missing order, ``L = [[L_ss, 0], [L_ms,
-L_mm]]``, gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
-conditional covariance ``L_mm L_mm^T``. It needs numpy alone; scipy is
-imported only by the copula's normal transforms.
+The Gaussian conditions a coalition with one Cholesky factor of the
+covariance permuted to known-then-missing order: ``L = [[L_ss, 0], [L_ms,
+L_mm]]`` gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
+conditional covariance ``L_mm L_mm^T``. The permutation walk conditions
+every prefix of a permutation with one factor of the covariance in that
+order (the chain rule), and its prefixes share one normal vector per draw.
+It needs numpy alone; scipy is imported only by the copula's normal
+transforms.
 """
 
 from __future__ import annotations
@@ -79,6 +82,36 @@ def fit_gaussian(data: FeatureMatrix) -> GaussianModel:
     return GaussianModel(x.mean(axis=0), cov)
 
 
+def _prefix_masks(perm: np.ndarray, first: bool) -> np.ndarray:
+    """The masks of the prefixes perm[:j], j from 0 (1 if not ``first``)
+    to M-1."""
+    masks = np.concatenate(([0], np.cumsum(1 << perm[:-1])))
+    return masks if first else masks[1:]
+
+
+def _chain_rows(model: GaussianModel, perm, cond, fill, draws: int, gen, first: bool):
+    """Draws of every prefix of ``perm`` from one factor of the covariance
+    in perm order (the chain rule; Aas, Jullum & Loland, AI 2021).
+
+    With ``L L^T = Sigma[perm, perm]`` and ``w = L^-1 (cond - mu)[perm]``,
+    draw r of prefix j is ``mu + L [w_<j, z_r,>=j]`` in perm order, an exact
+    draw given the first j features of perm at ``cond``. Column c of the
+    one ``z = gen.standard_normal((draws, M))`` drives perm position c for
+    every prefix. Known columns are set to ``fill``. Returns the rows of
+    prefixes 0 (1 if not ``first``) to M-1, block after block, in feature
+    order.
+    """
+    m = len(perm)
+    lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
+    w = np.linalg.solve(lower, cond[perm] - model.mean[perm])
+    z = gen.standard_normal((draws, m))
+    in_prefix = np.arange(m) < np.arange(0 if first else 1, m)[:, None]  # [j, c], perm order
+    u = np.where(in_prefix[:, None, :], w, z).reshape(-1, m)
+    inverse = np.argsort(perm)
+    rows = (u @ lower.T[:, inverse] + model.mean).reshape(len(in_prefix), draws, m)
+    return np.where(in_prefix[:, None, inverse], fill, rows).reshape(-1, m)
+
+
 class _Sampler:
     """The internal draw interface every sampler shares.
 
@@ -87,10 +120,23 @@ class _Sampler:
     sampler's draw space; index arrays and other per-mask work are cached.
     A caller that writes such draws into rows calls ``_finish(rows, masks)``
     once, with row r's mask in ``masks[r]``, to map them to feature space.
+    ``_prefix_draws`` gives the permutation walk every prefix at once.
     """
 
     def _finish(self, rows: np.ndarray, masks) -> None:
         """Draw space is feature space: nothing to map."""
+
+    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+        """``draws`` rows with x known on each prefix perm[:j], in feature
+        space, block after block for j from 0, or from 1 if not ``first``.
+        Here each prefix draws on its own, with ``_draw``."""
+        masks = _prefix_masks(perm, first)
+        rows = np.tile(x, (len(masks) * draws, 1))
+        for block, mask in zip(rows.reshape(len(masks), draws, len(x)), masks.tolist()):
+            cols, draw = self._draw(mask, x, draws, gen)
+            block[:, cols] = draw
+        self._finish(rows, np.repeat(masks, draws))
+        return rows
 
 
 class GaussianSampler(_Sampler):
@@ -99,13 +145,13 @@ class GaussianSampler(_Sampler):
     Each coalition mask is solved once and cached: one Cholesky factor of
     the covariance in known-then-missing order yields the gain matrix and,
     as its missing-by-missing block, the factor of the conditional
-    covariance. Conditional means are cached per mask for the last x.
+    covariance. The walk's prefixes come from one factor per permutation
+    instead (``_chain_rows``), and touch no per-mask cache.
     """
 
     def __init__(self, model: GaussianModel):
         self.model = model
         self._cache: dict[int, tuple] = {}
-        self._means = (None, {})  # (bytes of x, {mask: conditional mean}) for the last x
 
     @property
     def n_features(self) -> int:
@@ -133,31 +179,20 @@ class GaussianSampler(_Sampler):
             self._cache[mask] = entry
         return entry
 
-    def _mean(self, mask: int, x: np.ndarray) -> np.ndarray:
-        """Conditional mean of the missing block, computed once per (x, mask)."""
-        key = x.tobytes()
-        cached, means = self._means
-        if cached != key:
-            means = {}
-            self._means = (key, means)
-        mean = means.get(mask)
-        if mean is None:
-            order, k, gain, _ = self._solved(mask)
-            known, missing = order[:k], order[k:]
-            mean = self.model.mean[missing] + gain @ (x[known] - self.model.mean[known])
-            mean.setflags(write=False)
-            means[mask] = mean
-        return mean
-
     def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
         order, k, _, chol = self._solved(mask)
         z = gen.standard_normal((count, len(chol)))
-        return order[k:], self._mean(mask, x) + z @ chol.T
+        return order[k:], self.conditional_mean(mask, x) + z @ chol.T
+
+    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+        return _chain_rows(self.model, perm, x, x, draws, gen, first)
 
     def conditional_mean(self, mask: int, x) -> np.ndarray:
         """Exact conditional mean of the missing features of ``mask``
         (closed form), ordered by ascending feature index."""
-        return self._mean(mask, as_vector(x)).copy()
+        order, k, gain, _ = self._solved(mask)
+        known, missing = order[:k], order[k:]
+        return self.model.mean[missing] + gain @ (as_vector(x)[known] - self.model.mean[known])
 
 
 class _EmpiricalMarginal:
@@ -257,6 +292,12 @@ class CopulaSampler(_Sampler):
     def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
         """Draws of the latent scores; ``_finish`` maps them to features."""
         return self._latent._draw(mask, self._to_scores(x), count, gen)
+
+    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+        """The Gaussian walk kernel on the latent scores of x, then ``_finish``."""
+        rows = _chain_rows(self._latent.model, perm, self._to_scores(x), x, draws, gen, first)
+        self._finish(rows, np.repeat(_prefix_masks(perm, first), draws))
+        return rows
 
     def _finish(self, rows: np.ndarray, masks) -> None:
         """Back-transform each feature once over every row that drew it."""

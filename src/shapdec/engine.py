@@ -7,12 +7,14 @@ coalition's rows, paired with their copies along random orderings, while
 2^M is small, and antithetic permutations beyond, within one budget of
 model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP reads
 v from the same coalition rows. The sampled loops re-key one Philox
-generator to each work item's substream and draw from the sampler's
-per-mask plan (``_draw``), mapping whole row blocks to feature space at
-once (``_finish``). Each loop is a generator of (payload, rows) model
-batches and a consumer of their outputs, joined by ``predict_batches``:
-through an external model the next batch is drawn while the child works on
-the last. No plan writes to rows it has yielded.
+generator to each work item's substream. A coalition draws from the
+sampler's per-mask plan (``_draw``), mapping whole row blocks to feature
+space at once (``_finish``); a permutation of the walk gets the rows of
+all its prefixes from one call (``_prefix_draws``). Each loop is a
+generator of (payload, rows) model batches and a consumer of their
+outputs, joined by ``predict_batches``: through an external model the next
+batch is drawn while the child works on the last. No plan writes to rows
+it has yielded.
 """
 
 from __future__ import annotations
@@ -150,9 +152,12 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     v[S_j] and, with the next feature i set to x_i, t[S_j, i]. Feature i
     gains t[S_j, i] - v[S_j] in phi_int and v[S_j + i] - t[S_j, i] in
     phi_dep, so its phi telescopes to f(x) - v[empty] per permutation and
-    efficiency is exact. x is the first model batch, then one batch per
-    permutation holds the v rows, then the t rows; the last prefix's t rows
-    are x itself and are skipped.
+    efficiency is exact. The sampler draws all prefixes of a permutation in
+    one call; the Gaussian and the copula condition them with one factor
+    and share one normal vector per draw across them, so v[S_j + i] -
+    t[S_j, i] is a paired difference. x is the first model batch, then one
+    batch per permutation holds the v rows, then the t rows; the last
+    prefix's t rows are x itself and are skipped.
     The two permutations of a pair share the empty coalition's rows. Only
     the first feature of a permutation uses them, and no feature is first
     in both, so each feature's estimate keeps its variance. Returns (base,
@@ -171,15 +176,8 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
             empty = None  # the pair's rows of the empty coalition
             for perm in (order, order[::-1]):
                 lo = 0 if empty is None else draws  # the rows this permutation draws
-                rows = np.tile(x, (n_v + n_t, 1))
-                mask, masks = 0, []
-                for j, i in enumerate(perm.tolist()):
-                    if j or empty is None:
-                        cols, draw = sampler._draw(mask, x, draws, gen)
-                        rows[j * draws:(j + 1) * draws, cols] = draw
-                    masks.append(mask)
-                    mask |= 1 << i
-                sampler._finish(rows[lo:n_v], np.repeat(masks, draws)[lo:])
+                rows = np.empty((n_v + n_t, m))
+                rows[lo:n_v] = sampler._prefix_draws(perm, x, draws, gen, empty is None)
                 if empty is None:
                     empty = rows[:draws]
                 else:

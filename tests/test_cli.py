@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import shapdec.cli
 import shapdec.models
 from shapdec.cli import main, read_csv
 from shapdec.core import RngStream
@@ -82,6 +83,24 @@ def test_computation_error_exit_code(tmp_path):
         ["explain", "--data", str(path), "--fit", "linear", "--target", "y"]
     )
     assert code == 3
+
+
+def test_explain_with_an_indefinite_covariance_exits_3(tmp_path, monkeypatch):
+    # a fitted covariance is never indefinite, so the fit is replaced; at
+    # M=12 the walk's first factor fails the jitter
+    m = 12
+    cov = np.eye(m)
+    cov[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]  # eigenvalues +-1
+    monkeypatch.setattr(
+        shapdec.cli, "fit_gaussian", lambda data: shapdec.GaussianModel(np.zeros(m), cov)
+    )
+    path = tmp_path / "wide.csv"
+    rows = RngStream(3).generator().normal(size=(40, m + 1))
+    _write_csv(path, [f"f{j}" for j in range(m)] + ["y"], rows.tolist())
+    out = tmp_path / "out"
+    argv = ["explain", "--data", str(path), "--fit", "linear", "--target", "y"]
+    assert main([*argv, "--k1", "40", "--k2", "60", "--out", str(out)]) == 3
+    assert not (out / "decomposition.json").exists()
 
 
 def test_explain_end_to_end(tmp_path, housing_csv):

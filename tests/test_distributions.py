@@ -167,6 +167,85 @@ def test_jitter_tries_ten_doublings_from_1e_9_times_the_mean_variance():
         _jittered_cholesky(np.diag([2.0, -6e-7]))
 
 
+def _prefix_masks(perm):
+    """Masks of the prefixes perm[:0], ..., perm[:M-1]."""
+    masks, mask = [], 0
+    for i in perm:
+        masks.append(mask)
+        mask |= 1 << int(i)
+    return masks
+
+
+def test_walk_prefix_draws_follow_each_prefixes_conditional_law():
+    # M=13: every prefix of one permutation from 20k draws that share one
+    # normal block, against the per-coalition solve
+    m, n = 13, 20_000
+    gen = RngStream(21).generator()
+    a = gen.normal(size=(m, m))
+    cov = a @ a.T / m + 0.2 * np.eye(m)
+    sampler = GaussianSampler(GaussianModel(np.linspace(-1.0, 2.0, m), cov))
+    x, perm = gen.normal(size=m), gen.permutation(m)
+    blocks = sampler._prefix_draws(perm, x, n, gen, True).reshape(m, n, m)
+    for block, mask in zip(blocks, _prefix_masks(perm)):
+        known, missing = _split_mask(mask, m)
+        assert np.array_equal(block[:, known], np.tile(x[known], (n, 1)))
+        _, _, _, chol = sampler._solved(mask)
+        cond_cov = chol @ chol.T
+        var = np.diag(cond_cov)
+        drawn = block[:, missing]
+        error = drawn.mean(axis=0) - sampler.conditional_mean(mask, x)
+        assert np.all(np.abs(error) <= 5 * np.sqrt(var / n))
+        # the standard error of a sample covariance is sqrt((s_ii s_jj + s_ij^2) / n)
+        bound = 6 * np.sqrt((np.outer(var, var) + cond_cov**2) / n)
+        assert np.all(np.abs(np.atleast_2d(np.cov(drawn, rowvar=False)) - cond_cov) <= bound)
+
+
+class _ZeroNormals:
+    """A generator stand-in whose normal draws are all 0: the walk's rows
+    are then the conditional means."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_walk_conditions_a_twin_covariance_through_the_jitter():
+    m = 12
+    gen = RngStream(2).generator()
+    ar = 0.5 ** np.abs(np.subtract.outer(np.arange(m - 1), np.arange(m - 1)))
+    base = gen.multivariate_normal(np.zeros(m - 1), ar, 300)
+    rows = np.column_stack([base, base[:, 0]])  # the last feature is the first's twin
+    model = fit_gaussian(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(model.cov)
+    sampler = GaussianSampler(model)
+    x = rows[3]
+    dec = decompose(LinearModel(np.linspace(-1.0, 1.0, m)), sampler, x, 40, 60, 0)
+    assert dec.meta["estimator"] == "walk"
+    for arr in (dec.phi, dec.phi_int, dec.phi_dep):
+        assert np.all(np.isfinite(arr))
+    assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, rtol=0, atol=1e-12)
+    for _ in range(20):
+        perm = gen.permutation(m)
+        centre = sampler._prefix_draws(perm, x, 1, _ZeroNormals(), True)
+        drawn = sampler._prefix_draws(perm, x, 50, gen, True).reshape(m, 50, m)
+        for j, mask in enumerate(_prefix_masks(perm)):
+            for known, twin in ((0, m - 1), (m - 1, 0)):
+                if mask >> known & 1 and not mask >> twin & 1:
+                    assert abs(centre[j, twin] - x[known]) < 1e-6
+                    # the jitter, about 1e-9 times the mean variance, leaves
+                    # the twin a conditional spread of about 5e-5
+                    assert np.all(np.abs(drawn[j, :, twin] - x[known]) < 1e-3)
+
+
+def test_walk_with_an_indefinite_covariance_raises_singularity_error():
+    m = 12
+    cov = np.eye(m)
+    cov[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]  # eigenvalues +-1
+    sampler = GaussianSampler(GaussianModel(np.zeros(m), cov))
+    with pytest.raises(SingularityError):
+        decompose(LinearModel(np.ones(m)), sampler, np.zeros(m), 40, 60, 0)
+
+
 def test_copula_marginals_roundtrip_on_observed_points():
     gen = RngStream(2).generator()
     rows = np.column_stack(

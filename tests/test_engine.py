@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 import shapdec
 
@@ -242,26 +243,52 @@ def _walk_case(kind):
     return CopulaSampler, fit_copula(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows))
 
 
-def _walk_with_fresh_generators(model, sampler, x, draws, pairs, rng):
-    """The permutation walk from first principles: pair q builds a new
+def _latent_gaussian(fitted, x):
+    """(mean, covariance, values of x, back-transform of feature j) of the
+    Gaussian the walk conditions: the fitted one on x itself, or the
+    copula's latent one on the normal scores of x."""
+    if isinstance(fitted, GaussianModel):
+        return fitted.mean, fitted.cov, x, lambda j, y: y
+    u = [marginal.to_uniform(value) for marginal, value in zip(fitted.marginals, x)]
+    scores = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    return (
+        np.zeros(len(x)),
+        fitted.latent_corr,
+        scores,
+        lambda j, y: fitted.marginals[j].from_uniform(ndtr(y)),
+    )
+
+
+def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
+    """The permutation walk from first principles. Pair q builds a new
     generator for substream q, draws a permutation, and walks it and its
-    reverse; each prefix draws its rows with ``_fresh_rows``, except
-    that the reverse reuses the empty coalition's rows, and v and t of the
-    prefix are plain means over them."""
+    reverse. Each walk factors the covariance in its order, L L^T, solves
+    w = L^-1 (x - mu) in that order and draws one normal block z (draws x
+    M). Draw r of prefix j sets the features after the prefix to mu + L
+    [w_<j, z_r,>=j] (back-transformed for the copula) and keeps x on the
+    prefix. The reverse reuses the empty coalition's rows, and v and t of
+    a prefix are plain means over its rows."""
     m = len(x)
+    mean, cov, cond, back = _latent_gaussian(fitted, x)
     base, phi_int, phi_dep = 0.0, np.zeros(m), np.zeros(m)
     for q in range(pairs):
         gen = rng.substream(q).generator()
         order = list(gen.permutation(m))
         empty = None
         for perm in (order, order[::-1]):
+            lower = np.linalg.cholesky(cov[np.ix_(perm, perm)])
+            w = np.linalg.solve(lower, cond[perm] - mean[perm])
+            z = gen.standard_normal((draws, m))
             v, t = [], []
             for j, i in enumerate(perm):
                 if j == 0 and empty is not None:
                     rows = empty
                 else:
-                    mask = sum(1 << int(k) for k in perm[:j])
-                    rows = _fresh_rows(sampler, mask, x, draws, gen)
+                    u = np.column_stack([np.tile(w[:j], (draws, 1)), z[:, j:]])
+                    drawn = mean[perm] + u @ lower.T
+                    rows = np.tile(x, (draws, 1))
+                    for c in range(j, m):
+                        rows[:, perm[c]] = back(perm[c], drawn[:, c])
                     if j == 0:
                         empty = rows
                 paired = rows.copy()
@@ -296,11 +323,29 @@ def test_permutation_walk_shared_sampler_equals_fresh_samplers(kind):
         # holds 6880 // (3 * 45) = 50 pairs
         assert (dec.meta["draws"], dec.meta["permutations"]) == (3, 100)
         base, phi_int, phi_dep = _walk_with_fresh_generators(
-            model, make(fitted), x, 3, 50, RngStream(2**64 - 7).substream(2)
+            model, fitted, x, 3, 50, RngStream(2**64 - 7).substream(2)
         )
         assert dec.base == pytest.approx(base, rel=1e-12, abs=1e-12)
         assert np.allclose(dec.phi_int, phi_int, rtol=0, atol=1e-12)
         assert np.allclose(dec.phi_dep, phi_dep, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula"])
+def test_walk_solves_no_coalition_mask(kind, monkeypatch):
+    # the walk conditions each permutation once; only the per-mask draws
+    # of the table and Kernel SHAP solve coalitions
+    solved = []
+    solve = GaussianSampler._solved
+    monkeypatch.setattr(
+        GaussianSampler, "_solved", lambda self, mask: solved.append(mask) or solve(self, mask)
+    )
+    make, fitted = _walk_case(kind)
+    m = fitted.n_features
+    model, x = LinearModel(np.linspace(-1.0, 1.0, m)), np.linspace(0.2, 2.0, m)
+    assert decompose(model, make(fitted), x, 40, 60, 3).meta["estimator"] == "walk"
+    assert solved == []
+    kernel_shap(model, make(fitted), x, 4, 3)
+    assert len(set(solved)) > 500
 
 
 @pytest.mark.parametrize("case", _CASES, ids=_CASE_IDS)

@@ -1,5 +1,6 @@
 """Pins the seed -> draw mapping: `decompose` outputs for one small row per
-sampler kind, to rtol=1e-12.
+sampler kind on the table (M=3), and for the Gaussian and the copula on the
+permutation walk (M=12), to rtol=1e-12.
 
 A change of the mapping (how a seed becomes substreams, generator keys and
 draws) moves these values by about 1e-2; last-bit BLAS drift stays far
@@ -49,6 +50,16 @@ def _copula():
     return model, sampler, rows[3], 2**64 - 2**20
 
 
+def _copula_sampled_coalitions():
+    # M=12 > 11: the walk conditions the latent Gaussian, then back-transforms
+    m = 12
+    cov = 0.6 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    rows = np.exp(RngStream(8).generator().multivariate_normal(np.zeros(m), cov, 300))
+    sampler = CopulaSampler(fit_copula(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows)))
+    model = CallableModel(lambda r: r[:, 0] * r[:, 1] - np.log(r[:, 2]) + r[:, 3:].sum(axis=1), m)
+    return model, sampler, rows[3], 2**62 + 3
+
+
 def _discrete():
     support = np.array(np.meshgrid([0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0])).reshape(3, -1).T
     probs = np.arange(1.0, len(support) + 1)
@@ -72,24 +83,39 @@ PINNED = {
         [0.7200107627432241, -1.0276094895612056, 0.529459866321292],
     ),
     "gaussian_sampled_coalitions": (
-        0.030165025352311164,
+        -0.05404297505091114,
         [
-            -0.9179921334939043, -0.7066142940062313, -0.4506554084832869,
-            -0.2105108087270722, -0.14922103742822973, 0.013842818905551313,
-            0.0895469574112355, -0.09601914172688593, -0.1516557369445174,
-            -0.27207820341284195, -0.17597413369985004, -0.5482884492008234,
+            -0.8183830146565907, -0.6700740883834042, -0.4137527357643448,
+            -0.2948547915739742, -0.07229841003208316, -0.043957380108359846,
+            -0.005698453913390219, -0.032419845724755536, -0.08826759015558894,
+            -0.17777228927732003, -0.3734972151737238, -0.5004357556400985,
         ],
         [
-            -0.5883298320273844, -0.3108694354263998, -0.13749791764414462,
-            -0.09891325227826504, -0.02266812827850633, -0.008592026912091344,
-            0.00858757947196239, 0.012465352702107723, -0.022767797969025963,
-            -0.08150746745233375, -0.1270388027523168, -0.41798289421165713,
+            -0.5793631048496536, -0.2853760525604127, -0.13673661081350932,
+            -0.1095688260162902, -0.04225989461207717, -0.005541513007312801,
+            0.007173639964213898, -0.0031388357058497055, -0.03196237238946275,
+            -0.04720270750919177, -0.1600374766748847, -0.31561706030698533,
         ],
     ),
     "copula": (
         1.832184907531105,
         [-1.8556146506862163, 0.4422571907278016, 0.8701960665539002],
         [-2.133880564962359, -0.05895190120671201, 0.16319356614690686],
+    ),
+    "copula_sampled_coalitions": (
+        20.984362244776218,
+        [
+            -2.1557434718775292, -2.351884169845935, -1.7348113902428166,
+            0.3830200432268234, 2.077876814679039, -1.0817283734181422,
+            -0.07507746177646607, -1.7947866556618586, -3.5877445953696134,
+            0.32547533081928315, 5.998754254188041, 3.837809691101124,
+        ],
+        [
+            -1.8173653644398724, -2.009123958773647, 0.14982369043323404,
+            0.11503877487367536, 0.7682789218808649, -0.7256251268777906,
+            -0.19279020773641523, -0.46677272636798023, -1.4611815152532754,
+            0.12112101993472359, 2.9379422260838637, 2.4631234285754795,
+        ],
     ),
     "discrete": (
         1.6000000000000003,
@@ -106,7 +132,14 @@ PINNED = {
 
 @pytest.mark.parametrize(
     "case",
-    [_gaussian, _gaussian_sampled_coalitions, _copula, _discrete, _marginal],
+    [
+        _gaussian,
+        _gaussian_sampled_coalitions,
+        _copula,
+        _copula_sampled_coalitions,
+        _discrete,
+        _marginal,
+    ],
     ids=lambda case: case.__name__.lstrip("_"),
 )
 def test_decompose_outputs_are_pinned(case):
