@@ -33,6 +33,9 @@ from .errors import (
 )
 
 _JITTER_ATTEMPTS = 10
+# Coalition masks a GaussianSampler keeps solved; it forgets them all when
+# one more is solved. Every mask of M <= 11 features fits.
+_CACHED_MASKS = 2048
 
 
 def _jittered_cholesky(a: np.ndarray) -> np.ndarray:
@@ -145,8 +148,11 @@ class GaussianSampler(_Sampler):
     Each coalition mask is solved once and cached: one Cholesky factor of
     the covariance in known-then-missing order yields the gain matrix and,
     as its missing-by-missing block, the factor of the conditional
-    covariance. The walk's prefixes come from one factor per permutation
-    instead (``_chain_rows``), and touch no per-mask cache.
+    covariance. The cache is emptied once it holds _CACHED_MASKS masks, so
+    Kernel SHAP at larger M, which samples new masks for every row, does
+    not grow it without bound; a mask solved again gives the same bits.
+    The walk's prefixes come from one factor per permutation instead
+    (``_chain_rows``), and touch no per-mask cache.
     """
 
     def __init__(self, model: GaussianModel):
@@ -165,6 +171,8 @@ class GaussianSampler(_Sampler):
         factor) for ``mask``."""
         entry = self._cache.get(mask)
         if entry is None:
+            if len(self._cache) >= _CACHED_MASKS:
+                self._cache.clear()
             m = self.n_features
             known = missing_columns(mask ^ ((1 << m) - 1), m)
             missing = missing_columns(mask, m)

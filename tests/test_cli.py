@@ -371,6 +371,18 @@ def test_explain_model_sampler_mismatch_is_ingestion_error(tmp_path, capsys):
     assert not (tmp_path / "bridge-pid").exists()  # the bridge was never started
 
 
+@pytest.mark.parametrize("field", ["threshold", "value"])
+def test_explain_with_a_nan_forest_parameter_exits_2(tmp_path, capsys, field):
+    # a NaN leaf used to load and fail at the model's outputs (exit 3); a
+    # NaN threshold used to send every row right
+    stump = {"split": 1, "threshold": 0.25, "left": {"value": 1.0}, "right": {"value": 2.0}}
+    text = json.dumps({"kind": "forest", "task": "regression", "n_features": 3, "trees": [stump]})
+    model_path = tmp_path / "forest.json"
+    model_path.write_text(text.replace("0.25" if field == "threshold" else "2.0", "NaN"))
+    assert _explain_with(model_path, tmp_path) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_explain_closes_the_external_model(tmp_path):
     model_path, marker = _bridge_model_json(tmp_path)
     assert _explain_with(model_path, tmp_path) == 0

@@ -10,11 +10,12 @@ from shapdec.distributions import (
     GaussianModel,
     GaussianSampler,
     MarginalSampler,
+    _CACHED_MASKS,
     _jittered_cholesky,
     fit_copula,
     fit_gaussian,
 )
-from shapdec.engine import decompose
+from shapdec.engine import decompose, kernel_shap
 from shapdec.errors import (
     ConditioningError,
     DegenerateMarginalError,
@@ -414,3 +415,22 @@ def test_marginal_sampler_ignores_conditioning():
     sampler = MarginalSampler(data)
     draws = _sample(sampler, 0b01, np.array([555.0, 0.0]), 2000, RngStream(8))
     assert set(np.unique(draws)) <= {10.0, 20.0}
+
+
+def test_gaussian_sampler_cache_is_bounded_and_outputs_unchanged():
+    # Kernel SHAP at M=13 samples about 600 new masks per row; the shared
+    # sampler's cache is emptied at _CACHED_MASKS and gives the same bits
+    # as a fresh sampler for every row
+    m = 13
+    gen = RngStream(21).generator()
+    a = gen.normal(size=(m, m))
+    fitted = GaussianModel(gen.normal(size=m), a @ a.T / m + np.eye(m))
+    model = LinearModel(gen.normal(size=m), 0.5)
+    shared = GaussianSampler(fitted)
+    sizes = []
+    for i, x in enumerate(gen.normal(size=(8, m))):
+        phi = kernel_shap(model, shared, x, 2, i).phi
+        sizes.append(len(shared._cache))
+        assert phi.tobytes() == kernel_shap(model, GaussianSampler(fitted), x, 2, i).phi.tobytes()
+    assert max(sizes) <= _CACHED_MASKS
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied

@@ -16,7 +16,8 @@ from shapdec.models import (
     _REQUEST_PIPE_BYTES,
     _REQUEST_ROWS,
     _STDERR_TAIL,
-    _WALK_CELLS,
+    _BLOCK_CELLS,
+    _TABLE_BYTES,
     _request_lines,
     CallableModel,
     ExternalModel,
@@ -587,17 +588,62 @@ def _forest_with_a_single_leaf_tree():
     return doc
 
 
+def _sized_tree(gen, leaves, features):
+    """A tree with ``leaves`` leaves, halved at each split, splitting on
+    ``features`` at multiples of 1/4 in [-2, 2]; one leaf in five is -0.0."""
+    if leaves == 1:
+        return {"value": -0.0 if gen.random() < 0.2 else float(gen.normal())}
+    half = leaves // 2
+    return {
+        "split": int(gen.choice(features)),
+        "threshold": int(gen.integers(-8, 9)) / 4,
+        "left": _sized_tree(gen, half, features),
+        "right": _sized_tree(gen, leaves - half, features),
+    }
+
+
+def _sized_forest(seed, leaves, n_features=4, features=(0, 1, 3)):
+    """Trees of the given leaf counts; feature 2 is split on by none."""
+    gen = RngStream(seed).generator()
+    trees = [_sized_tree(gen, n, features) for n in leaves]
+    return {"kind": "forest", "task": "regression", "n_features": n_features, "trees": trees}
+
+
+def _trees_over_the_table_cap(n_features=4):
+    """The fewest 64-leaf trees whose uint64 tables exceed _TABLE_BYTES."""
+    trees = 1
+    while (63 * trees + n_features) * trees * 8 <= _TABLE_BYTES:
+        trees += 1
+    return trees
+
+
 def test_stacked_forest_equals_per_tree_walk():
-    doc = _forest_with_a_single_leaf_tree()
-    forest = model_from_json(doc)
-    block = _WALK_CELLS // len(doc["trees"])
-    rows = RngStream(7).generator().normal(size=(2 * block + 7, 3))
-    clone = model_from_json(json.loads(json.dumps(forest.to_json_dict())))
-    assert clone.to_json_dict() == doc
-    for batch in (rows, rows[:1], rows[:0], rows[:block]):
-        expected = _per_tree_average(doc, batch)
-        assert np.array_equal(forest.predict(batch), expected)
-        assert np.array_equal(clone.predict(batch), expected)
+    over = _trees_over_the_table_cap()
+    zeros = {"split": 3, "threshold": 0.0, "left": {"value": -0.0}, "right": {"value": -0.0}}
+    cases = [  # (forest document, whether it is scored from tables)
+        (_forest_with_a_single_leaf_tree(), True),
+        (_sized_forest(1, [64, 1, 17, 64, 2, 3]), True),
+        (_sized_forest(2, [64, 65, 1, 9]), False),
+        (_sized_forest(3, [64] * (over - 1)), True),
+        (_sized_forest(4, [64] * over), False),
+        (_sized_forest(5, [2, 1, 32, 33]), True),
+        (dict(_sized_forest(6, []), trees=[zeros]), True),  # sums to +0.0
+    ]
+    for doc, tables in cases:
+        forest = model_from_json(doc)
+        assert (forest._tables is not None) == tables
+        clone = model_from_json(json.loads(json.dumps(forest.to_json_dict())))
+        assert clone.to_json_dict() == doc
+        m = doc["n_features"]
+        block = _BLOCK_CELLS // len(doc["trees"])
+        gen = RngStream(7).generator()
+        rows = gen.normal(size=(2 * block + 7, m))
+        # multiples of 1/4: every threshold of the _sized_tree forests, met exactly
+        ties = gen.integers(-10, 11, size=(block + 3, m)) / 4
+        for batch in (rows, rows[:1], rows[:0], rows[:block], ties):
+            expected = _per_tree_average(doc, batch).tobytes()
+            assert forest.predict(batch).tobytes() == expected
+            assert clone.predict(batch).tobytes() == expected
 
 
 def test_stacked_forest_of_single_leaves_and_a_stump():
@@ -617,6 +663,17 @@ def test_stacked_forest_of_single_leaves_and_a_stump():
     leaves_only = model_from_json(dict(doc, trees=[{"value": -0.0}]))
     # a running total that starts at 0.0 turns a -0.0 leaf into +0.0
     assert np.signbit(leaves_only.predict(rows)).sum() == 0
+
+
+@pytest.mark.parametrize("field", ["threshold", "value"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_forest_rejects_non_finite_parameters(field, number):
+    # json.loads reads NaN and Infinity; a NaN threshold would send every row right
+    stump = {"split": 0, "threshold": 0.5, "left": {"value": 1.0}, "right": {"value": 2.0}}
+    text = json.dumps({"kind": "forest", "task": "regression", "n_features": 1, "trees": [stump]})
+    text = text.replace("0.5" if field == "threshold" else "2.0", number)
+    with pytest.raises(IngestionError, match="finite"):
+        model_from_json(json.loads(text))
 
 
 def test_forest_rejects_bad_tree_sets():
