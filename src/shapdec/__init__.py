@@ -1,7 +1,6 @@
 """Conditional SHAP values split into interventional and dependent parts."""
 
 from .core import (
-    AttributionVector,
     Decomposition,
     FeatureMatrix,
     RngStream,
@@ -19,7 +18,6 @@ from .distributions import (
 from .engine import (
     decompose,
     exact_decomposition,
-    kernel_shap,
     shapley_residuals,
 )
 from .models import (

@@ -169,6 +169,8 @@ def _cmd_experiment(args) -> int:
         alphas = tuple(float(v) for v in args.alphas.split(","))
         run_correlation_study(args.a12, alphas, args.k1, args.k2, args.seed, out)
     elif args.name == "housing":
+        if args.towns < 1:
+            raise IngestionError(f"--towns must be at least 1, got {args.towns}")
         if args.synthetic:
             data, target = synthetic_housing(seed=args.seed)
         else:
@@ -212,7 +214,7 @@ def _cmd_fit_model(args) -> int:
 
 _K1_HELP = ("draws per coalition at M <= 11; K1/4 draws per permutation prefix at M > 11, "
             "where K1 and K2 set a budget of 1 + 500*K1 + 2*K2*(M-1) model rows that fixes "
-            "the number of permutations (the studies' Kernel SHAP: draws per coalition)")
+            "the number of permutations")
 _K2_HELP = ("2*K2 random orderings, each pairing one draw per feature for phi_int, at M <= 11; "
             "at M > 11 the K2 share of the row budget")
 

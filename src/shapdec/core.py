@@ -1,10 +1,10 @@
 """Domain types, the coalition mask and the seeded RNG contract.
 
 A coalition of known features is an int bitmask: bit i set means feature
-i is known. Everything here is immutable after construction and safe to
-share across threads. All randomness flows through :class:`RngStream`,
-which derives independent substreams from (seed, index) pairs so that
-parallel and sequential evaluation produce bit-identical results.
+i is known. Everything here is immutable after construction. All
+randomness flows through :class:`RngStream`, which derives independent
+substreams from (seed, index) pairs, so a work item's draws depend only on
+the seed and its own key, not on what was drawn before it.
 """
 
 from __future__ import annotations
@@ -116,23 +116,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class AttributionVector:
-    """Base value plus one attribution per feature."""
-
-    base: float
-    phi: np.ndarray
-    warning: str | None = None
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if not (np.isfinite(self.base) and np.all(np.isfinite(phi))):
-            raise IngestionError("attributions must be finite")
-        phi = phi.copy()
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ covariance permuted to known-then-missing order: ``L = [[L_ss, 0], [L_ms,
 L_mm]]`` gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
 conditional covariance ``L_mm L_mm^T``. The permutation walk conditions
 every prefix of a permutation with one factor of the covariance in that
-order (the chain rule), and its prefixes share one normal vector per draw.
+order (the chain rule), and its prefixes share one normal vector per draw;
+the marginal sampler's prefixes share one block of background rows.
 It needs numpy alone; scipy is imported only by the copula's normal
 transforms.
 """
@@ -34,7 +35,9 @@ from .errors import (
 
 _JITTER_ATTEMPTS = 10
 # Coalition masks a GaussianSampler keeps solved; it forgets them all when
-# one more is solved. Every mask of M <= 11 features fits.
+# one more is solved. Every mask of M <= 11 features fits, so only
+# ``conditional_mean`` at larger M (the housing study's conditional-mean
+# imputation, up to 3 M new masks per town) can reach it.
 _CACHED_MASKS = 2048
 
 
@@ -149,8 +152,9 @@ class GaussianSampler(_Sampler):
     the covariance in known-then-missing order yields the gain matrix and,
     as its missing-by-missing block, the factor of the conditional
     covariance. The cache is emptied once it holds _CACHED_MASKS masks, so
-    Kernel SHAP at larger M, which samples new masks for every row, does
-    not grow it without bound; a mask solved again gives the same bits.
+    ``conditional_mean`` at larger M, asked for new masks with every row,
+    does not grow it without bound; a mask solved again gives the same
+    bits.
     The walk's prefixes come from one factor per permutation instead
     (``_chain_rows``), and touch no per-mask cache.
     """
@@ -424,3 +428,12 @@ class MarginalSampler(_Sampler):
         rows = self.data.values[gen.integers(0, self.data.n_rows, size=count)]
         cols = self._missing(mask)
         return cols, rows[:, cols]
+
+    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+        """One block of ``draws`` background rows for the whole permutation;
+        each prefix sets its known columns to x on it. Every prefix is still
+        an exact draw from the marginal, and prefix j + 1 is prefix j with
+        perm[j] set to x, so v[S + i] - t[S, i] is a paired difference."""
+        block = self.data.values[gen.integers(0, self.data.n_rows, size=draws)]
+        known = (_prefix_masks(perm, first)[:, None] >> np.arange(len(x)) & 1).astype(bool)
+        return np.where(known[:, None, :], x, block).reshape(-1, len(x))

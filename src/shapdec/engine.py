@@ -1,12 +1,13 @@
-"""Shapley machinery: the shared-draw estimator of the split, Kernel
-SHAP, the exact enumeration oracle, and Shapley residuals.
+"""Shapley machinery: the shared-draw estimator of the split, the exact
+enumeration oracle, and Shapley residuals.
 
 The split rests on two tables: v[S] = E[f | x_S] and t[S, i] = E[f with
 X_i := x_i | x_S]. ``decompose`` estimates both from shared draws: every
 coalition's rows, paired with their copies along random orderings, while
 2^M is small, and antithetic permutations beyond, within one budget of
-model rows; ``exact_decomposition`` fills them exactly. Kernel SHAP reads
-v from the same coalition rows. The sampled loops re-key one Philox
+model rows; ``exact_decomposition`` fills them exactly. Under a
+``MarginalSampler`` the game is the interventional one, so ``decompose``'s
+phi is interventional SHAP. The sampled loops re-key one Philox
 generator to each work item's substream. A coalition draws from the
 sampler's per-mask plan (``_draw``), mapping whole row blocks to feature
 space at once (``_finish``); a permutation of the walk gets the rows of
@@ -25,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttributionVector, Decomposition, RngStream, as_vector, missing_columns
+from .core import Decomposition, RngStream, as_vector, missing_columns
 from .distributions import DiscreteJoint
 from .errors import IngestionError, OracleError, SizeError
 from .models import predict_batches
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
-DEFAULT_SAMPLED_COALITIONS = 1024
-_COALITION_DRAW_KEY = 1 << 40  # reserved substream key, above any mask
 
 
 def _coalitions_without(m: int) -> list:
@@ -99,8 +98,7 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
 
 def _conditional_draws(sampler, x, k1: int, rng: RngStream):
     """``rows_of`` for a sampled table: coalition S draws K1 rows once, from
-    substream S (the stream ``kernel_shap`` evaluates S on); the full
-    coalition is x itself."""
+    substream S of ``rng``; the full coalition is x itself."""
     full = (1 << len(x)) - 1
     gen = rng.generator()  # one build, re-keyed to each coalition's substream
     weights = np.full(k1, 1.0 / k1)
@@ -216,10 +214,11 @@ def _row_budget(m: int, k1: int, k2: int) -> int:
     """Model rows a decomposition may send: one for f(x), K1 for each
     coalition below the full set (all 2^M - 1 while they are enumerated,
     WALK_COALITIONS beyond) and 2 K2 (M - 1) paired rows. The table sends
-    this many, less repeats where a coalition gets over K1 picks. Kernel
-    SHAP at K1 evaluates at least about 510 distinct coalitions at M >= 12,
-    and a one-draw permutation estimate of phi_int at K2 sends 2 M K2
-    rows, so the two side by side send more."""
+    this many, less repeats where a coalition gets over K1 picks. That is
+    no more than Kernel SHAP at K1 draws per coalition (at least about 510
+    distinct coalitions of 1,024 sampled at M >= 12) and a one-draw
+    permutation estimate of phi_int at K2 (2 M K2 rows) send side by
+    side."""
     coalitions = (1 << m) - 1 if (1 << m) <= ENUMERATION_LIMIT else WALK_COALITIONS
     return 1 + k1 * coalitions + 2 * k2 * (m - 1)
 
@@ -254,6 +253,10 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     differences. Beyond that (estimator "walk"), antithetic pairs of
     permutations are walked with K1 // 4 draws per prefix, as many pairs
     as the row budget holds.
+
+    Under a MarginalSampler v[S] is the interventional game, so phi is
+    interventional SHAP (Lundberg & Lee, NeurIPS 2017) and phi_dep is 0 in
+    expectation.
     """
     if k1 < 1:
         raise SizeError("draw budget K1 must be >= 1")
@@ -293,73 +296,6 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
         "model_rows": int(model_rows),
     }
     return Decomposition(base, phi, phi_int, phi_dep, meta)
-
-
-def _coalition_masks(m: int, rng: RngStream) -> list:
-    """DEFAULT_SAMPLED_COALITIONS interior masks, drawn proportional to
-    the Kernel SHAP weight: a size s with probability proportional to
-    (M - 1) / (s (M - s)), then s distinct features uniformly."""
-    gen = rng.substream(_COALITION_DRAW_KEY).generator()
-    sizes = np.arange(1, m)
-    p = (m - 1) / (sizes * (m - sizes))
-    p = p / p.sum()
-    masks = []
-    for s in gen.choice(sizes, size=DEFAULT_SAMPLED_COALITIONS, p=p):
-        idx = gen.choice(m, size=int(s), replace=False)
-        masks.append(sum(1 << int(i) for i in idx))
-    return masks
-
-
-def kernel_shap(model, sampler, x, k1: int, seed: int) -> AttributionVector:
-    """Shapley values of the game v(S) = E[f | x_S] that the sampler
-    defines: the interventional game under a MarginalSampler (Kernel SHAP,
-    Lundberg & Lee, NeurIPS 2017), the conditional one otherwise.
-
-    Each coalition S draws K1 rows once, from the stream ``decompose`` gives
-    it for the same seed. While 2^M <= ENUMERATION_LIMIT, phi is the
-    exact Shapley sum over every coalition's table entry, which equals
-    the enumerated kernel regression. Beyond that, DEFAULT_SAMPLED_COALITIONS
-    coalitions are sampled proportional to the kernel weight, each
-    distinct one evaluated once, and phi is the least-squares fit with
-    g(empty) = v(empty) and g(full) = f(x) enforced exactly. Either way
-    the attributions sum to f(x) - v(empty).
-    """
-    if k1 < 1:
-        raise SizeError("draw budget K1 must be >= 1")
-    x, m = _explained_row(model, sampler, x)
-    if m < 1:
-        raise SizeError("need at least one feature")
-    rng = RngStream(seed).substream(1)
-    rows_of = _conditional_draws(sampler, x, k1, rng)
-    if (1 << m) <= ENUMERATION_LIMIT:
-        no_pairs = np.zeros((1 << m, m), dtype=np.intp)
-        v, t, u, _ = _expectation_table(model, x, rows_of, no_pairs)
-        return AttributionVector(v[0], _split(v, t, u)[0])
-
-    full = (1 << m) - 1
-    masks = _coalition_masks(m, rng)
-
-    def plans():
-        for mask in (0, full, *dict.fromkeys(masks)):
-            rows, weights, _ = rows_of(mask)
-            yield (mask, weights), rows
-
-    table = {mask: pred @ weights for (mask, weights), pred in predict_batches(model, plans())}
-    v0, v1 = table[0], table[full]
-    delta = v1 - v0
-    vals = np.array([table[mask] for mask in masks])
-    z = (np.array(masks)[:, None] >> np.arange(m) & 1).astype(float)
-    # drawn proportional to the kernel weight, so the regression weight is
-    # flat; the last feature is eliminated through the sum constraint
-    a = z[:, :-1] - z[:, -1:]
-    b = (vals - v0) - z[:, -1] * delta
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    warning = None
-    if rank < m - 1:
-        gram = a.T @ a + 1e-10 * np.eye(m - 1)
-        sol = np.linalg.solve(gram, a.T @ b)
-        warning = "singular-regression-ridge-fallback"
-    return AttributionVector(v0, np.append(sol, delta - sol.sum()), warning=warning)
 
 
 MAX_ORACLE_FEATURES = 8

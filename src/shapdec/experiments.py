@@ -26,7 +26,7 @@ from .distributions import (
     fit_copula,
     fit_gaussian,
 )
-from .engine import decompose, exact_decomposition, kernel_shap, shapley_residuals
+from .engine import decompose, exact_decomposition, shapley_residuals
 from .errors import IngestionError
 from .models import (
     CallableModel,
@@ -200,9 +200,11 @@ def run_imputation_study(
     forest_params: dict | None = None,
 ) -> dict:
     """Rank features by each attribution flavor, impute the most negative
-    ones, and track the model-output change, averaged over random rows."""
-    if towns > data.n_rows:
-        raise IngestionError(f"towns={towns} exceeds n={data.n_rows}")
+    ones, and track the model-output change, averaged over random rows.
+    Interventional SHAP is ``decompose``'s phi under a MarginalSampler, on
+    the town's seed, so both rankings walk the same permutations."""
+    if not 1 <= towns <= data.n_rows:
+        raise IngestionError(f"towns={towns} outside 1..{data.n_rows}")
     y = np.asarray(target, dtype=float)
     if model_kind == "linear":
         model = fit_ols(data, y)
@@ -228,7 +230,7 @@ def run_imputation_study(
         # conditional SHAP and the interventional part from the same draws
         dec = decompose(model, gauss, x, k1, k2, town_seed)
         attributions = {
-            "interventional-shap": kernel_shap(model, marginal, x, k1, town_seed).phi,
+            "interventional-shap": decompose(model, marginal, x, k1, k2, town_seed).phi,
             "conditional-shap": dec.phi,
             "interventional-part": dec.phi_int,
         }
@@ -343,6 +345,8 @@ def run_fire_study(
     """Binary forest on the fire features, explained on the log-odds scale
     with a Gaussian copula sampler; emits force plots, the feature/SHAP
     correlation table, and the partial-correlation graph."""
+    if not 0 <= sample_index < data.n_rows:
+        raise IngestionError(f"sample index {sample_index} outside 0..{data.n_rows - 1}")
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise IngestionError("fire label must be binary 0/1")
@@ -390,7 +394,8 @@ def run_fire_study(
             secondary_axis=_probability_axis(),
         )
         (out_dir / "force_decomposition.svg").write_text(render_force_plot(spec))
-        classic = kernel_shap(model, MarginalSampler(data), x, k1, _row_seed(seed, sample_index))
+        # interventional SHAP: the split's game under the marginal sampler
+        classic = decompose(model, MarginalSampler(data), x, k1, k2, _row_seed(seed, sample_index))
         spec_classic = ForcePlotSpec(
             base=classic.base,
             features=tuple(

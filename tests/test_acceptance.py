@@ -24,7 +24,6 @@ from shapdec.distributions import (
 from shapdec.engine import (
     decompose,
     exact_decomposition,
-    kernel_shap,
     shapley_residuals,
 )
 from shapdec.experiments import (
@@ -215,7 +214,7 @@ def test_a07_linear_interventional_closed_form():
         mean = rows.mean(axis=0)
         sd = rows.std(axis=0)
         x = mean + 1.5 * sd  # keep every psi_i well away from zero
-        psi = kernel_shap(model, MarginalSampler(data), x, 40_000, 7).phi
+        psi = decompose(model, MarginalSampler(data), x, 40_000, 40_000, 7).phi
         expected = coef * (x - mean)
         rel = np.abs(psi - expected) / np.abs(expected)
         assert np.max(rel) < 0.02
@@ -233,7 +232,7 @@ def test_a08_independent_sampler_collapses_the_split():
         x = np.array([1.0, -1.0, 0.5])
         dec = decompose(model, MarginalSampler(data), x, 20_000, 20_000, 0)
         assert np.max(np.abs(dec.phi_dep)) <= 0.03
-        psi = kernel_shap(model, MarginalSampler(data), x, 20_000, 11).phi
+        psi = decompose(model, MarginalSampler(data), x, 20_000, 20_000, 11).phi
         assert np.max(np.abs(dec.phi_int - psi)) <= 0.03
 
 
@@ -435,9 +434,10 @@ def test_a10_fire_study_on_synthetic_data():
 
 
 def test_a11_kernel_regression_is_exact_on_an_additive_game():
-    """At M=12 Kernel SHAP samples coalitions and regresses. Against a
-    single background row z every v(S) = f(x_S, z_-S) of a linear model is
-    additive, so the regression must return coef * (x - z) exactly."""
+    """At M=12 interventional SHAP comes from the permutation walk under
+    the marginal sampler. Against a single background row z every v(S) =
+    f(x_S, z_-S) of a linear model is additive, so every permutation must
+    return coef * (x - z), and the dependent part must vanish."""
     gen = RngStream(1111).generator()
     m = 12
     names = tuple(f"f{j}" for j in range(m))
@@ -448,10 +448,11 @@ def test_a11_kernel_regression_is_exact_on_an_additive_game():
             x = gen.normal(size=m)
             model = LinearModel(coef, gen.normal())
             sampler = MarginalSampler(FeatureMatrix(names, np.vstack([z, z])))
-            ks = kernel_shap(model, sampler, x, 3, trial)
-            assert ks.warning is None
-            assert ks.base == pytest.approx(model.predict([z])[0], abs=1e-9)
-            assert np.max(np.abs(ks.phi - coef * (x - z))) < 1e-9
+            dec = decompose(model, sampler, x, 3, 3, trial)
+            assert dec.meta["estimator"] == "walk"
+            assert dec.base == pytest.approx(model.predict([z])[0], abs=1e-9)
+            assert np.max(np.abs(dec.phi - coef * (x - z))) < 1e-9
+            assert np.max(np.abs(dec.phi_dep)) < 1e-9
 
 
 @pytest.mark.slow

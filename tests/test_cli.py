@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shapdec.cli
+import shapdec.experiments
 import shapdec.models
 from shapdec.cli import main, read_csv
 from shapdec.core import RngStream
@@ -279,6 +280,36 @@ def test_experiment_loads_scipy_special_only_for_fire(tmp_path, flags):
         assert "scipy.stats" not in loaded
     else:
         assert loaded == "[]"
+
+
+def _no_decomposition(monkeypatch):
+    """Make any decomposition by a study fail the test."""
+
+    def fail(*args):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(shapdec.experiments, "decompose", fail)
+
+
+@pytest.mark.parametrize("index", [250, 999, -1])
+def test_fire_sample_index_out_of_range_exits_2_before_the_study(
+    tmp_path, capsys, monkeypatch, index
+):
+    _no_decomposition(monkeypatch)
+    argv = ["experiment", "fire", "--synthetic", "--sample-index", str(index),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"sample index {index} outside 0..249" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("towns", [0, -3])
+def test_housing_towns_below_one_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, towns):
+    _no_decomposition(monkeypatch)
+    argv = ["experiment", "housing", "--synthetic", "--towns", str(towns),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"--towns must be at least 1, got {towns}" in capsys.readouterr().err
 
 
 def test_explain_short_sample_is_ingestion_error(tmp_path, housing_csv, capsys):

@@ -15,7 +15,7 @@ from shapdec.distributions import (
     fit_copula,
     fit_gaussian,
 )
-from shapdec.engine import decompose, kernel_shap
+from shapdec.engine import decompose
 from shapdec.errors import (
     ConditioningError,
     DegenerateMarginalError,
@@ -417,20 +417,44 @@ def test_marginal_sampler_ignores_conditioning():
     assert set(np.unique(draws)) <= {10.0, 20.0}
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first", "reverse"])
+def test_marginal_walk_prefixes_share_one_block_of_background_rows(first):
+    # one permutation's prefixes set x on one block of whole background
+    # rows, so prefix j + 1 is prefix j with perm[j] set to x. The first
+    # prefix's rows name their background rows.
+    m, draws = 6, 30
+    background = RngStream(9).generator().normal(size=(40, m))
+    sampler = MarginalSampler(FeatureMatrix(tuple("abcdef"), background))
+    x, perm = np.linspace(5.0, 10.0, m), np.array([3, 0, 5, 1, 4, 2])
+    masks = _prefix_masks(perm)[0 if first else 1:]
+    blocks = sampler._prefix_draws(perm, x, draws, RngStream(4).generator(), first)
+    blocks = blocks.reshape(len(masks), draws, m)
+    _, missing = _split_mask(masks[0], m)
+    source = [
+        int(np.flatnonzero(np.all(background[:, missing] == row, axis=1))[0])
+        for row in blocks[0][:, missing]
+    ]
+    for block, mask in zip(blocks, masks):
+        known, _ = _split_mask(mask, m)
+        expected = background[source].copy()
+        expected[:, known] = x[known]
+        assert np.array_equal(block, expected), mask
+
+
 def test_gaussian_sampler_cache_is_bounded_and_outputs_unchanged():
-    # Kernel SHAP at M=13 samples about 600 new masks per row; the shared
-    # sampler's cache is emptied at _CACHED_MASKS and gives the same bits
-    # as a fresh sampler for every row
+    # the housing study's conditional-mean imputation asks for new masks
+    # with every town; at M=13 the shared sampler's cache is emptied at
+    # _CACHED_MASKS and gives the same bits as a fresh sampler every time
     m = 13
     gen = RngStream(21).generator()
     a = gen.normal(size=(m, m))
     fitted = GaussianModel(gen.normal(size=m), a @ a.T / m + np.eye(m))
-    model = LinearModel(gen.normal(size=m), 0.5)
     shared = GaussianSampler(fitted)
     sizes = []
-    for i, x in enumerate(gen.normal(size=(8, m))):
-        phi = kernel_shap(model, shared, x, 2, i).phi
-        sizes.append(len(shared._cache))
-        assert phi.tobytes() == kernel_shap(model, GaussianSampler(fitted), x, 2, i).phi.tobytes()
+    for x, masks in zip(gen.normal(size=(8, m)), gen.permutation(1 << m).reshape(8, -1)):
+        for mask in masks[:400].tolist():
+            mean = shared.conditional_mean(mask, x)
+            sizes.append(len(shared._cache))
+            assert mean.tobytes() == GaussianSampler(fitted).conditional_mean(mask, x).tobytes()
     assert max(sizes) <= _CACHED_MASKS
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied

@@ -22,9 +22,7 @@ from shapdec.distributions import (
 from shapdec.engine import (
     decompose,
     exact_decomposition,
-    kernel_shap,
     shapley_residuals,
-    _coalition_masks,
     _row_budget,
 )
 from shapdec.errors import IngestionError, OracleError, SizeError
@@ -45,27 +43,29 @@ def _random_joint(m, gen):
 
 
 def test_value_function_full_coalition_is_model_output():
-    # Kernel SHAP anchors v(full) = f(x): the attributions sum to it exactly
+    # the table anchors v(full) = f(x): the attributions sum to it exactly
     model = LinearModel(np.array([1.0, -2.0]), 0.5)
     sampler = GaussianSampler(GaussianModel(np.zeros(2), np.eye(2)))
-    result = kernel_shap(model, sampler, np.array([3.0, 1.0]), 16, 0)
+    result = decompose(model, sampler, np.array([3.0, 1.0]), 16, 16, 0)
     assert result.base + result.phi.sum() == pytest.approx(1.5, abs=1e-12)
 
 
 def test_value_function_empty_coalition_is_base_rate():
     model = LinearModel(np.array([1.0]), 0.0)
     sampler = GaussianSampler(GaussianModel(np.array([5.0]), np.eye(1)))
-    v0 = kernel_shap(model, sampler, np.array([0.0]), 50_000, 1).base
+    v0 = decompose(model, sampler, np.array([0.0]), 50_000, 50_000, 1).base
     assert v0 == pytest.approx(5.0, abs=0.05)
 
 
 def test_kernel_shap_matches_linear_closed_form():
+    # with independent features the conditional and interventional games
+    # agree, and phi is coef * (x - mean)
     coef = np.array([1.0, -2.0, 0.5, 3.0])
     model = LinearModel(coef, 1.0)
     mean = np.array([0.5, -1.0, 2.0, 0.0])
     sampler = GaussianSampler(GaussianModel(mean, np.eye(4)))
     x = np.array([1.0, 1.0, 1.0, 1.0])
-    result = kernel_shap(model, sampler, x, 4000, 3)
+    result = decompose(model, sampler, x, 4000, 4000, 3)
     assert np.allclose(result.phi, coef * (x - mean), atol=0.1)
     assert result.base + result.phi.sum() == pytest.approx(model.predict([x])[0])
 
@@ -333,7 +333,7 @@ def test_permutation_walk_shared_sampler_equals_fresh_samplers(kind):
 @pytest.mark.parametrize("kind", ["gaussian", "copula"])
 def test_walk_solves_no_coalition_mask(kind, monkeypatch):
     # the walk conditions each permutation once; only the per-mask draws
-    # of the table and Kernel SHAP solve coalitions
+    # of the table solve coalitions
     solved = []
     solve = GaussianSampler._solved
     monkeypatch.setattr(
@@ -344,19 +344,21 @@ def test_walk_solves_no_coalition_mask(kind, monkeypatch):
     model, x = LinearModel(np.linspace(-1.0, 1.0, m)), np.linspace(0.2, 2.0, m)
     assert decompose(model, make(fitted), x, 40, 60, 3).meta["estimator"] == "walk"
     assert solved == []
-    kernel_shap(model, make(fitted), x, 4, 3)
-    assert len(set(solved)) > 500
+    for mask in (1, 6, 4095):  # the patch sees the per-mask draws
+        make(fitted)._draw(mask, x, 1, RngStream(3).generator())
+    assert set(solved) == {1, 6, 4095}
 
 
 @pytest.mark.parametrize("case", _CASES, ids=_CASE_IDS)
 def test_table_phi_equals_enumerated_kernel_shap(case):
-    # at M <= 11 both are the exact Shapley sum over the same coalition rows
+    # at M <= 11 the table's phi is the exact Shapley sum over its coalition
+    # rows, which the enumerated kernel regression reproduces
     make, fitted, x, _ = case()
     model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
     dec = decompose(model, make(fitted), x, 50, 50, 31)
-    ks = kernel_shap(model, make(fitted), x, 50, 31)
-    assert dec.base == pytest.approx(ks.base, rel=0, abs=1e-12)
-    assert np.max(np.abs(dec.phi - ks.phi)) <= 1e-12
+    base, phi = _kernel_shap_with_fresh_generators(model, make(fitted), x, 50, 31)
+    assert dec.base == pytest.approx(base, rel=0, abs=1e-12)
+    assert np.max(np.abs(dec.phi - phi)) <= 1e-12
 
 
 def test_decompose_records_its_work():
@@ -377,6 +379,25 @@ def test_decompose_records_its_work():
     assert walk["estimator"] == "walk"
     assert (walk["draws"], walk["permutations"]) == (10, 98)
     assert walk["model_rows"] == 1 + 49 * 450 <= _row_budget(12, 40, 100)
+
+
+DEFAULT_SAMPLED_COALITIONS = 1024
+_COALITION_DRAW_KEY = 1 << 40  # reserved substream key, above any mask
+
+
+def _coalition_masks(m: int, rng: RngStream) -> list:
+    """DEFAULT_SAMPLED_COALITIONS interior masks, drawn proportional to
+    the Kernel SHAP weight: a size s with probability proportional to
+    (M - 1) / (s (M - s)), then s distinct features uniformly."""
+    gen = rng.substream(_COALITION_DRAW_KEY).generator()
+    sizes = np.arange(1, m)
+    p = (m - 1) / (sizes * (m - sizes))
+    p = p / p.sum()
+    masks = []
+    for s in gen.choice(sizes, size=DEFAULT_SAMPLED_COALITIONS, p=p):
+        idx = gen.choice(m, size=int(s), replace=False)
+        masks.append(sum(1 << int(i) for i in idx))
+    return masks
 
 
 def _kernel_shap_and_permutation_rows(m, k1, k2, seed):
@@ -412,12 +433,11 @@ def test_walk_at_the_explain_defaults_stays_within_budget():
 
 
 def _kernel_shap_with_fresh_generators(model, sampler, x, k1, seed):
-    """Kernel SHAP as a loop over value-function calls. Coalition S draws
-    K1 rows with ``_fresh_rows`` on a newly built generator for
-    substream S of substream 1, and v(S) is their plain mean. While 2^M
-    <= 2048 every interior coalition enters the regression with its
-    kernel weight (M - 1) / (C(M, |S|) |S| (M - |S|)); beyond, the
-    engine's sampled masks enter with weight 1. The fit keeps g(empty) =
+    """Enumerated Kernel SHAP as a loop over value-function calls.
+    Coalition S draws K1 rows with ``_fresh_rows`` on a newly built
+    generator for substream S of substream 1, and v(S) is their plain
+    mean. Every interior coalition enters the regression with its kernel
+    weight (M - 1) / (C(M, |S|) |S| (M - |S|)). The fit keeps g(empty) =
     v(empty) and sum(phi) = f(x) - v(empty) through a Lagrange multiplier.
     Returns (base, phi)."""
     m = len(x)
@@ -430,17 +450,12 @@ def _kernel_shap_with_fresh_generators(model, sampler, x, k1, seed):
         rows = _fresh_rows(sampler, mask, x, k1, rng.substream(mask).generator())
         return model.predict(rows).mean()
 
-    if (1 << m) <= 2048:
-        masks = list(range(1, full))
-        sizes = np.array([mask.bit_count() for mask in masks])
-        weights = (m - 1) / (np.array([math.comb(m, s) for s in sizes]) * sizes * (m - sizes))
-    else:
-        masks = _coalition_masks(m, rng)
-        weights = np.ones(len(masks))
+    masks = list(range(1, full))
+    sizes = np.array([mask.bit_count() for mask in masks])
+    weights = (m - 1) / (np.array([math.comb(m, s) for s in sizes]) * sizes * (m - sizes))
     v0 = v(0)
-    values = {mask: v(mask) for mask in set(masks)}
     z = np.array([[mask >> i & 1 for i in range(m)] for mask in masks], dtype=float)
-    y = np.array([values[mask] for mask in masks]) - v0
+    y = np.array([v(mask) for mask in masks]) - v0
     kkt = np.zeros((m + 1, m + 1))
     kkt[:m, :m] = z.T @ (weights[:, None] * z)
     kkt[:m, m] = kkt[m, :m] = 1.0
@@ -457,12 +472,12 @@ def _sampler_case(kind, m):
     return CopulaSampler(fit_copula(data)) if kind == "copula" else MarginalSampler(data)
 
 
-@pytest.mark.parametrize("m", [4, 13], ids=["enumerated", "sampled"])
+@pytest.mark.parametrize("m", [4], ids=["enumerated"])
 def test_kernel_shap_equals_fresh_generator_draws(m):
     model = LinearModel(np.linspace(-1.0, 2.0, m), 0.5)
     x = np.exp(np.linspace(1.0, -1.0, m))
     for kind in ("gaussian", "copula", "marginal"):
-        result = kernel_shap(model, _sampler_case(kind, m), x, 8, 2**63 + 9)
+        result = decompose(model, _sampler_case(kind, m), x, 8, 8, 2**63 + 9)
         base, phi = _kernel_shap_with_fresh_generators(
             model, _sampler_case(kind, m), x, 8, 2**63 + 9
         )
@@ -483,7 +498,7 @@ def test_interventional_parts_independent_case_is_psi():
 def test_interventional_value_function_uses_background_rows():
     data = FeatureMatrix(("a", "b"), np.array([[0.0, 1.0], [0.0, 3.0]]))
     model = LinearModel(np.array([1.0, 1.0]), 0.0)
-    result = kernel_shap(model, MarginalSampler(data), np.array([5.0, 0.0]), 64, 0)
+    result = decompose(model, MarginalSampler(data), np.array([5.0, 0.0]), 64, 64, 0)
     # v(empty) averages a + b over background rows: a = 0, b drawn from {1, 3}
     assert 1.0 <= result.base <= 3.0
     assert result.base + result.phi.sum() == pytest.approx(5.0, abs=1e-12)
@@ -525,7 +540,7 @@ def test_public_engine_api_is_pinned():
         if isinstance(node, ast.ImportFrom):
             exported.setdefault(node.module, set()).update(a.name for a in node.names)
     assert exported == {
-        "core": {"AttributionVector", "Decomposition", "FeatureMatrix", "RngStream"},
+        "core": {"Decomposition", "FeatureMatrix", "RngStream"},
         "distributions": {
             "CopulaSampler",
             "DiscreteJoint",
@@ -539,7 +554,6 @@ def test_public_engine_api_is_pinned():
         "engine": {
             "decompose",
             "exact_decomposition",
-            "kernel_shap",
             "shapley_residuals",
         },
         "models": {
@@ -553,7 +567,14 @@ def test_public_engine_api_is_pinned():
             "model_from_json",
         },
     }
-    for gone in ("Coalition", "sampler_from_json", "log_odds", "predict_batch"):
+    for gone in (
+        "Coalition",
+        "sampler_from_json",
+        "log_odds",
+        "predict_batch",
+        "kernel_shap",
+        "AttributionVector",
+    ):
         assert not hasattr(shapdec, gone)
 
 
@@ -574,14 +595,13 @@ def test_readme_quick_start_runs():
     assert abs(dec.phi_int[0] - exact) < 0.05
 
 
-@pytest.mark.parametrize("fn", [decompose, kernel_shap], ids=["decompose", "kernel_shap"])
+@pytest.mark.parametrize("fn", [decompose], ids=["decompose"])
 @pytest.mark.parametrize("length", [1, 3])
 def test_sample_length_must_match_the_sampler(fn, length):
     model = LinearModel(np.array([1.0, -1.0]), 0.0)
     sampler = GaussianSampler(GaussianModel(np.zeros(2), np.eye(2)))
-    budgets = (8, 8, 0) if fn is decompose else (8, 0)
     with pytest.raises(IngestionError, match="sample has .* sampler has 2 features"):
-        fn(model, sampler, np.ones(length), *budgets)
+        fn(model, sampler, np.ones(length), 8, 8, 0)
 
 
 @pytest.mark.parametrize("length", [1, 3])
@@ -613,9 +633,7 @@ def _explain_with(fn, model, x):
     if fn == "exact_decomposition":
         return exact_decomposition(model, _toy_joint(), x)
     sampler = GaussianSampler(GaussianModel(np.zeros(2), np.array([[1.0, 0.5], [0.5, 1.0]])))
-    if fn == "decompose":
-        return decompose(model, sampler, x, 8, 8, 0)
-    return kernel_shap(model, sampler, x, 8, 0)
+    return decompose(model, sampler, x, 8, 8, 0)
 
 
 _ENTRY_FAULTS = {
@@ -626,7 +644,7 @@ _ENTRY_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", list(_ENTRY_FAULTS))
-@pytest.mark.parametrize("fn", ["decompose", "kernel_shap", "exact_decomposition"])
+@pytest.mark.parametrize("fn", ["decompose", "exact_decomposition"])
 def test_a_bad_row_or_model_fails_before_any_model_call(fn, fault):
     n_features, x, message = _ENTRY_FAULTS[fault]
     model = _PlainModel(n_features)

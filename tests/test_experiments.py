@@ -171,8 +171,9 @@ def test_run_imputation_study_small(tmp_path):
 
 def test_run_imputation_study_town_cap():
     data, target = synthetic_housing(n=10, seed=0)
-    with pytest.raises(IngestionError):
-        run_imputation_study(data, target, "linear", towns=11, k1=10, k2=10)
+    for towns in (11, 0):
+        with pytest.raises(IngestionError, match=f"towns={towns} outside 1..10"):
+            run_imputation_study(data, target, "linear", towns=towns, k1=10, k2=10)
 
 
 def test_run_fire_study_smoke(tmp_path):
@@ -212,19 +213,21 @@ def test_imputation_study_draws_depend_on_its_seed(monkeypatch):
     # with towns = n both seeds explain the same rows; their draws must differ
     data, target = synthetic_housing(n=16, seed=0)
     seeds = {}
-    for name in ("decompose", "kernel_shap"):
-        real = getattr(experiments, name)
+    real = experiments.decompose
 
-        def recorder(*args, real=real, name=name):
-            seeds.setdefault(name, []).append(args[-1])
-            return real(*args)
+    def recorder(model, sampler, *args):
+        seeds.setdefault(type(sampler).__name__, []).append(args[-1])
+        return real(model, sampler, *args)
 
-        monkeypatch.setattr(experiments, name, recorder)
+    monkeypatch.setattr(experiments, "decompose", recorder)
     per_study = []
     for study_seed in (0, 1):
         seeds.clear()
         run_imputation_study(data, target, "linear", towns=16, k1=8, k2=8, seed=study_seed)
-        per_study.append({name: set(drawn) for name, drawn in seeds.items()})
-    for name in ("decompose", "kernel_shap"):
-        assert len(per_study[0][name]) == 16
-        assert not per_study[0][name] & per_study[1][name], name
+        per_study.append({kind: set(drawn) for kind, drawn in seeds.items()})
+    assert per_study[0].keys() == {"GaussianSampler", "MarginalSampler"}
+    for kind, drawn in per_study[0].items():
+        assert len(drawn) == 16
+        assert not drawn & per_study[1][kind], kind
+    # both rankings of a town walk the same permutations
+    assert per_study[0]["GaussianSampler"] == per_study[0]["MarginalSampler"]

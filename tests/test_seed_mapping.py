@@ -1,6 +1,6 @@
 """Pins the seed -> draw mapping: `decompose` outputs for one small row per
-sampler kind on the table (M=3), and for the Gaussian and the copula on the
-permutation walk (M=12), to rtol=1e-12.
+sampler kind on the table (M=3), and for the Gaussian, the copula and the
+marginal sampler on the permutation walk (M=12), to rtol=1e-12.
 
 A change of the mapping (how a seed becomes substreams, generator keys and
 draws) moves these values by about 1e-2; last-bit BLAS drift stays far
@@ -75,6 +75,15 @@ def _marginal():
     return model, sampler, rows[0], 19
 
 
+def _marginal_sampled_coalitions():
+    # M=12 > 11: the walk's prefixes share one block of background rows
+    m = 12
+    rows = RngStream(10).generator().normal(size=(80, m))
+    sampler = MarginalSampler(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows))
+    model = CallableModel(lambda r: np.tanh(r[:, 0]) + r[:, 1] * r[:, 2] + r[:, 3:].sum(axis=1), m)
+    return model, sampler, rows[5], 2**63 + 29
+
+
 # case -> (base, phi, phi_int), recorded with the mapping as it stands
 PINNED = {
     "gaussian": (
@@ -127,6 +136,21 @@ PINNED = {
         [-0.7143346990493662, -0.15985025899371966, 0.1202348390981396],
         [-0.5460528881442327, -0.06702252816072214, 0.0030470611201404685],
     ),
+    "marginal_sampled_coalitions": (
+        -0.0447974210934623,
+        [
+            0.8036160699124854, -0.1308896997419003, 0.3120072140721408,
+            1.166329927301941, 0.9136412242056621, 0.3421618308408433,
+            -0.6125781471850159, -1.134413302355337, -1.4689077849057217,
+            -1.6479719000411213, 0.21977801944024625, 0.4661167529404698,
+        ],
+        [
+            0.8248490253163598, -0.15322279414960466, 0.2438021866014942,
+            1.1258810571327886, 0.9285701020918103, 0.3512296916237686,
+            -0.6447068921721076, -1.1694969611503891, -1.4603099859392732,
+            -1.6524953624078513, 0.21977801944024625, 0.46776891461234105,
+        ],
+    ),
 }
 
 
@@ -139,6 +163,7 @@ PINNED = {
         _copula_sampled_coalitions,
         _discrete,
         _marginal,
+        _marginal_sampled_coalitions,
     ],
     ids=lambda case: case.__name__.lstrip("_"),
 )
