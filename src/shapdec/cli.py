@@ -111,7 +111,16 @@ def _resolve_sample(args, data: FeatureMatrix) -> np.ndarray:
     return data.values[args.row]
 
 
-def _load_or_fit_model(args, data: FeatureMatrix):
+def _fit(kind: str, data: FeatureMatrix, target, args, task: str = "regression"):
+    """The model ``explain --fit`` and ``fit-model`` fit: OLS, or a forest
+    grown from the forest flags on substream 77 of --seed."""
+    if kind == "linear":
+        return fit_ols(data, target)
+    params = {"trees": args.trees, "max_depth": args.max_depth, "min_leaf": args.min_leaf}
+    return fit_forest(data, target, params, RngStream(args.seed, 77), task=task)
+
+
+def _load_or_fit_model(args, data: FeatureMatrix, target):
     if args.model:
         try:
             doc = json.loads(Path(args.model).read_text())
@@ -123,22 +132,13 @@ def _load_or_fit_model(args, data: FeatureMatrix):
     if args.fit:
         if args.target is None:
             raise IngestionError("--fit requires --target")
-        features, target = read_csv(args.data, args.target)
-        if args.fit == "linear":
-            return fit_ols(features, target)
-        return fit_forest(
-            features,
-            target,
-            {"trees": args.trees, "max_depth": args.max_depth, "min_leaf": args.min_leaf},
-            RngStream(args.seed, 77),
-        )
+        return _fit(args.fit, data, target, args)
     raise IngestionError("need either --model or --fit")
 
 
 def _cmd_explain(args) -> int:
-    target = args.target if args.fit else None
-    data, _ = read_csv(args.data, target)
-    model = _load_or_fit_model(args, data)
+    data, target = read_csv(args.data, args.target if args.fit else None)
+    model = _load_or_fit_model(args, data, target)
     try:
         sampler = _build_sampler(args.sampler, data)
         x = _resolve_sample(args, data)
@@ -166,7 +166,10 @@ def _cmd_experiment(args) -> int:
     if args.name == "toy":
         run_toy(args.k1, args.k2, args.seed, out)
     elif args.name == "correlation":
-        alphas = tuple(float(v) for v in args.alphas.split(","))
+        try:
+            alphas = tuple(float(v) for v in args.alphas.split(","))
+        except ValueError as err:
+            raise IngestionError(f"bad --alphas value: {err}") from err
         run_correlation_study(args.a12, alphas, args.k1, args.k2, args.seed, out)
     elif args.name == "housing":
         if args.towns < 1:
@@ -196,16 +199,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_fit_model(args) -> int:
     data, target = read_csv(args.data, args.target)
-    if args.kind == "linear":
-        model = fit_ols(data, target)
-    else:
-        model = fit_forest(
-            data,
-            target,
-            {"trees": args.trees, "max_depth": args.max_depth, "min_leaf": args.min_leaf},
-            RngStream(args.seed, 77),
-            task=args.task,
-        )
+    model = _fit(args.kind, data, target, args, args.task)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, model.to_json_dict())
@@ -225,6 +219,12 @@ def _add_budget_flags(p, k1_default=1000, k2_default=4000):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_forest_flags(p):
+    p.add_argument("--trees", type=int, default=200)
+    p.add_argument("--max-depth", type=int, default=8)
+    p.add_argument("--min-leaf", type=int, default=5)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="shapdec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,9 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sample", help="inline sample, comma-separated")
     p.add_argument("--row", type=int, default=0, help="row of --data to explain")
     _add_budget_flags(p)
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-leaf", type=int, default=5)
+    _add_forest_flags(p)
     p.add_argument("--out", default=".")
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=_cmd_explain)
@@ -268,9 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--task", choices=["regression", "binary-probability"], default="regression")
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-leaf", type=int, default=5)
+    _add_forest_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="model.json")
     p.set_defaults(func=_cmd_fit_model)

@@ -1,12 +1,12 @@
 """Fitted conditional samplers: p(X_missing | X_known = x_known).
 
-Four samplers share one draw interface (``_Sampler``), per coalition
-mask and per permutation of the walk: multivariate Gaussian, Gaussian
-copula over empirical marginals, an exact discrete joint (used by the
-oracles), and a marginal whole-row sampler that plays the interventional
-game. A sampler's fitted model is immutable; it caches only work that
-repeats for one coalition or one explained row, so a draw depends on
-nothing but its inputs and the generator it is given.
+Four samplers (multivariate Gaussian, Gaussian copula over empirical
+marginals, an exact discrete joint used by the oracles, and a marginal
+whole-row sampler that plays the interventional game) give rows of X
+with x's own bytes on the known columns, per coalition mask (``_draw``)
+and per permutation of the walk (``_prefix_draws``). A fitted model is
+immutable; a sampler caches only work that repeats for one coalition or
+one explained row, so a draw depends only on its inputs and generator.
 
 The Gaussian conditions a coalition with one Cholesky factor of the
 covariance permuted to known-then-missing order: ``L = [[L_ss, 0], [L_ms,
@@ -14,7 +14,8 @@ L_mm]]`` gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
 conditional covariance ``L_mm L_mm^T``. The permutation walk conditions
 every prefix of a permutation with one factor of the covariance in that
 order (the chain rule), and its prefixes share one normal vector per draw;
-the marginal sampler's prefixes share one block of background rows.
+the marginal sampler's prefixes share one block of background rows, and
+the discrete sampler matches every prefix in one pass over the support.
 It needs numpy alone; scipy is imported only by the copula's normal
 transforms.
 """
@@ -95,6 +96,11 @@ def _prefix_masks(perm: np.ndarray, first: bool) -> np.ndarray:
     return masks if first else masks[1:]
 
 
+def _is_known(masks, m: int) -> np.ndarray:
+    """known[..., c]: whether feature c is in the coalition(s) ``masks``."""
+    return (np.asarray(masks)[..., None] >> np.arange(m) & 1).astype(bool)
+
+
 def _chain_rows(model: GaussianModel, perm, cond, fill, draws: int, gen, first: bool):
     """Draws of every prefix of ``perm`` from one factor of the covariance
     in perm order (the chain rule; Aas, Jullum & Loland, AI 2021).
@@ -118,34 +124,7 @@ def _chain_rows(model: GaussianModel, perm, cond, fill, draws: int, gen, first: 
     return np.where(in_prefix[:, None, inverse], fill, rows).reshape(-1, m)
 
 
-class _Sampler:
-    """The internal draw interface every sampler shares.
-
-    ``_draw(mask, x, count, gen)`` returns the missing columns of coalition
-    ``mask`` (ascending, ``np.intp``) and ``count`` draws of them in the
-    sampler's draw space; index arrays and other per-mask work are cached.
-    A caller that writes such draws into rows calls ``_finish(rows, masks)``
-    once, with row r's mask in ``masks[r]``, to map them to feature space.
-    ``_prefix_draws`` gives the permutation walk every prefix at once.
-    """
-
-    def _finish(self, rows: np.ndarray, masks) -> None:
-        """Draw space is feature space: nothing to map."""
-
-    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
-        """``draws`` rows with x known on each prefix perm[:j], in feature
-        space, block after block for j from 0, or from 1 if not ``first``.
-        Here each prefix draws on its own, with ``_draw``."""
-        masks = _prefix_masks(perm, first)
-        rows = np.tile(x, (len(masks) * draws, 1))
-        for block, mask in zip(rows.reshape(len(masks), draws, len(x)), masks.tolist()):
-            cols, draw = self._draw(mask, x, draws, gen)
-            block[:, cols] = draw
-        self._finish(rows, np.repeat(masks, draws))
-        return rows
-
-
-class GaussianSampler(_Sampler):
+class GaussianSampler:
     """Conditional sampler backed by a fitted multivariate Gaussian.
 
     Each coalition mask is solved once and cached: one Cholesky factor of
@@ -191,10 +170,12 @@ class GaussianSampler(_Sampler):
             self._cache[mask] = entry
         return entry
 
-    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> np.ndarray:
         order, k, _, chol = self._solved(mask)
+        rows = np.tile(x, (count, 1))
         z = gen.standard_normal((count, len(chol)))
-        return order[k:], self.conditional_mean(mask, x) + z @ chol.T
+        rows[:, order[k:]] = self.conditional_mean(mask, x) + z @ chol.T
+        return rows
 
     def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
         return _chain_rows(self.model, perm, x, x, draws, gen, first)
@@ -262,7 +243,7 @@ def fit_copula(data: FeatureMatrix) -> CopulaModel:
     return CopulaModel(marginals, corr)
 
 
-class CopulaSampler(_Sampler):
+class CopulaSampler:
     """Conditions in Gaussian-score space, then back-transforms each
     coordinate through the interpolated inverse empirical CDF."""
 
@@ -301,21 +282,23 @@ class CopulaSampler(_Sampler):
 
         return self.model.marginals[j].from_uniform(ndtr(z))
 
-    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
-        """Draws of the latent scores; ``_finish`` maps them to features."""
-        return self._latent._draw(mask, self._to_scores(x), count, gen)
-
-    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
-        """The Gaussian walk kernel on the latent scores of x, then ``_finish``."""
-        rows = _chain_rows(self._latent.model, perm, self._to_scores(x), x, draws, gen, first)
-        self._finish(rows, np.repeat(_prefix_masks(perm, first), draws))
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> np.ndarray:
+        """A latent draw given the scores of x, each drawn column back
+        through its marginal, and x on the known columns."""
+        rows = self._latent._draw(mask, self._to_scores(x), count, gen)
+        for j in range(self.n_features):
+            rows[:, j] = x[j] if mask >> j & 1 else self._from_scores(j, rows[:, j])
         return rows
 
-    def _finish(self, rows: np.ndarray, masks) -> None:
-        """Back-transform each feature once over every row that drew it."""
-        drawn = (np.asarray(masks)[:, None] >> np.arange(self.n_features) & 1) == 0
+    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+        """The Gaussian walk kernel on the latent scores of x, then each
+        feature back through its marginal over every prefix that drew it."""
+        drawn = ~_is_known(_prefix_masks(perm, first), self.n_features)
+        rows = _chain_rows(self._latent.model, perm, self._to_scores(x), x, draws, gen, first)
+        blocks = rows.reshape(len(drawn), draws, -1)
         for j in range(self.n_features):
-            rows[drawn[:, j], j] = self._from_scores(j, rows[drawn[:, j], j])
+            blocks[drawn[:, j], :, j] = self._from_scores(j, blocks[drawn[:, j], :, j])
+        return rows
 
 
 @dataclass(frozen=True)
@@ -352,24 +335,26 @@ class DiscreteJoint:
         x = as_vector(x)
         if mask == 0:
             return self.support, self.probs
-        m = self.n_features
-        s_idx = missing_columns(mask ^ ((1 << m) - 1), m)  # the known features
-        match = np.all(self.support[:, s_idx] == x[s_idx], axis=1)
+        known = _is_known(mask, self.n_features)
+        return self._renormalized(np.all(self.support[:, known] == x[known], axis=1), mask, x)
+
+    def _renormalized(self, match, mask: int, x: np.ndarray) -> tuple:
+        """The support rows selected by ``match``, which match x on ``mask``,
+        and their probs renormalized; ConditioningError if they have no mass."""
         total = self.probs[match].sum()
         if total <= 0.0:
+            s_idx = missing_columns(mask ^ ((1 << self.n_features) - 1), self.n_features)
             raise ConditioningError(
                 f"no support row matches features {tuple(s_idx.tolist())} = {x[s_idx].tolist()}"
             )
         return self.support[match], self.probs[match] / total
 
 
-class DiscreteSampler(_Sampler):
+class DiscreteSampler:
     """Categorical draws from the renormalized conditional pmf."""
 
     def __init__(self, joint: DiscreteJoint):
         self.joint = joint
-        # (bytes of x, {mask: (missing columns, pmf, their block)}) for the last x
-        self._restricted = (None, {})
 
     @property
     def n_features(self) -> int:
@@ -378,27 +363,32 @@ class DiscreteSampler(_Sampler):
     def describe(self) -> str:
         return f"discrete(support={len(self.joint.probs)})"
 
-    def _restrict(self, mask: int, x: np.ndarray) -> tuple:
-        """The missing columns, the conditional pmf given x_S and its rows'
-        missing columns, built once per (x, S)."""
-        key = x.tobytes()
-        cached, by_mask = self._restricted
-        if cached != key:
-            by_mask = {}
-            self._restricted = (key, by_mask)
-        entry = by_mask.get(mask)
-        if entry is None:
-            rows, probs = self.joint.restrict(mask, x)
-            cols = missing_columns(mask, self.n_features)
-            entry = by_mask[mask] = (cols, probs / probs.sum(), rows[:, cols])
-        return entry
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> np.ndarray:
+        rows, probs = self.joint.restrict(mask, x)
+        out = rows[gen.choice(len(probs), size=count, p=probs / probs.sum())]
+        np.copyto(out, x, where=_is_known(mask, len(x)))  # x's bytes: -0.0 == 0.0 matched
+        return out
 
-    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
-        cols, pmf, block = self._restrict(mask, x)
-        return cols, block[gen.choice(len(pmf), size=count, p=pmf)]
+    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+        """Every prefix from one pass over the support: the rows matching x
+        on perm[:j + 1] are the rows matching it on perm[:j] whose perm[j]
+        does too. Prefix j draws as ``_draw`` would on its mask."""
+        m, lo = len(x), 0 if first else 1
+        out = np.empty((m - lo, draws, m))
+        rows, probs = self.joint.restrict(0, x)
+        match = np.arange(len(probs))  # the support rows matching x on perm[:j]
+        for j, mask in enumerate(_prefix_masks(perm, True).tolist()):
+            if j:
+                match = match[self.joint.support[match, perm[j - 1]] == x[perm[j - 1]]]
+                rows, probs = self.joint._renormalized(match, mask, x)
+            if j >= lo:
+                block = out[j - lo]
+                np.take(rows, gen.choice(len(probs), size=draws, p=probs / probs.sum()), 0, block)
+                block[:, perm[:j]] = x[perm[:j]]
+        return out.reshape(-1, m)
 
 
-class MarginalSampler(_Sampler):
+class MarginalSampler:
     """Draws whole background rows, preserving dependencies within them.
 
     Conditioning values are ignored on purpose: this realizes the
@@ -408,7 +398,6 @@ class MarginalSampler(_Sampler):
 
     def __init__(self, data: FeatureMatrix):
         self.data = data
-        self._columns: dict[int, np.ndarray] = {}  # mask -> its missing columns
 
     @property
     def n_features(self) -> int:
@@ -417,17 +406,10 @@ class MarginalSampler(_Sampler):
     def describe(self) -> str:
         return f"marginal(n={self.data.n_rows})"
 
-    def _missing(self, mask: int) -> np.ndarray:
-        cols = self._columns.get(mask)
-        if cols is None:
-            cols = missing_columns(mask, self.n_features)
-            self._columns[mask] = cols
-        return cols
-
-    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> tuple:
+    def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> np.ndarray:
         rows = self.data.values[gen.integers(0, self.data.n_rows, size=count)]
-        cols = self._missing(mask)
-        return cols, rows[:, cols]
+        np.copyto(rows, x, where=_is_known(mask, len(x)))
+        return rows
 
     def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
         """One block of ``draws`` background rows for the whole permutation;
@@ -435,5 +417,5 @@ class MarginalSampler(_Sampler):
         an exact draw from the marginal, and prefix j + 1 is prefix j with
         perm[j] set to x, so v[S + i] - t[S, i] is a paired difference."""
         block = self.data.values[gen.integers(0, self.data.n_rows, size=draws)]
-        known = (_prefix_masks(perm, first)[:, None] >> np.arange(len(x)) & 1).astype(bool)
+        known = _is_known(_prefix_masks(perm, first), len(x))
         return np.where(known[:, None, :], x, block).reshape(-1, len(x))

@@ -8,10 +8,10 @@ coalition's rows, paired with their copies along random orderings, while
 model rows; ``exact_decomposition`` fills them exactly. Under a
 ``MarginalSampler`` the game is the interventional one, so ``decompose``'s
 phi is interventional SHAP. The sampled loops re-key one Philox
-generator to each work item's substream. A coalition draws from the
-sampler's per-mask plan (``_draw``), mapping whole row blocks to feature
-space at once (``_finish``); a permutation of the walk gets the rows of
-all its prefixes from one call (``_prefix_draws``). Each loop is a
+generator to each work item's substream. A coalition's rows come from
+one ``_draw`` and a permutation's, for all its prefixes, from one
+``_prefix_draws``; both are feature-space rows with x on the known
+columns, as ``DiscreteJoint.restrict`` gives the oracle. Each loop is a
 generator of (payload, rows) model batches and a consumer of their
 outputs, joined by ``predict_batches``: through an external model the next
 batch is drawn while the child works on the last. No plan writes to rows
@@ -52,10 +52,10 @@ def _coalitions_without(m: int) -> list:
 def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     """v[S] = E[f | x_S] over all 2^M coalitions and, for each i outside
     S, the paired means t[S, i] = E[f with X_i := x_i | x_S] and u[S, i] =
-    E[f | x_S] over the same rows. ``rows_of(mask)`` gives rows with x_S
-    known, their weights (summing to 1) and the missing columns of S. A
-    pair takes all of S's rows or, where ``uses`` is given, the mean over
-    uses[S, i] picks that cycle through them (none where that is 0).
+    E[f | x_S] over the same rows. ``rows_of(mask, x)`` gives rows with
+    x_S known and their weights (summing to 1). A pair takes all of S's
+    rows or, where ``uses`` is given, the mean over uses[S, i] picks that
+    cycle through them (none where that is 0).
     One model batch per coalition holds the rows, then their copies
     with X_i := x_i; where S + i is the full set a copy is x itself, so
     t[S, i] = f(x) needs no rows. Returns (v, t, u, model rows)."""
@@ -64,7 +64,8 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
 
     def plans():
         for mask in range(full + 1):
-            rows, weights, cols = rows_of(mask)
+            rows, weights = rows_of(mask, x)
+            cols = missing_columns(mask, m)
             if uses is None:
                 pairs = [(i, weights) for i in cols]
             else:
@@ -96,22 +97,17 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     return v, t, u, model_rows
 
 
-def _conditional_draws(sampler, x, k1: int, rng: RngStream):
+def _conditional_draws(sampler, k1: int, rng: RngStream):
     """``rows_of`` for a sampled table: coalition S draws K1 rows once, from
     substream S of ``rng``; the full coalition is x itself."""
-    full = (1 << len(x)) - 1
     gen = rng.generator()  # one build, re-keyed to each coalition's substream
     weights = np.full(k1, 1.0 / k1)
 
-    def rows_of(mask):
-        if mask == full:
-            return x[None, :], np.ones(1), np.empty(0, dtype=np.intp)
+    def rows_of(mask, x):
+        if mask == (1 << len(x)) - 1:
+            return x[None, :], np.ones(1)
         rng.substream(mask).rekey(gen)
-        cols, draw = sampler._draw(mask, x, k1, gen)
-        rows = np.tile(x, (k1, 1))
-        rows[:, cols] = draw
-        sampler._finish(rows, np.full(k1, mask))
-        return rows, weights, cols
+        return sampler._draw(mask, x, k1, gen), weights
 
     return rows_of
 
@@ -273,7 +269,7 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
             )
         orderings = 2 * k2
         uses = _prefix_counts(m, orderings, root.substream(2))
-        rows_of = _conditional_draws(sampler, x, k1, root.substream(1))
+        rows_of = _conditional_draws(sampler, k1, root.substream(1))
         v, t, u, model_rows = _expectation_table(model, x, rows_of, uses)
         base = v[0]
         phi, phi_int, phi_dep = _split(v, t, u, uses / orderings)
@@ -315,12 +311,7 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
             f"exact oracle supports M <= {MAX_ORACLE_FEATURES}, got {joint.n_features}"
         )
     x, m = _explained_row(model, joint, x, "joint")
-
-    def support_rows(mask):
-        rows, probs = joint.restrict(mask, x)
-        return rows, probs, missing_columns(mask, m)
-
-    v, t, u, _ = _expectation_table(model, x, support_rows)
+    v, t, u, _ = _expectation_table(model, x, joint.restrict)
     phi, phi_int, phi_dep = _split(v, t, u)
     return Decomposition(
         v[0],
@@ -349,9 +340,6 @@ class ResidualTable:
         sqrt(2) factor.
         """
         return float(np.sqrt(self.residuals[i] @ self.residuals[i]))
-
-    def permutation_weighted_average(self, i: int) -> float:
-        return float(self.weights[i] @ self.residuals[i])
 
 
 def shapley_residuals(v) -> ResidualTable:

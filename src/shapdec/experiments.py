@@ -125,12 +125,15 @@ def run_correlation_study(
 ) -> dict:
     """Estimated vs analytic dependency attributions as the correlation
     between the two Gaussian features sweeps over ``alphas``."""
+    if not math.isfinite(a12):
+        raise IngestionError(f"a12 must be finite, got {a12}")
+    for alpha in alphas:
+        if not -0.99 < alpha < 0.99:
+            raise IngestionError(f"alpha {alpha} outside (-0.99, 0.99)")
     x = np.array([1.0, 1.0])
     model = interaction_model(a12)
     rows = []
     for j, alpha in enumerate(alphas):
-        if not -0.99 < alpha < 0.99:
-            raise IngestionError(f"alpha {alpha} outside (-0.99, 0.99)")
         sampler = GaussianSampler(
             GaussianModel(np.zeros(2), np.array([[1.0, alpha], [alpha, 1.0]]))
         )

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import IngestionError, SingularityError
 
 _JITTER_ATTEMPTS = 10
+_DOT_THRESHOLD = 0.05  # to_dot draws no edge with |rho| below this
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,6 @@ class CorrelationMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "names", tuple(self.names))
-
-    def value(self, a: str, b: str) -> float:
-        i, j = self.names.index(a), self.names.index(b)
-        return float(self.matrix[i, j])
 
 
 def _ranks(v) -> np.ndarray:
@@ -104,7 +101,7 @@ def partial_correlation_graph(columns, names) -> CorrelationMatrix:
     return CorrelationMatrix(tuple(names), partial)
 
 
-def to_dot(graph: CorrelationMatrix, threshold: float = 0.05) -> str:
+def to_dot(graph: CorrelationMatrix) -> str:
     """Render the graph as DOT: labels carry the rounded correlation, pen
     width scales linearly with |rho|, red for positive and blue for
     negative edges."""
@@ -115,7 +112,7 @@ def to_dot(graph: CorrelationMatrix, threshold: float = 0.05) -> str:
     for i in range(p):
         for j in range(i + 1, p):
             rho = float(graph.matrix[i, j])
-            if abs(rho) < threshold:
+            if abs(rho) < _DOT_THRESHOLD:
                 continue
             color = "red" if rho > 0 else "blue"
             width = max(0.1, 2.0 * abs(rho))

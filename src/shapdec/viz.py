@@ -18,6 +18,9 @@ NEGATIVE_COLOR = "#2d6fc4"  # blue family
 
 _PALETTE = ["#2d6fc4", "#d1394f", "#2e9e57", "#8c56b8", "#c87f1e", "#4d4d4d"]
 _DASHES = ["none", "6,3", "2,2", "8,3,2,3", "4,4", "1,3"]
+_FORCE_WIDTH, _FORCE_HEIGHT = 760, 190
+_CHART_WIDTH, _CHART_HEIGHT = 700, 420
+_BAND_COLOR = "#9ab8dd"
 
 
 def _fmt(v: float) -> str:
@@ -64,8 +67,6 @@ class ForcePlotSpec:
 
     base: float
     features: tuple
-    width: int = 760
-    height: int = 190
     secondary_axis: tuple | None = None
 
     def __post_init__(self):
@@ -119,17 +120,17 @@ def render_force_plot(spec: ForcePlotSpec) -> str:
     hi = max([spec.base, tip] + [max(s[3], s[4]) for s in segments] or [spec.base])
     pad = 0.08 * (hi - lo if hi > lo else 1.0)
     lo, hi = lo - pad, hi + pad
-    left, right = 40.0, spec.width - 40.0
+    left, right = 40.0, _FORCE_WIDTH - 40.0
 
     def sx(v: float) -> float:
         return left + (v - lo) / (hi - lo) * (right - left)
 
     bar_y, bar_h = 78.0, 30.0
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_FORCE_WIDTH}" '
+        f'height="{_FORCE_HEIGHT}" viewBox="0 0 {_FORCE_WIDTH} {_FORCE_HEIGHT}">',
         _hatch_defs(),
-        f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
+        f'<rect width="{_FORCE_WIDTH}" height="{_FORCE_HEIGHT}" fill="white"/>',
     ]
 
     # value axis
@@ -250,7 +251,6 @@ class Band:
     x: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    color: str = "#9ab8dd"
 
 
 def render_line_chart(
@@ -259,8 +259,6 @@ def render_line_chart(
     y_label: str = "",
     overlays: list | None = None,
     band: Band | None = None,
-    width: int = 700,
-    height: int = 420,
 ) -> str:
     """Line chart with legend; overlays render at reduced opacity and the
     optional band as a translucent polygon behind the mean lines."""
@@ -280,7 +278,7 @@ def render_line_chart(
         yhi = ylo + 1.0
     ypad = 0.06 * (yhi - ylo)
     ylo, yhi = ylo - ypad, yhi + ypad
-    left, right, top, bottom = 62.0, width - 18.0, 18.0, height - 46.0
+    left, right, top, bottom = 62.0, _CHART_WIDTH - 18.0, 18.0, _CHART_HEIGHT - 46.0
 
     def sx(v):
         return left + (v - xlo) / (xhi - xlo) * (right - left)
@@ -289,9 +287,9 @@ def render_line_chart(
         return bottom - (v - ylo) / (yhi - ylo) * (bottom - top)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" '
+        f'viewBox="0 0 {_CHART_WIDTH} {_CHART_HEIGHT}">',
+        f'<rect width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" fill="white"/>',
     ]
     for t in _nice_ticks(ylo, yhi):
         y = sy(t)
@@ -323,7 +321,7 @@ def render_line_chart(
     )
     if x_label:
         out.append(
-            f'<text x="{(left + right) / 2:.1f}" y="{height - 8:.1f}" '
+            f'<text x="{(left + right) / 2:.1f}" y="{_CHART_HEIGHT - 8:.1f}" '
             f'font-family="sans-serif" font-size="11" text-anchor="middle" '
             f'fill="#222">{x_label}</text>'
         )
@@ -341,7 +339,7 @@ def render_line_chart(
             f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(bx[::-1], np.asarray(band.lower)[::-1])
         )
         out.append(
-            f'<polygon points="{pts_up} {pts_dn}" fill="{band.color}" '
+            f'<polygon points="{pts_up} {pts_dn}" fill="{_BAND_COLOR}" '
             'fill-opacity="0.35" stroke="none"/>'
         )
     for k, s in enumerate(overlays):

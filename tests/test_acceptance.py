@@ -126,7 +126,7 @@ def test_a04_residual_weighted_average_vanishes():
                 v.append(probs @ model.predict(rows))
             table = shapley_residuals(v)
             for i in range(3):
-                assert abs(table.permutation_weighted_average(i)) < 1e-12
+                assert abs(table.weights[i] @ table.residuals[i]) < 1e-12
 
 
 def test_a05_dummy_feature_gets_zero_interventional_part():

@@ -312,6 +312,56 @@ def test_housing_towns_below_one_exits_2_naming_the_flag(tmp_path, capsys, monke
     assert f"--towns must be at least 1, got {towns}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alphas", "0,abc"], "bad --alphas value"),
+        (["--a12", "nan"], "a12 must be finite, got nan"),
+        (["--alphas", "0,1.5"], "alpha 1.5 outside (-0.99, 0.99)"),
+    ],
+    ids=["alphas-not-a-number", "a12-nan", "second-alpha-out-of-range"],
+)
+def test_correlation_flags_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, flags, message):
+    # "0,abc" used to die with a ValueError, a12 nan to exit 3 after
+    # drawing, and "0,1.5" to run alpha 0 before it rejected 1.5
+    _no_decomposition(monkeypatch)
+    argv = ["experiment", "correlation", *flags, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["linear", "forest"])
+def test_explain_fit_reads_its_csv_once(tmp_path, housing_csv, monkeypatch, kind):
+    calls = []
+    read = shapdec.cli.read_csv
+    monkeypatch.setattr(shapdec.cli, "read_csv", lambda *args: calls.append(args) or read(*args))
+    argv = ["explain", "--data", str(housing_csv), "--fit", kind, "--target", "price",
+            "--trees", "3", "--k1", "20", "--k2", "20", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert calls == [(str(housing_csv), "price")]
+
+
+def test_explain_fit_forest_is_the_fit_model_forest(tmp_path, housing_csv):
+    # one fit path: the forest explain --fit grows is the one fit-model saves
+    forest = ["--trees", "4", "--max-depth", "3", "--min-leaf", "7", "--seed", "5"]
+    fit = ["--data", str(housing_csv), "--target", "price", *forest]
+    assert main(["fit-model", "forest", *fit, "--out", str(tmp_path / "forest.json")]) == 0
+    with housing_csv.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    _write_csv(tmp_path / "x.csv", rows[0][:3], [row[:3] for row in rows[1:]])
+    budget = ["--k1", "20", "--k2", "20"]
+    for name, source in (
+        ("fitted", ["--fit", "forest", *fit]),
+        ("loaded", ["--data", str(tmp_path / "x.csv"), "--model", str(tmp_path / "forest.json"),
+                    *forest]),
+    ):
+        assert main(["explain", *source, *budget, "--out", str(tmp_path / name)]) == 0
+    fitted, loaded = ((tmp_path / name / "decomposition.json").read_bytes()
+                      for name in ("fitted", "loaded"))
+    assert fitted == loaded
+
+
 def test_explain_short_sample_is_ingestion_error(tmp_path, housing_csv, capsys):
     argv = [
         "explain", "--data", str(housing_csv), "--fit", "linear", "--target", "price",

@@ -45,14 +45,11 @@ def _split_mask(mask, m):
 
 def _sample(sampler, mask, x, count, rng):
     """``count`` draws of the missing block of ``mask`` in feature space,
-    columns ascending: the sampler's ``_draw`` on a newly built generator,
-    mapped to feature space by its ``_finish``."""
+    columns ascending: the missing columns of the sampler's ``_draw`` on a
+    newly built generator."""
     x = np.asarray(x, dtype=float)
-    cols, draws = sampler._draw(mask, x, count, rng.generator())
-    rows = np.tile(x, (count, 1))
-    rows[:, cols] = draws
-    sampler._finish(rows, np.full(count, mask))
-    return rows[:, cols]
+    rows = sampler._draw(mask, x, count, rng.generator())
+    return rows[:, _split_mask(mask, len(x))[1]]
 
 
 def _hand_solve(model, mask, x):
@@ -329,10 +326,14 @@ def test_gaussian_model_rejects_non_finite_parameters(part, bad):
 
 def test_discrete_sampler_conditional_mean_is_exact():
     sampler = DiscreteSampler(_xor_joint())
-    cols, pmf, block = sampler._restrict(0b01, np.array([1.0, 0.0]))
+    x = np.array([1.0, 0.0])
+    rows, probs = sampler.joint.restrict(0b01, x)
+    pmf = probs / probs.sum()  # the pmf _draw picks rows by
     # P(X2=1 | X1=1) = 0.7
-    assert cols.tolist() == [1]
-    assert np.allclose(pmf @ block, [0.7], atol=1e-12)
+    assert _split_mask(0b01, 2)[1] == [1]
+    assert np.allclose(pmf @ rows[:, [1]], [0.7], atol=1e-12)
+    drawn = sampler._draw(0b01, x, 1000, RngStream(6).generator())
+    assert {tuple(row) for row in drawn} <= {tuple(row) for row in rows}
 
 
 def test_discrete_sampler_frequencies_converge():
@@ -408,6 +409,71 @@ def test_shared_sampler_draws_match_a_fresh_one_as_rows_alternate(case):
             draws = _sample(shared, mask, x, 25, rng)
             assert np.array_equal(draws, _sample(make(fitted), mask, x, 25, rng))
             assert np.array_equal(draws, old(fitted, mask, x, 25, rng))
+
+
+def _marginal_case():
+    rows = RngStream(14).generator().normal(size=(50, 3))
+    return MarginalSampler, FeatureMatrix(("a", "b", "c"), rows), (rows[0], rows[1]), None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_gaussian_case, _copula_case, _discrete_case, _marginal_case],
+    ids=["gaussian", "copula", "discrete", "marginal"],
+)
+def test_draw_gives_feature_space_rows_with_x_own_bytes_on_known_columns(case):
+    # x holds -0.0 where the discrete support holds 0.0: DiscreteJoint.restrict
+    # matches them with ==, so the support row's 0.0 must not leak through
+    make, fitted, (x, _), _ = case()
+    x = x.copy()
+    x[0] = -0.0
+    sampler = make(fitted)
+    for mask in range(8):
+        rows = sampler._draw(mask, x, 40, RngStream(mask).generator())
+        known = _split_mask(mask, 3)[0]
+        assert rows.shape == (40, 3)
+        assert np.all(np.isfinite(rows))
+        assert rows[:, known].tobytes() == np.tile(x[known], (40, 1)).tobytes(), mask
+
+
+def _grid_joint(m, gen):
+    """Distinct rows of a grid over {0, 1, 2}^m with random probs."""
+    support = np.unique(gen.integers(0, 3, size=(300, m)).astype(float), axis=0)
+    probs = gen.uniform(0.1, 1.0, len(support))
+    return DiscreteJoint(support, probs / probs.sum())
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "reverse"])
+def test_discrete_walk_equals_per_prefix_draws_on_one_generator(first):
+    # one pass over the support gives every prefix the rows, pmf and picks
+    # that _draw on its mask gives, in prefix order on one generator
+    m, draws = 6, 30
+    gen = RngStream(15).generator()
+    joint = _grid_joint(m, gen)
+    sampler = DiscreteSampler(joint)
+    for _ in range(5):
+        x = joint.support[int(gen.integers(len(joint.support)))].copy()
+        x[x == 0.0] = -0.0
+        perm = gen.permutation(m)
+        walk = sampler._prefix_draws(perm, x, draws, RngStream(4).generator(), first)
+        one = RngStream(4).generator()
+        masks = _prefix_masks(perm)[0 if first else 1:]
+        expected = np.concatenate([sampler._draw(mask, x, draws, one) for mask in masks])
+        assert walk.tobytes() == expected.tobytes()
+
+
+def test_discrete_walk_prefix_off_the_support_raises_conditioning_error():
+    # the grid holds every x with x_0 in {0, 1, 2}: prefix {2} matches,
+    # prefix {2, 0} does not, and the error names it as restrict does
+    make, joint, _, _ = _discrete_case()
+    x, perm = np.array([5.0, 1.0, 0.0]), np.array([2, 0, 1])
+    with pytest.raises(ConditioningError) as restricted:
+        joint.restrict(0b101, x)
+    with pytest.raises(ConditioningError) as walked:
+        make(joint)._prefix_draws(perm, x, 10, RngStream(0).generator(), True)
+    assert str(walked.value) == str(restricted.value) == (
+        "no support row matches features (0, 2) = [5.0, 0.0]"
+    )
 
 
 def test_marginal_sampler_ignores_conditioning():

@@ -130,14 +130,9 @@ def test_interventional_parts_deterministic():
 
 
 def _fresh_rows(sampler, mask, x, count, gen):
-    """``count`` copies of x with the missing block of coalition ``mask``
-    drawn from ``gen``: the sampler's ``_draw``, mapped to feature space
-    by its ``_finish``."""
-    cols, draws = sampler._draw(mask, x, count, gen)
-    rows = np.tile(x, (count, 1))
-    rows[:, cols] = draws
-    sampler._finish(rows, np.full(count, mask))
-    return rows
+    """``count`` rows with x known on coalition ``mask`` and the rest
+    drawn from ``gen``: the sampler's ``_draw``."""
+    return sampler._draw(mask, x, count, gen)
 
 
 def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
@@ -519,7 +514,7 @@ def test_shapley_residuals_m2_norm_convention():
     table = shapley_residuals(vals)
     d0 = (vals[3] - vals[2]) - (vals[1] - vals[0])  # 2 * residual gap
     assert table.norm(0) == pytest.approx(abs(d0) / 2 * math.sqrt(2))
-    assert table.permutation_weighted_average(0) == pytest.approx(0.0, abs=1e-15)
+    assert table.weights[0] @ table.residuals[0] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
