@@ -4,20 +4,25 @@ Four samplers (multivariate Gaussian, Gaussian copula over empirical
 marginals, an exact discrete joint used by the oracles, and a marginal
 whole-row sampler that plays the interventional game) give rows of X
 with x's own bytes on the known columns, per coalition mask (``_draw``)
-and per permutation of the walk (``_prefix_draws``). A fitted model is
+and per antithetic pair of the walk. For the walk, ``_prefix_draws(orders,
+x, draws)`` does the explained row's work once, for the orderings
+``orders`` (pairs x 2 x M: each permutation and its reverse), and returns
+``draw(q, gen, out)``: one call per pair writes prefix j of ordering o to
+out[o, j] (2 x M x draws x M), all but the reverse's empty coalition,
+which the caller shares from the first ordering. A fitted model is
 immutable; a sampler caches only work that repeats for one coalition or
 one explained row, so a draw depends only on its inputs and generator.
 
 The Gaussian conditions a coalition with one Cholesky factor of the
 covariance permuted to known-then-missing order: ``L = [[L_ss, 0], [L_ms,
 L_mm]]`` gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
-conditional covariance ``L_mm L_mm^T``. The permutation walk conditions
-every prefix of a permutation with one factor of the covariance in that
-order (the chain rule), and its prefixes share one normal vector per draw;
-the marginal sampler's prefixes share one block of background rows, and
-the discrete sampler matches every prefix in one pass over the support.
-It needs numpy alone; scipy is imported only by the copula's normal
-transforms.
+conditional covariance ``L_mm L_mm^T``. The walk conditions every prefix
+of an ordering with one factor of the covariance in that order (the chain
+rule), all of a row's orderings factored in one stacked Cholesky, and an
+ordering's prefixes share one normal vector per draw; the marginal
+sampler's prefixes share one block of background rows, and the discrete
+sampler matches every prefix in one pass over the support. It needs numpy
+alone; scipy is imported only by the copula's normal transforms.
 """
 
 from __future__ import annotations
@@ -89,11 +94,9 @@ def fit_gaussian(data: FeatureMatrix) -> GaussianModel:
     return GaussianModel(x.mean(axis=0), cov)
 
 
-def _prefix_masks(perm: np.ndarray, first: bool) -> np.ndarray:
-    """The masks of the prefixes perm[:j], j from 0 (1 if not ``first``)
-    to M-1."""
-    masks = np.concatenate(([0], np.cumsum(1 << perm[:-1])))
-    return masks if first else masks[1:]
+def _prefix_masks(perm: np.ndarray) -> np.ndarray:
+    """The masks of the prefixes perm[:j], j from 0 to M-1."""
+    return np.concatenate(([0], np.cumsum(1 << perm[:-1])))
 
 
 def _is_known(masks, m: int) -> np.ndarray:
@@ -101,27 +104,51 @@ def _is_known(masks, m: int) -> np.ndarray:
     return (np.asarray(masks)[..., None] >> np.arange(m) & 1).astype(bool)
 
 
-def _chain_rows(model: GaussianModel, perm, cond, fill, draws: int, gen, first: bool):
-    """Draws of every prefix of ``perm`` from one factor of the covariance
-    in perm order (the chain rule; Aas, Jullum & Loland, AI 2021).
+def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int):
+    """The walk kernel of ``model`` on ``cond``: every prefix of every
+    ordering of ``orders`` (pairs x 2 x M) from one factor of the
+    covariance in that order (the chain rule; Aas, Jullum & Loland, AI
+    2021). All 2 x pairs orderings are factored in one stacked Cholesky;
+    if that fails, each one goes through the jitter alone.
 
     With ``L L^T = Sigma[perm, perm]`` and ``w = L^-1 (cond - mu)[perm]``,
-    draw r of prefix j is ``mu + L [w_<j, z_r,>=j]`` in perm order, an exact
-    draw given the first j features of perm at ``cond``. Column c of the
-    one ``z = gen.standard_normal((draws, M))`` drives perm position c for
-    every prefix. Known columns are set to ``fill``. Returns the rows of
-    prefixes 0 (1 if not ``first``) to M-1, block after block, in feature
-    order.
+    draw r of prefix j is ``mu + L [w_<j, z_r,>=j]`` in perm order, an
+    exact draw given the first j features of perm at ``cond``. Returns
+    ``draw(q, gen, out)``: it draws ``z = gen.standard_normal((2, draws,
+    M))``, whose column c drives position c of ordering o for every prefix
+    of it, and writes prefix j of ordering o to out[o, j] (2 x M x draws x
+    M, each out[o] contiguous, so that its reshapes are views) in feature
+    order, with ``fill`` on the known columns.
     """
-    m = len(perm)
-    lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
-    w = np.linalg.solve(lower, cond[perm] - model.mean[perm])
-    z = gen.standard_normal((draws, m))
-    in_prefix = np.arange(m) < np.arange(0 if first else 1, m)[:, None]  # [j, c], perm order
-    u = np.where(in_prefix[:, None, :], w, z).reshape(-1, m)
-    inverse = np.argsort(perm)
-    rows = (u @ lower.T[:, inverse] + model.mean).reshape(len(in_prefix), draws, m)
-    return np.where(in_prefix[:, None, inverse], fill, rows).reshape(-1, m)
+    pairs, _, m = orders.shape
+    perms = orders.reshape(-1, m)
+    cov = model.cov[perms[:, :, None], perms[:, None, :]]
+    try:
+        lower = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        lower = np.array([_jittered_cholesky(a) for a in cov])
+    # prefix j knows positions k < j: w there, and in feature order orders[..., k]
+    prefix, position = np.tril_indices(m, -1)
+    w = np.linalg.solve(lower, (cond - model.mean)[perms][..., None])
+    w = w.reshape(pairs, 2, m)[..., position, None]
+    known = orders[..., position]
+    # L^T with its columns in feature order: u @ gain is in feature order
+    gain = np.take_along_axis(lower.transpose(0, 2, 1), np.argsort(perms)[:, None, :], 2)
+    gain = gain.reshape(pairs, 2, m, m)
+    mean = np.tile(model.mean, draws)  # over a prefix's draws flat: one long add per prefix
+    ordering = np.arange(2)[:, None]
+    u = np.empty((2, m, draws, m))  # reused by every pair
+
+    def draw(q: int, gen, out: np.ndarray) -> None:
+        # fancy assignments: masked copies of the same entries take 2-3 times as long
+        u[...] = gen.standard_normal((2, 1, draws, m))
+        u[ordering, prefix, :, position] = w[q]
+        np.matmul(u.reshape(2, -1, m), gain[q], out=out.reshape(2, -1, m))
+        rows = out.reshape(2, m, -1)
+        np.add(rows, mean, out=rows)
+        out[ordering, prefix, :, known[q]] = fill[known[q], None]
+
+    return draw
 
 
 class GaussianSampler:
@@ -134,8 +161,8 @@ class GaussianSampler:
     ``conditional_mean`` at larger M, asked for new masks with every row,
     does not grow it without bound; a mask solved again gives the same
     bits.
-    The walk's prefixes come from one factor per permutation instead
-    (``_chain_rows``), and touch no per-mask cache.
+    The walk's prefixes come from one factor per ordering instead
+    (``_chain_walk``), and touch no per-mask cache.
     """
 
     def __init__(self, model: GaussianModel):
@@ -177,8 +204,8 @@ class GaussianSampler:
         rows[:, order[k:]] = self.conditional_mean(mask, x) + z @ chol.T
         return rows
 
-    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
-        return _chain_rows(self.model, perm, x, x, draws, gen, first)
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
+        return _chain_walk(self.model, orders, x, x, draws)
 
     def conditional_mean(self, mask: int, x) -> np.ndarray:
         """Exact conditional mean of the missing features of ``mask``
@@ -290,15 +317,21 @@ class CopulaSampler:
             rows[:, j] = x[j] if mask >> j & 1 else self._from_scores(j, rows[:, j])
         return rows
 
-    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
         """The Gaussian walk kernel on the latent scores of x, then each
         feature back through its marginal over every prefix that drew it."""
-        drawn = ~_is_known(_prefix_masks(perm, first), self.n_features)
-        rows = _chain_rows(self._latent.model, perm, self._to_scores(x), x, draws, gen, first)
-        blocks = rows.reshape(len(drawn), draws, -1)
-        for j in range(self.n_features):
-            blocks[drawn[:, j], :, j] = self._from_scores(j, blocks[drawn[:, j], :, j])
-        return rows
+        chain = _chain_walk(self._latent.model, orders, self._to_scores(x), x, draws)
+        # drawn[q, o, j, c]: feature c is not among the first j of ordering o
+        drawn = np.argsort(orders)[..., None, :] >= np.arange(self.n_features)[:, None]
+        drawn[:, 1, 0] = False  # the reverse's empty coalition is the caller's
+
+        def draw(q: int, gen, out: np.ndarray) -> None:
+            chain(q, gen, out)
+            for j in range(self.n_features):
+                on = drawn[q, :, :, j]
+                out[on, :, j] = self._from_scores(j, out[on, :, j])
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -350,6 +383,15 @@ class DiscreteJoint:
         return self.support[match], self.probs[match] / total
 
 
+def _picks(probs: np.ndarray, count: int, gen) -> np.ndarray:
+    """``gen.choice(len(probs), count, p=probs / probs.sum())`` without its
+    checks of p, which ``DiscreteJoint._renormalized`` already meets: the
+    same picks, and gen left in the same state."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(gen.random(count), side="right")
+
+
 class DiscreteSampler:
     """Categorical draws from the renormalized conditional pmf."""
 
@@ -365,27 +407,30 @@ class DiscreteSampler:
 
     def _draw(self, mask: int, x: np.ndarray, count: int, gen) -> np.ndarray:
         rows, probs = self.joint.restrict(mask, x)
-        out = rows[gen.choice(len(probs), size=count, p=probs / probs.sum())]
+        out = rows[_picks(probs, count, gen)]
         np.copyto(out, x, where=_is_known(mask, len(x)))  # x's bytes: -0.0 == 0.0 matched
         return out
 
-    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
-        """Every prefix from one pass over the support: the rows matching x
-        on perm[:j + 1] are the rows matching it on perm[:j] whose perm[j]
-        does too. Prefix j draws as ``_draw`` would on its mask."""
-        m, lo = len(x), 0 if first else 1
-        out = np.empty((m - lo, draws, m))
-        rows, probs = self.joint.restrict(0, x)
-        match = np.arange(len(probs))  # the support rows matching x on perm[:j]
-        for j, mask in enumerate(_prefix_masks(perm, True).tolist()):
-            if j:
-                match = match[self.joint.support[match, perm[j - 1]] == x[perm[j - 1]]]
-                rows, probs = self.joint._renormalized(match, mask, x)
-            if j >= lo:
-                block = out[j - lo]
-                np.take(rows, gen.choice(len(probs), size=draws, p=probs / probs.sum()), 0, block)
-                block[:, perm[:j]] = x[perm[:j]]
-        return out.reshape(-1, m)
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
+        """Per ordering, every prefix from one pass over the support: the
+        rows matching x on perm[:j + 1] are the rows matching it on perm[:j]
+        whose perm[j] does too. Prefix j draws as ``_draw`` would on its
+        mask; the reverse's empty coalition is the caller's."""
+        support = self.joint.support
+
+        def draw(q: int, gen, out: np.ndarray) -> None:
+            for o, perm in enumerate(orders[q]):
+                rows, probs = self.joint.restrict(0, x)
+                match = np.arange(len(probs))  # the support rows matching x on perm[:j]
+                for j, mask in enumerate(_prefix_masks(perm).tolist()):
+                    if j:
+                        match = match[support[match, perm[j - 1]] == x[perm[j - 1]]]
+                        rows, probs = self.joint._renormalized(match, mask, x)
+                    if o == 0 or j:
+                        np.take(rows, _picks(probs, draws, gen), 0, out[o, j])
+                        out[o, j][:, perm[:j]] = x[perm[:j]]
+
+        return draw
 
 
 class MarginalSampler:
@@ -411,11 +456,17 @@ class MarginalSampler:
         np.copyto(rows, x, where=_is_known(mask, len(x)))
         return rows
 
-    def _prefix_draws(self, perm: np.ndarray, x: np.ndarray, draws: int, gen, first: bool):
-        """One block of ``draws`` background rows for the whole permutation;
-        each prefix sets its known columns to x on it. Every prefix is still
-        an exact draw from the marginal, and prefix j + 1 is prefix j with
-        perm[j] set to x, so v[S + i] - t[S, i] is a paired difference."""
-        block = self.data.values[gen.integers(0, self.data.n_rows, size=draws)]
-        known = _is_known(_prefix_masks(perm, first), len(x))
-        return np.where(known[:, None, :], x, block).reshape(-1, len(x))
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
+        """One block of ``draws`` background rows per ordering; each prefix
+        sets its known columns to x on it. Every prefix is still an exact
+        draw from the marginal, and prefix j + 1 is prefix j with perm[j]
+        set to x, so v[S + i] - t[S, i] is a paired difference."""
+        prefix, position = np.tril_indices(len(x), -1)  # prefix j knows positions k < j
+        known = orders[..., position]
+        ordering = np.arange(2)[:, None]
+
+        def draw(q: int, gen, out: np.ndarray) -> None:
+            out[...] = self.data.values[gen.integers(0, self.data.n_rows, size=(2, 1, draws))]
+            out[ordering, prefix, :, known[q]] = x[known[q], None]
+
+        return draw

@@ -9,13 +9,14 @@ model rows; ``exact_decomposition`` fills them exactly. Under a
 ``MarginalSampler`` the game is the interventional one, so ``decompose``'s
 phi is interventional SHAP. The sampled loops re-key one Philox
 generator to each work item's substream. A coalition's rows come from
-one ``_draw`` and a permutation's, for all its prefixes, from one
-``_prefix_draws``; both are feature-space rows with x on the known
+one ``_draw``; an antithetic pair's, for every prefix of both its
+orderings, from one call of the kernel that ``_prefix_draws`` builds once
+per explained row. Both are feature-space rows with x on the known
 columns, as ``DiscreteJoint.restrict`` gives the oracle. Each loop is a
 generator of (payload, rows) model batches and a consumer of their
 outputs, joined by ``predict_batches``: through an external model the next
-batch is drawn while the child works on the last. No plan writes to rows
-it has yielded.
+batch is drawn while the child works on the last. A plan rewrites rows it
+has yielded only after ``predict_batches`` has read them in full.
 """
 
 from __future__ import annotations
@@ -146,61 +147,78 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     v[S_j] and, with the next feature i set to x_i, t[S_j, i]. Feature i
     gains t[S_j, i] - v[S_j] in phi_int and v[S_j + i] - t[S_j, i] in
     phi_dep, so its phi telescopes to f(x) - v[empty] per permutation and
-    efficiency is exact. The sampler draws all prefixes of a permutation in
-    one call; the Gaussian and the copula condition them with one factor
-    and share one normal vector per draw across them, so v[S_j + i] -
-    t[S_j, i] is a paired difference. x is the first model batch, then one
-    batch per permutation holds the v rows, then the t rows; the last
-    prefix's t rows are x itself and are skipped.
+    efficiency is exact. The Gaussian and the copula condition every prefix
+    of an ordering with one factor, and its prefixes share one normal
+    vector per draw, so v[S_j + i] - t[S_j, i] is a paired difference.
     The two permutations of a pair share the empty coalition's rows. Only
     the first feature of a permutation uses them, and no feature is first
-    in both, so each feature's estimate keeps its variance. Returns (base,
-    phi_int, phi_dep, model rows).
+    in both, so each feature's estimate keeps its variance.
+
+    The row is walked in two passes. The first draws every pair's
+    permutation and lets the sampler do the row's work once (the Gaussian
+    factors all 2 x pairs orderings in one stacked Cholesky). The second
+    re-draws pair q's permutation, so its generator sits where the first
+    left it, and draws both orderings into one block: per ordering the v
+    rows of its M prefixes, then the t rows of the first M - 1 (the last
+    prefix's t rows are x itself). x is the first model batch, then each
+    ordering's rows are one batch, a view of the block; the reverse's
+    batch starts after the empty coalition's rows it shares. The prefix
+    means go into one table, summed in permutation order at the end.
+    Returns (base, phi_int, phi_dep, model rows).
     """
     m = len(x)
     n_v, n_t = draws * m, draws * (m - 1)
 
     def plans():
-        """x, then one batch per permutation: its v rows, then its t rows.
-        Every permutation's batch is built in one block, since
-        predict_batches reads a batch in full before it pulls the next. A
-        fresh block per permutation (130,000 bytes at M=13 and K1=200, just
-        under glibc's 128 KiB mmap threshold) was given back to the system
-        and faulted in again on every permutation in some process layouts:
-        about 2,800 page faults and 30 % of a housing row."""
+        """x, then one batch per ordering. One block, reused by every pair,
+        holds both orderings' rows: predict_batches reads a batch in full
+        before it pulls the next."""
         yield None, x[None, :]
         gen = rng.generator()  # one build, re-keyed to each pair's substream
-        rows = np.empty((n_v + n_t, m))
-        for q in range(pairs):
-            rng.substream(q).rekey(gen)
-            order = gen.permutation(m)
-            for first, perm in ((True, order), (False, order[::-1])):
-                # the second keeps the first's rows of the empty coalition, rows[:draws]
-                lo = 0 if first else draws  # the rows this permutation draws
-                rows[lo:n_v] = sampler._prefix_draws(perm, x, draws, gen, first)
-                paired = rows[n_v:].reshape(m - 1, draws, m)  # a view: the t rows
-                paired[:] = rows[:n_t].reshape(m - 1, draws, m)
-                paired[np.arange(m - 1), :, perm[:-1]] = x[perm[:-1], None]
-                yield perm, rows[lo:]
 
-    base = 0.0
-    phi_int = np.zeros(m)
-    phi_dep = np.zeros(m)
-    evaluated = predict_batches(model, plans())
-    fx = next(evaluated)[1][0]
-    for k, (perm, pred) in enumerate(evaluated):
-        means = pred.reshape(-1, draws).mean(axis=1)
-        if k % 2 == 0:
-            empty_mean = means[0]  # the pair's second permutation reuses it
-        else:
-            means = np.insert(means, 0, empty_mean)
-        v = np.append(means[:m], fx)
-        t = np.append(means[m:], fx)
-        phi_int[perm] += t - v[:-1]
-        phi_dep[perm] += v[1:] - t
-        base += v[0]
+        def keyed(q):
+            """Pair q's permutation, with gen just past it on substream q."""
+            rng.substream(q).rekey(gen)
+            return gen.permutation(m)
+
+        orders = np.array([(order, order[::-1]) for order in map(keyed, range(pairs))])
+        draw_pair = sampler._prefix_draws(orders, x, draws)
+        block = np.empty((2, 2 * m - 1, draws, m))
+        v_rows, t_rows = block[:, :m], block[:, m:]
+        ordering = np.arange(2)[:, None]
+        for q, pair in enumerate(orders):
+            keyed(q)
+            draw_pair(q, gen, v_rows)
+            v_rows[1, 0] = v_rows[0, 0]
+            for o in range(2):  # one ordering's t and v rows share no bytes: no temporary
+                t_rows[o] = v_rows[o, :-1]
+            t_rows[ordering, np.arange(m - 1), :, pair[:, :-1]] = x[pair[:, :-1], None]
+            yield pair[0], block[0].reshape(-1, m)
+            yield pair[1], block[1, 1:].reshape(-1, m)
+
     n = 2 * pairs
-    return base / n, phi_int / n, phi_dep / n, 1 + pairs * (2 * (n_v + n_t) - draws)
+    # per ordering: v of its prefixes and of the full set, then t of its prefixes
+    table = np.empty((n, 2 * m + 1))
+    perms = np.empty((n, m), dtype=np.intp)
+    evaluated = predict_batches(model, plans())
+    table[:, m] = table[:, -1] = next(evaluated)[1][0]  # f(x): v[full] and t[S_M-1, last]
+    for k, (perm, pred) in enumerate(evaluated):
+        perms[k] = perm
+        means = pred.reshape(-1, draws).mean(axis=1)
+        lo = k % 2  # the reverse's v[empty] is its pair's, filled below
+        table[k, lo:m] = means[:m - lo]
+        table[k, m + 1:-1] = means[m - lo:]
+    table[1::2, 0] = table[::2, 0]
+    v, t = table[:, :m + 1], table[:, m + 1:]
+    rank = np.argsort(perms)  # each feature's position, to add in feature order
+    parts = np.column_stack([
+        v[:, 0],
+        np.take_along_axis(t - v[:, :-1], rank, 1),
+        np.take_along_axis(v[:, 1:] - t, rank, 1),
+    ])
+    # over axis 0 of a 2-D table the sum runs in row order, from 0.0
+    total = np.add.reduce(parts, axis=0, initial=0.0) / n
+    return total[0], total[1:m + 1], total[m + 1:], 1 + pairs * (2 * (n_v + n_t) - draws)
 
 
 WALK_COALITIONS = 500  # beyond enumeration, the walk's budget is that of a table this size
@@ -254,10 +272,11 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     interventional SHAP (Lundberg & Lee, NeurIPS 2017) and phi_dep is 0 in
     expectation.
     """
-    if k1 < 1:
-        raise SizeError("draw budget K1 must be >= 1")
-    if k2 < 1:
-        raise SizeError("permutation budget K2 must be >= 1")
+    for name, k in (("draw budget K1", k1), ("permutation budget K2", k2)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise SizeError(f"{name} must be an integer, got {k!r}")
+        if k < 1:
+            raise SizeError(f"{name} must be >= 1")
     x, m = _explained_row(model, sampler, x)
     root = RngStream(seed)
     if (1 << m) <= ENUMERATION_LIMIT:

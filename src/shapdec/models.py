@@ -269,7 +269,12 @@ class ForestModel:
             part = rows[start:start + block]
             running = np.zeros((len(self.roots) + 1, len(part)))
             leaves(part, running[1:])
-            total[start:start + block] = np.add.accumulate(running, axis=0, out=running)[-1]
+            # over axis 0 of 2+ columns the sum runs tree by tree; one column
+            # would be summed pairwise
+            total[start:start + block] = (
+                np.add.reduce(running, axis=0) if len(part) > 1
+                else np.add.accumulate(running, axis=0)[-1]
+            )
         return total / len(self.roots)
 
     def describe(self) -> str:

@@ -12,6 +12,7 @@ from shapdec.distributions import (
     MarginalSampler,
     _CACHED_MASKS,
     _jittered_cholesky,
+    _picks,
     fit_copula,
     fit_gaussian,
 )
@@ -174,17 +175,29 @@ def _prefix_masks(perm):
     return masks
 
 
+def _walked(sampler, perm, x, draws, gen):
+    """One walk-kernel call for the pair (perm, its reverse): out[o, j] is
+    prefix j of ordering o, draws x M. The reverse's empty coalition,
+    out[1, 0], is left to the caller and is not returned: out[1, 1:]."""
+    m = len(x)
+    out = np.empty((2, m, draws, m))
+    orders = np.array([[perm, perm[::-1]]])
+    sampler._prefix_draws(orders, x, draws)(0, gen, out)
+    return out[0], out[1, 1:]
+
+
 def test_walk_prefix_draws_follow_each_prefixes_conditional_law():
-    # M=13: every prefix of one permutation from 20k draws that share one
-    # normal block, against the per-coalition solve
+    # M=13: every prefix of a permutation and of its reverse from 20k draws
+    # that share one normal block per ordering, against the per-coalition solve
     m, n = 13, 20_000
     gen = RngStream(21).generator()
     a = gen.normal(size=(m, m))
     cov = a @ a.T / m + 0.2 * np.eye(m)
     sampler = GaussianSampler(GaussianModel(np.linspace(-1.0, 2.0, m), cov))
     x, perm = gen.normal(size=m), gen.permutation(m)
-    blocks = sampler._prefix_draws(perm, x, n, gen, True).reshape(m, n, m)
-    for block, mask in zip(blocks, _prefix_masks(perm)):
+    first, reverse = _walked(sampler, perm, x, n, gen)
+    masks = _prefix_masks(perm) + _prefix_masks(perm[::-1])[1:]
+    for block, mask in zip([*first, *reverse], masks):
         known, missing = _split_mask(mask, m)
         assert np.array_equal(block[:, known], np.tile(x[known], (n, 1)))
         _, _, _, chol = sampler._solved(mask)
@@ -224,15 +237,71 @@ def test_walk_conditions_a_twin_covariance_through_the_jitter():
     assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, rtol=0, atol=1e-12)
     for _ in range(20):
         perm = gen.permutation(m)
-        centre = sampler._prefix_draws(perm, x, 1, _ZeroNormals(), True)
-        drawn = sampler._prefix_draws(perm, x, 50, gen, True).reshape(m, 50, m)
+        centre = _walked(sampler, perm, x, 1, _ZeroNormals())[0]
+        drawn = _walked(sampler, perm, x, 50, gen)[0]
         for j, mask in enumerate(_prefix_masks(perm)):
             for known, twin in ((0, m - 1), (m - 1, 0)):
                 if mask >> known & 1 and not mask >> twin & 1:
-                    assert abs(centre[j, twin] - x[known]) < 1e-6
+                    assert abs(centre[j, 0, twin] - x[known]) < 1e-6
                     # the jitter, about 1e-9 times the mean variance, leaves
                     # the twin a conditional spread of about 5e-5
                     assert np.all(np.abs(drawn[j, :, twin] - x[known]) < 1e-3)
+
+
+def _near_twin_gaussian(m):
+    """A Gaussian fitted to rows whose last feature is the first's twin up
+    to noise of 2e-8: its permuted covariances are nearly singular, and
+    some of them need the jitter to be factored, some not."""
+    gen = RngStream(2).generator()
+    ar = 0.5 ** np.abs(np.subtract.outer(np.arange(m - 1), np.arange(m - 1)))
+    base = gen.multivariate_normal(np.zeros(m - 1), ar, 300)
+    rows = np.column_stack([base, base[:, 0] + 2e-8 * gen.normal(size=300)])
+    return fit_gaussian(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows)), rows
+
+
+def _chain_reference(model, perm, x, z):
+    """Every prefix of one ordering from its own ``_jittered_cholesky``
+    factor L: w = L^-1 (x - mu)[perm], and draw r of prefix j is mu + L
+    [w_<j, z_r,>=j] in perm order, with x on the prefix."""
+    m = len(x)
+    lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
+    w = np.linalg.solve(lower, x[perm] - model.mean[perm])
+    out = np.empty((m, len(z), m))
+    for j in range(m):
+        u = z.copy()
+        u[:, :j] = w[:j]
+        out[j][:, perm] = u @ lower.T + model.mean[perm]
+        out[j][:, perm[:j]] = x[perm[:j]]
+    return out
+
+
+def test_walk_factors_each_ordering_alone_when_the_stacked_factor_fails():
+    # the stacked Cholesky of all orderings fails when one of them needs
+    # the jitter; each ordering is then factored as _jittered_cholesky
+    # factors it alone, jittered or not
+    m, draws = 12, 20
+    model, rows = _near_twin_gaussian(m)
+    x = rows[3]
+    perms = [RngStream(s).generator().permutation(m) for s in range(40)]
+    orders = np.array([(perm, perm[::-1]) for perm in perms])
+
+    def factors_plainly(perm):
+        try:
+            np.linalg.cholesky(model.cov[np.ix_(perm, perm)])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    plainly = {factors_plainly(perm) for perm in orders.reshape(-1, m)}
+    assert plainly == {True, False}
+    draw = GaussianSampler(model)._prefix_draws(orders, x, draws)
+    out = np.empty((2, m, draws, m))
+    for q, pair in enumerate(orders):
+        draw(q, RngStream(q).generator(), out)
+        z = RngStream(q).generator().standard_normal((2, draws, m))
+        for o, perm in enumerate(pair):
+            expected = _chain_reference(model, perm, x, z[o])
+            assert out[o, o:].tobytes() == expected[o:].tobytes(), (q, o)
 
 
 def test_walk_with_an_indefinite_covariance_raises_singularity_error():
@@ -334,6 +403,21 @@ def test_discrete_sampler_conditional_mean_is_exact():
     assert np.allclose(pmf @ rows[:, [1]], [0.7], atol=1e-12)
     drawn = sampler._draw(0b01, x, 1000, RngStream(6).generator())
     assert {tuple(row) for row in drawn} <= {tuple(row) for row in rows}
+
+
+def test_picks_are_generator_choice_picks():
+    # the inverse-CDF picks are choice's with p, zeros in p included, and
+    # leave the generator where choice leaves it
+    gen = RngStream(30).generator()
+    for case in range(200):
+        n, size = int(gen.integers(1, 60)), int(gen.integers(0, 90))
+        weights = gen.uniform(0.0, 1.0, n) * (gen.random(n) < 0.8)
+        weights[int(gen.integers(n))] = 1.0
+        probs = weights / weights.sum()
+        ours, numpys = RngStream(case).generator(), RngStream(case).generator()
+        picks = _picks(probs, size, ours)
+        assert np.array_equal(picks, numpys.choice(n, size=size, p=probs / probs.sum()))
+        assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
 
 
 def test_discrete_sampler_frequencies_converge():
@@ -446,7 +530,8 @@ def _grid_joint(m, gen):
 @pytest.mark.parametrize("first", [True, False], ids=["first", "reverse"])
 def test_discrete_walk_equals_per_prefix_draws_on_one_generator(first):
     # one pass over the support gives every prefix the rows, pmf and picks
-    # that _draw on its mask gives, in prefix order on one generator
+    # that _draw on its mask gives, in prefix order on one generator: the
+    # permutation's prefixes, then its reverse's from the first on
     m, draws = 6, 30
     gen = RngStream(15).generator()
     joint = _grid_joint(m, gen)
@@ -455,11 +540,13 @@ def test_discrete_walk_equals_per_prefix_draws_on_one_generator(first):
         x = joint.support[int(gen.integers(len(joint.support)))].copy()
         x[x == 0.0] = -0.0
         perm = gen.permutation(m)
-        walk = sampler._prefix_draws(perm, x, draws, RngStream(4).generator(), first)
-        one = RngStream(4).generator()
-        masks = _prefix_masks(perm)[0 if first else 1:]
-        expected = np.concatenate([sampler._draw(mask, x, draws, one) for mask in masks])
-        assert walk.tobytes() == expected.tobytes()
+        walk_gen, one = RngStream(4).generator(), RngStream(4).generator()
+        walk = _walked(sampler, perm, x, draws, walk_gen)[0 if first else 1]
+        masks = _prefix_masks(perm) + _prefix_masks(perm[::-1])[1:]
+        expected = [sampler._draw(mask, x, draws, one) for mask in masks]
+        expected = np.concatenate(expected[:m] if first else expected[m:])
+        assert walk.tobytes() == expected.reshape(walk.shape).tobytes()
+        assert walk_gen.random() == one.random()
 
 
 def test_discrete_walk_prefix_off_the_support_raises_conditioning_error():
@@ -470,7 +557,7 @@ def test_discrete_walk_prefix_off_the_support_raises_conditioning_error():
     with pytest.raises(ConditioningError) as restricted:
         joint.restrict(0b101, x)
     with pytest.raises(ConditioningError) as walked:
-        make(joint)._prefix_draws(perm, x, 10, RngStream(0).generator(), True)
+        _walked(make(joint), perm, x, 10, RngStream(0).generator())
     assert str(walked.value) == str(restricted.value) == (
         "no support row matches features (0, 2) = [5.0, 0.0]"
     )
@@ -492,9 +579,8 @@ def test_marginal_walk_prefixes_share_one_block_of_background_rows(first):
     background = RngStream(9).generator().normal(size=(40, m))
     sampler = MarginalSampler(FeatureMatrix(tuple("abcdef"), background))
     x, perm = np.linspace(5.0, 10.0, m), np.array([3, 0, 5, 1, 4, 2])
-    masks = _prefix_masks(perm)[0 if first else 1:]
-    blocks = sampler._prefix_draws(perm, x, draws, RngStream(4).generator(), first)
-    blocks = blocks.reshape(len(masks), draws, m)
+    masks = _prefix_masks(perm if first else perm[::-1])[0 if first else 1:]
+    blocks = _walked(sampler, perm, x, draws, RngStream(4).generator())[0 if first else 1]
     _, missing = _split_mask(masks[0], m)
     source = [
         int(np.flatnonzero(np.all(background[:, missing] == row, axis=1))[0])

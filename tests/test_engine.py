@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from shapdec.distributions import (
     GaussianModel,
     GaussianSampler,
     MarginalSampler,
+    _jittered_cholesky,
     fit_copula,
+    fit_gaussian,
 )
 from shapdec.engine import (
     decompose,
@@ -26,7 +29,8 @@ from shapdec.engine import (
     _row_budget,
 )
 from shapdec.errors import IngestionError, OracleError, SizeError
-from shapdec.models import CallableModel, LinearModel, toy_risk_model
+from shapdec.models import CallableModel, LinearModel, fit_ols, toy_risk_model
+from shapdec.synthetic import synthetic_housing
 
 
 def _toy_joint():
@@ -113,6 +117,44 @@ def test_decompose_warns_on_small_k2():
     sampler = GaussianSampler(GaussianModel(np.zeros(1), np.eye(1)))
     with pytest.warns(UserWarning, match="K2"):
         decompose(model, sampler, np.array([0.0]), 100, 10, 0)
+
+
+class _NoDraws:
+    """A sampler that fails any draw."""
+
+    n_features = 13
+
+    def _draw(self, *args):
+        raise AssertionError("drew")
+
+    _prefix_draws = _draw
+
+    def describe(self):
+        return "none"
+
+
+@pytest.mark.parametrize(
+    "k1, k2",
+    [(200.5, 400), (200, 400.0), (True, 400), (200, np.bool_(True)), (np.float64(200), 400)],
+    ids=["float-k1", "float-k2", "bool-k1", "numpy-bool-k2", "numpy-float-k1"],
+)
+def test_decompose_rejects_a_budget_that_is_not_an_integer(k1, k2):
+    model = _PlainModel(13)
+    with pytest.raises(SizeError, match="must be an integer"):
+        decompose(model, _NoDraws(), np.zeros(13), k1, k2, 0)
+    assert model.calls == 0
+
+
+@pytest.mark.parametrize("m", [4, 13], ids=["table", "walk"])
+def test_decompose_takes_numpy_integer_budgets(m):
+    model = LinearModel(np.linspace(-1.0, 1.0, m))
+    sampler = GaussianSampler(GaussianModel(np.zeros(m), 0.5 * np.eye(m) + 0.5))
+    x = np.linspace(0.5, 1.5, m)
+    plain = decompose(model, sampler, x, 40, 60, 3)
+    numpy = decompose(model, sampler, x, np.int64(40), np.int32(60), 3)
+    assert numpy.meta == plain.meta
+    for part in ("base", "phi", "phi_int", "phi_dep"):
+        assert np.asarray(getattr(numpy, part)).tobytes() == np.asarray(getattr(plain, part)).tobytes()
 
 
 def test_interventional_parts_deterministic():
@@ -257,7 +299,8 @@ def _latent_gaussian(fitted, x):
 def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
     """The permutation walk from first principles. Pair q builds a new
     generator for substream q, draws a permutation, and walks it and its
-    reverse. Each walk factors the covariance in its order, L L^T, solves
+    reverse. Each walk factors the covariance in its order, L L^T (through
+    the jitter where it must), solves
     w = L^-1 (x - mu) in that order and draws one normal block z (draws x
     M). Draw r of prefix j sets the features after the prefix to mu + L
     [w_<j, z_r,>=j] (back-transformed for the copula) and keeps x on the
@@ -271,7 +314,7 @@ def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
         order = list(gen.permutation(m))
         empty = None
         for perm in (order, order[::-1]):
-            lower = np.linalg.cholesky(cov[np.ix_(perm, perm)])
+            lower = _jittered_cholesky(cov[np.ix_(perm, perm)])
             w = np.linalg.solve(lower, cond[perm] - mean[perm])
             z = gen.standard_normal((draws, m))
             v, t = [], []
@@ -323,6 +366,53 @@ def test_permutation_walk_shared_sampler_equals_fresh_samplers(kind):
         assert dec.base == pytest.approx(base, rel=1e-12, abs=1e-12)
         assert np.allclose(dec.phi_int, phi_int, rtol=0, atol=1e-12)
         assert np.allclose(dec.phi_dep, phi_dep, rtol=0, atol=1e-12)
+
+
+def test_walk_through_the_jitter_equals_fresh_samplers():
+    # the last feature is the first's twin up to noise of 2e-8: some of the
+    # walk's orderings need the jitter, so their stacked factor fails and
+    # each ordering is factored alone
+    m, seed = 12, 5
+    gen = RngStream(2).generator()
+    ar = 0.5 ** np.abs(np.subtract.outer(np.arange(m - 1), np.arange(m - 1)))
+    base = gen.multivariate_normal(np.zeros(m - 1), ar, 300)
+    rows = np.column_stack([base, base[:, 0] + 2e-8 * gen.normal(size=300)])
+    fitted = fit_gaussian(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows))
+    model, x = LinearModel(np.linspace(-1.0, 1.0, m)), rows[3]
+    dec = decompose(model, GaussianSampler(fitted), x, 12, 40, seed)
+    assert (dec.meta["draws"], dec.meta["permutations"]) == (3, 100)
+    walked = RngStream(seed).substream(2)
+    plainly = set()
+    for q in range(50):
+        perm = walked.substream(q).generator().permutation(m)
+        for order in (perm, perm[::-1]):
+            try:
+                np.linalg.cholesky(fitted.cov[np.ix_(order, order)])
+                plainly.add(True)
+            except np.linalg.LinAlgError:
+                plainly.add(False)
+    assert plainly == {True, False}
+    base, phi_int, phi_dep = _walk_with_fresh_generators(model, fitted, x, 3, 50, walked)
+    assert dec.base == pytest.approx(base, rel=1e-12, abs=1e-12)
+    assert np.allclose(dec.phi_int, phi_int, rtol=0, atol=1e-12)
+    assert np.allclose(dec.phi_dep, phi_dep, rtol=0, atol=1e-12)
+
+
+def test_walk_traced_peak_stays_under_one_mib():
+    # one housing row at M=13, K1=200, K2=400: 44 pairs of 50 draws. The
+    # pair block (260 kB), the normal block and the stacked factors are
+    # allocated once per row; a block that grew with the pairs would not fit
+    data, y = synthetic_housing()
+    sampler, model = GaussianSampler(fit_gaussian(data)), fit_ols(data, y)
+    decompose(model, sampler, data.values[0], 200, 400, 0)  # lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        dec = decompose(model, sampler, data.values[1], 200, 400, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dec.meta["estimator"], dec.meta["permutations"]) == ("walk", 88)
+    assert peak <= 1 << 20
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "copula"])

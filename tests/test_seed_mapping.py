@@ -1,6 +1,6 @@
 """Pins the seed -> draw mapping: `decompose` outputs for one small row per
-sampler kind on the table (M=3), and for the Gaussian, the copula and the
-marginal sampler on the permutation walk (M=12), to rtol=1e-12.
+sampler kind on the table (M=3), and for every sampler kind on the
+permutation walk (M=12), to rtol=1e-12.
 
 A change of the mapping (how a seed becomes substreams, generator keys and
 draws) moves these values by about 1e-2; last-bit BLAS drift stays far
@@ -68,6 +68,17 @@ def _discrete():
     return model, sampler, np.array([2.0, 1.0, 0.0]), 3
 
 
+def _discrete_sampled_coalitions():
+    # M=12 > 11: the walk matches every prefix in one pass over the support
+    m = 12
+    gen = RngStream(12).generator()
+    support = np.unique(gen.integers(0, 2, size=(1500, m)).astype(float), axis=0)
+    probs = gen.uniform(0.1, 1.0, len(support))
+    sampler = DiscreteSampler(DiscreteJoint(support, probs / probs.sum()))
+    model = CallableModel(lambda r: r[:, 0] * r[:, 1] - r[:, 2] + r[:, 3:].sum(axis=1), m)
+    return model, sampler, support[7], 2**61 + 17
+
+
 def _marginal():
     rows = RngStream(6).generator().normal(size=(50, 3))
     sampler = MarginalSampler(FeatureMatrix(("a", "b", "c"), rows))
@@ -131,6 +142,21 @@ PINNED = {
         [0.8791666666666665, 0.054166666666666474, -0.5333333333333334],
         [0.7999999999999999, 0.11666666666666646, -0.5000000000000001],
     ),
+    "discrete_sampled_coalitions": (
+        4.2851063829787215,
+        [
+            -0.06595744680851061, -0.04255319148936168, 0.3797872340425531,
+            -0.39255319148936174, -0.5159574468085109, -0.6585106382978725,
+            -0.5936170212765961, 0.448936170212766, 0.328723404255319,
+            -0.30106382978723417, -0.40531914893617027, 0.5329787234042552,
+        ],
+        [
+            -0.12765957446808507, -0.09468085106382976, 0.403191489361702,
+            -0.3553191489361703, -0.4925531914893619, -0.5638297872340428,
+            -0.47659574468085136, 0.49042553191489363, 0.33510638297872325,
+            -0.3882978723404256, -0.3510638297872341, 0.4882978723404254,
+        ],
+    ),
     "marginal": (
         0.38262653497567206,
         [-0.7143346990493662, -0.15985025899371966, 0.1202348390981396],
@@ -162,6 +188,7 @@ PINNED = {
         _copula,
         _copula_sampled_coalitions,
         _discrete,
+        _discrete_sampled_coalitions,
         _marginal,
         _marginal_sampled_coalitions,
     ],
