@@ -9,9 +9,12 @@ x, draws)`` does the explained row's work once, for the orderings
 ``orders`` (pairs x 2 x M: each permutation and its reverse), and returns
 ``draw(q, gen, out)``: one call per pair writes prefix j of ordering o to
 out[o, j] (2 x M x draws x M), all but the reverse's empty coalition,
-which the caller shares from the first ordering. A fitted model is
-immutable; a sampler caches only work that repeats for one coalition or
-one explained row, so a draw depends only on its inputs and generator.
+which the caller shares from the first ordering. ``out`` is a view of the
+caller's pair block, which holds the reverse first so that the pair is
+one contiguous model batch; out[0] is still the first ordering, and each
+out[o] is contiguous. A fitted model is immutable; a sampler caches only
+work that repeats for one coalition or one explained row, so a draw
+depends only on its inputs and generator.
 
 The Gaussian conditions a coalition with one Cholesky factor of the
 covariance permuted to known-then-missing order: ``L = [[L_ss, 0], [L_ms,

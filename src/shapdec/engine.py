@@ -9,11 +9,12 @@ model rows; ``exact_decomposition`` fills them exactly. Under a
 ``MarginalSampler`` the game is the interventional one, so ``decompose``'s
 phi is interventional SHAP. The sampled loops re-key one Philox
 generator to each work item's substream. A coalition's rows come from
-one ``_draw``; an antithetic pair's, for every prefix of both its
-orderings, from one call of the kernel that ``_prefix_draws`` builds once
-per explained row. Both are feature-space rows with x on the known
-columns, as ``DiscreteJoint.restrict`` gives the oracle. Each loop is a
-generator of (payload, rows) model batches and a consumer of their
+one ``_draw`` and go to the model as one batch; an antithetic pair's, for
+every prefix of both its orderings, come from one call of the kernel that
+``_prefix_draws`` builds once per explained row and go as one batch, the
+reverse ordering's rows first. All are feature-space rows with x on the
+known columns, as ``DiscreteJoint.restrict`` gives the oracle. Each loop
+is a generator of (payload, rows) model batches and a consumer of their
 outputs, joined by ``predict_batches``: through an external model the next
 batch is drawn while the child works on the last. A plan rewrites rows it
 has yielded only after ``predict_batches`` has read them in full.
@@ -154,60 +155,61 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     the first feature of a permutation uses them, and no feature is first
     in both, so each feature's estimate keeps its variance.
 
-    The row is walked in two passes. The first draws every pair's
-    permutation and lets the sampler do the row's work once (the Gaussian
-    factors all 2 x pairs orderings in one stacked Cholesky). The second
-    re-draws pair q's permutation, so its generator sits where the first
-    left it, and draws both orderings into one block: per ordering the v
-    rows of its M prefixes, then the t rows of the first M - 1 (the last
-    prefix's t rows are x itself). x is the first model batch, then each
-    ordering's rows are one batch, a view of the block; the reverse's
-    batch starts after the empty coalition's rows it shares. The prefix
-    means go into one table, summed in permutation order at the end.
+    The row is walked in two passes. The first re-keys the generator to
+    each pair's substream q, draws its permutation, saves the generator
+    state just past it, and lets the sampler do the row's work once (the
+    Gaussian factors all 2 x pairs orderings in one stacked Cholesky). The
+    second restores pair q's state and draws both orderings into one
+    block, the reverse first: per ordering the v rows of its M prefixes,
+    then the t rows of the first M - 1 (the last prefix's t rows are x
+    itself). x is the first model batch, then each pair's rows are one
+    batch, a view of the block that starts after the reverse's empty
+    coalition rows, which it shares with the first. The prefix means go
+    into one table, summed in permutation order at the end.
     Returns (base, phi_int, phi_dep, model rows).
     """
     m = len(x)
     n_v, n_t = draws * m, draws * (m - 1)
 
     def plans():
-        """x, then one batch per ordering. One block, reused by every pair,
+        """x, then one batch per pair. One block, reused by every pair,
         holds both orderings' rows: predict_batches reads a batch in full
         before it pulls the next."""
         yield None, x[None, :]
         gen = rng.generator()  # one build, re-keyed to each pair's substream
-
-        def keyed(q):
-            """Pair q's permutation, with gen just past it on substream q."""
+        orders, states = [], []  # per pair: its orderings, and gen just past them
+        for q in range(pairs):
             rng.substream(q).rekey(gen)
-            return gen.permutation(m)
-
-        orders = np.array([(order, order[::-1]) for order in map(keyed, range(pairs))])
+            order = gen.permutation(m)
+            orders.append((order, order[::-1]))
+            states.append(gen.bit_generator.state)
+        orders = np.array(orders)
         draw_pair = sampler._prefix_draws(orders, x, draws)
-        block = np.empty((2, 2 * m - 1, draws, m))
-        v_rows, t_rows = block[:, :m], block[:, m:]
+        block = np.empty((2, 2 * m - 1, draws, m))  # the reverse's rows, then the first's
+        v_rows, t_rows = block[::-1, :m], block[::-1, m:]  # [o]: ordering o of the pair
+        batch = block.reshape(-1, m)[draws:]  # all but the reverse's empty coalition
         ordering = np.arange(2)[:, None]
         for q, pair in enumerate(orders):
-            keyed(q)
+            gen.bit_generator.state = states[q]
             draw_pair(q, gen, v_rows)
             v_rows[1, 0] = v_rows[0, 0]
             for o in range(2):  # one ordering's t and v rows share no bytes: no temporary
                 t_rows[o] = v_rows[o, :-1]
             t_rows[ordering, np.arange(m - 1), :, pair[:, :-1]] = x[pair[:, :-1], None]
-            yield pair[0], block[0].reshape(-1, m)
-            yield pair[1], block[1, 1:].reshape(-1, m)
+            yield pair, batch
 
     n = 2 * pairs
     # per ordering: v of its prefixes and of the full set, then t of its prefixes
     table = np.empty((n, 2 * m + 1))
     perms = np.empty((n, m), dtype=np.intp)
+    lanes = np.r_[:m, m + 1:2 * m]  # the table columns of an ordering's block rows
     evaluated = predict_batches(model, plans())
     table[:, m] = table[:, -1] = next(evaluated)[1][0]  # f(x): v[full] and t[S_M-1, last]
-    for k, (perm, pred) in enumerate(evaluated):
-        perms[k] = perm
-        means = pred.reshape(-1, draws).mean(axis=1)
-        lo = k % 2  # the reverse's v[empty] is its pair's, filled below
-        table[k, lo:m] = means[:m - lo]
-        table[k, m + 1:-1] = means[m - lo:]
+    for q, (pair, pred) in enumerate(evaluated):
+        perms[2 * q:2 * q + 2] = pair
+        means = np.add.reduce(pred.reshape(-1, draws), axis=1) / draws  # the bits of mean
+        table[2 * q + 1, lanes[1:]] = means[:2 * m - 2]  # the reverse's v[empty] is filled below
+        table[2 * q, lanes] = means[2 * m - 2:]
     table[1::2, 0] = table[::2, 0]
     v, t = table[:, :m + 1], table[:, m + 1:]
     rank = np.argsort(perms)  # each feature's position, to add in feature order
@@ -266,7 +268,8 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     rows with its copy with X_i := x_i, and phi_int averages those paired
     differences. Beyond that (estimator "walk"), antithetic pairs of
     permutations are walked with K1 // 4 draws per prefix, as many pairs
-    as the row budget holds.
+    as the row budget holds; the model sees f(x)'s row, then one batch per
+    pair.
 
     Under a MarginalSampler v[S] is the interventional game, so phi is
     interventional SHAP (Lundberg & Lee, NeurIPS 2017) and phi_dep is 0 in

@@ -29,10 +29,13 @@ from .errors import BridgeError, IngestionError, ModelOutputError, SizeError
 
 LOG_ODDS_EPS = 1e-6
 BRIDGE_REPLY_TIMEOUT_S = 60.0  # longest wait for one reply line from a bridge
-# Rows per bridge request line, about 65 kB at M=13: the lines of one
-# batch are encoded together, and the child parses and computes them one by
-# one while the CLI draws and encodes the next batch.
+# Rows per bridge request line, about 65 kB at M=13: the child parses and
+# computes the lines one by one while the CLI draws and encodes the next
+# batch.
 _REQUEST_ROWS = 256
+# Rows a batch's lines are encoded from at a time, a whole number of lines:
+# a walk's pair batch (2,450 rows at M=13 and 50 draws) takes two windows.
+_ENCODE_ROWS = 5 * _REQUEST_ROWS
 # Capacity asked for the child's stdin pipe: Linux's default pipe-max-size
 # for unprivileged processes, room for more than a batch of request lines.
 # A default 64 KiB pipe holds about one line, so the CLI would wait on the
@@ -352,13 +355,22 @@ class TabulatedModel:
         }
 
 
-def _request_lines(rows: np.ndarray) -> list:
+def _request_lines(rows: np.ndarray):
     """A batch's predict lines, at most _REQUEST_ROWS rows each, byte-equal
     to json.dumps({"op": "predict", "inputs": part.tolist()}) with compact
-    separators. Each distinct float64 bit pattern is turned into text once
-    (so -0.0 and 0.0 stay apart), and each line is one join over those
-    texts: a batch repeats x's known values and copies its own rows."""
+    separators. The batch is encoded a window of _ENCODE_ROWS rows (whole
+    lines) at a time, as its lines are pulled, so the memory an encoding
+    takes does not grow with the batch."""
     rows = np.ascontiguousarray(rows)
+    for w in range(0, len(rows), _ENCODE_ROWS):
+        yield from _window_lines(rows[w:w + _ENCODE_ROWS])
+
+
+def _window_lines(rows: np.ndarray) -> list:
+    """The predict lines of a window of rows. Each distinct float64 bit
+    pattern is turned into text once (so -0.0 and 0.0 stay apart), and each
+    line is one join over those texts: a batch repeats x's known values and
+    copies its own rows."""
     n, m = rows.shape
     bits, cell = np.unique(rows.view(np.int64), return_inverse=True)
     text = list(map(float.__repr__, bits.view(np.float64).tolist()))
@@ -422,20 +434,21 @@ class ExternalModel:
         self._err_tail = bytearray()
         hello = {"op": "hello", "version": self.PROTOCOL_VERSION, "n_features": self.n_features}
         hello_line = json.dumps(hello, separators=(",", ":")).encode() + b"\n"
-        [(_, [line])] = self._exchange([(None, [hello_line])])
+        [(_, [line])] = self._exchange([(None, 1, [hello_line])])
         reply = self._parse_reply(line)
         if reply.get("ok") is not True:
             # _error() also stops and reaps the child
             raise self._error(f"handshake rejected: {reply}")
 
     def _exchange(self, groups):
-        """The one bridge I/O loop. ``groups`` yields (tag, request lines)
-        pairs; for each, in order, (tag, reply lines) is yielded once the
-        last of its reply lines is read. One select loop writes lines while
-        it reads reply lines and drains stderr. The next group is pulled once
-        the line before it is fully written, so the caller builds it while
-        the child works; a group's replies are yielded while later lines are
-        in flight. On Linux the child's stdin pipe holds about 1 MiB
+        """The one bridge I/O loop. ``groups`` yields (tag, count, request
+        lines) triples; for each, in order, (tag, reply lines) is yielded
+        once the last of its ``count`` reply lines is read. One select loop
+        writes lines while it reads reply lines and drains stderr. A group's
+        lines, like the next group, are pulled one at a time once the line
+        before is fully written, so the caller builds them while the child
+        works; a group's replies are yielded while later lines are in
+        flight. On Linux the child's stdin pipe holds about 1 MiB
         (_REQUEST_PIPE_BYTES), so a whole group of lines can queue ahead of
         the child while the caller builds the next one; the bytes written and
         their order do not depend on how much the pipe holds.
@@ -447,7 +460,7 @@ class ExternalModel:
         in_fd, out_fd, err_fd = proc.stdin.fileno(), proc.stdout.fileno(), proc.stderr.fileno()
         readers = [out_fd, err_fd]
         groups = iter(groups)
-        todo = deque()  # lines of the pulled groups not yet begun
+        todo = iter(())  # lines of the last pulled group not yet begun
         due = deque()  # per pulled group not yet yielded: its tag and number of lines
         replies = deque()  # reply lines read and not yet yielded
         line, offset, begun, more = b"", 0, 0, True
@@ -457,15 +470,17 @@ class ExternalModel:
         try:
             while True:
                 if offset == len(line):
-                    while more and not todo:
+                    after = next(todo, None)
+                    while after is None and more:
                         group = next(groups, None)
                         more = group is not None
                         if more:
-                            tag, lines = group
-                            todo.extend(lines)
-                            due.append((tag, len(lines)))
-                    if todo:
-                        line, offset, begun = todo.popleft(), 0, begun + 1
+                            tag, count, lines = group
+                            todo = iter(lines)
+                            due.append((tag, count))
+                            after = next(todo, None)
+                    if after is not None:
+                        line, offset, begun = after, 0, begun + 1
                 while due and len(replies) >= due[0][1]:
                     tag, n = due.popleft()
                     yield tag, [replies.popleft() for _ in range(n)]
@@ -553,7 +568,7 @@ class ExternalModel:
         def requests():
             for payload, rows in plans:
                 rows = _check_rows(rows, self.n_features)
-                yield (payload, len(rows)), _request_lines(rows)
+                yield (payload, len(rows)), -(-len(rows) // _REQUEST_ROWS), _request_lines(rows)
 
         with contextlib.closing(self._exchange(requests())) as replies:
             for (payload, n), lines in replies:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -464,6 +465,78 @@ def test_decompose_records_its_work():
     assert walk["estimator"] == "walk"
     assert (walk["draws"], walk["permutations"]) == (10, 98)
     assert walk["model_rows"] == 1 + 49 * 450 <= _row_budget(12, 40, 100)
+
+
+def _walked_sampler(kind):
+    """(sampler, x) of a walk: a synthetic-housing row at M=13 under the
+    Gaussian, copula or marginal sampler, or a support row at M=12 under a
+    discrete joint."""
+    data, _ = synthetic_housing()
+    if kind == "discrete":
+        gen = RngStream(12).generator()
+        support = np.unique(gen.integers(0, 2, size=(1500, 12)).astype(float), axis=0)
+        probs = gen.uniform(0.1, 1.0, len(support))
+        return DiscreteSampler(DiscreteJoint(support, probs / probs.sum())), support[7]
+    make = {
+        "gaussian": lambda: GaussianSampler(fit_gaussian(data)),
+        "copula": lambda: CopulaSampler(fit_copula(data)),
+        "marginal": lambda: MarginalSampler(data),
+    }[kind]
+    return make(), data.values[3]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
+def test_walk_sends_x_then_one_batch_per_pair(kind):
+    sampler, x = _walked_sampler(kind)
+    m = len(x)
+    sizes = []
+    model = CallableModel(lambda rows: sizes.append(len(rows)) or rows.sum(axis=1), m)
+    meta = decompose(model, sampler, x, 40, 60, 9).meta
+    pairs, draws = meta["permutations"] // 2, meta["draws"]
+    assert (meta["estimator"], draws) == ("walk", 10)
+    # f(x), then per pair the v and t rows of both orderings, less the
+    # reverse's empty coalition rows, which it shares with the first
+    assert sizes == [1] + [2 * (2 * m - 1) * draws - draws] * pairs
+    assert sum(sizes) == meta["model_rows"]
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, to compare with ==."""
+    return json.loads(json.dumps(state, default=lambda a: a.tolist()))
+
+
+def test_walk_keys_each_pair_once_and_restores_its_generator(monkeypatch):
+    # the first pass keys substream q and draws pair q's permutation; the
+    # second restores the state saved just past it instead of keying again
+    data, y = synthetic_housing()
+    sampler, model = GaussianSampler(fit_gaussian(data)), fit_ols(data, y)
+    x, seed = data.values[2], 5
+    walked = RngStream(seed).substream(2)
+    fresh = []
+    for q in range(44):  # 44 pairs at K1=200, K2=400 and M=13
+        gen = walked.substream(q).generator()
+        gen.permutation(13)
+        fresh.append(_plain(gen.bit_generator.state))
+    keyed, restored = [], []
+    substream, prefix_draws = RngStream.substream, GaussianSampler._prefix_draws
+
+    def recording(self, orders, x, draws):
+        draw = prefix_draws(self, orders, x, draws)
+
+        def record(q, gen, out):
+            restored.append(_plain(gen.bit_generator.state))
+            draw(q, gen, out)
+
+        return record
+
+    monkeypatch.setattr(
+        RngStream, "substream", lambda self, key: keyed.append((self, key)) or substream(self, key)
+    )
+    monkeypatch.setattr(GaussianSampler, "_prefix_draws", recording)
+    dec = decompose(model, sampler, x, 200, 400, seed)
+    assert (dec.meta["estimator"], dec.meta["permutations"]) == ("walk", 88)
+    assert keyed == [(RngStream(seed), 2)] + [(walked, q) for q in range(44)]
+    assert restored == fresh
 
 
 DEFAULT_SAMPLED_COALITIONS = 1024

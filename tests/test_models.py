@@ -13,6 +13,7 @@ from shapdec.engine import decompose
 from shapdec.errors import BridgeError, IngestionError, ModelOutputError, SizeError
 import shapdec.models
 from shapdec.models import (
+    _ENCODE_ROWS,
     _REQUEST_PIPE_BYTES,
     _REQUEST_ROWS,
     _STDERR_TAIL,
@@ -368,15 +369,38 @@ def test_request_lines_equal_json_dumps():
     values = [-0.0, 0.0, 5e-324, 1e16, 2.0**53, 1 / 3, 1 / 3, -0.0, 0.1, -1e300, 2.5, 0.0]
     rows = np.array(values * 50).reshape(-1, 4)  # 150 rows: repeated values and rows
     rows[7] = RngStream(11).generator().normal(size=4)
-    for batch in (rows, rows[:1], rows.T.copy().T, np.tile(rows, (2, 1))):
+    long = np.tile(rows, (27, 1))  # 4,050 rows: three encoding windows and a tail
+    long[::97] = RngStream(12).generator().normal(size=(len(long[::97]), 4))
+    assert len(long) // _ENCODE_ROWS == 3 and len(long) % _ENCODE_ROWS
+    for batch in (rows, rows[:1], rows.T.copy().T, np.tile(rows, (2, 1)), long):
         want = [
             json.dumps({"op": "predict", "inputs": batch[s:s + _REQUEST_ROWS].tolist()},
                        separators=(",", ":")).encode() + b"\n"
             for s in range(0, len(batch), _REQUEST_ROWS)
         ]
-        assert _request_lines(batch) == want
+        assert list(_request_lines(batch)) == want
     head = b'{"op":"predict","inputs":[[-0.0,0.0,5e-324,1e+16],[9007199254740992.0,0.3333333333333333,'
-    assert _request_lines(rows)[0].startswith(head)
+    assert next(_request_lines(rows)).startswith(head)
+
+
+def test_request_lines_encode_a_window_as_its_first_line_is_pulled(monkeypatch):
+    # a walk's pair batch is encoded a window at a time, so the lines and
+    # encoding temporaries of a whole batch are never held at once
+    encoded = []
+    window_lines = shapdec.models._window_lines
+    monkeypatch.setattr(
+        shapdec.models, "_window_lines", lambda rows: encoded.append(len(rows)) or window_lines(rows)
+    )
+    rows = RngStream(13).generator().normal(size=(2 * _ENCODE_ROWS + 7, 3))
+    lines = _request_lines(rows)
+    assert encoded == []
+    pulled = [next(lines) for _ in range(_ENCODE_ROWS // _REQUEST_ROWS)]
+    assert encoded == [_ENCODE_ROWS]
+    pulled.append(next(lines))
+    assert encoded == [_ENCODE_ROWS] * 2
+    pulled.extend(lines)
+    assert encoded == [_ENCODE_ROWS] * 2 + [7]
+    assert len(pulled) == -(-len(rows) // _REQUEST_ROWS)
 
 
 @pytest.mark.parametrize("stop", ["consumer", "non-finite output", "producer"])
