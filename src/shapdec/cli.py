@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .models import fit_forest, fit_ols, model_from_json
 from .synthetic import synthetic_fire, synthetic_housing
-from .viz import ForceFeature, ForcePlotSpec, render_force_plot
+from .viz import force_plot
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,7 +137,7 @@ def _load_or_fit_model(args, data: FeatureMatrix, target):
 
 
 def _cmd_explain(args) -> int:
-    data, target = read_csv(args.data, args.target if args.fit else None)
+    data, target = read_csv(args.data, args.target)
     model = _load_or_fit_model(args, data, target)
     try:
         sampler = _build_sampler(args.sampler, data)
@@ -150,15 +150,19 @@ def _cmd_explain(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "decomposition.json", dec.to_json_dict(data.names))
     if args.plot:
-        spec = ForcePlotSpec(
-            base=dec.base,
-            features=tuple(
-                ForceFeature(data.names[i], x[i], dec.phi_int[i], dec.phi_dep[i])
-                for i in range(data.n_features)
-            ),
-        )
-        (out / "force.svg").write_text(render_force_plot(spec))
+        svg = force_plot(dec.base, data.names, x, dec.phi_int, dec.phi_dep)
+        (out / "force.svg").write_text(svg)
     return EXIT_OK
+
+
+def _study_data(args, generator):
+    """The rows of a housing or fire study: the bundled ``generator``'s
+    with --synthetic, else --data's with its --target column."""
+    if args.synthetic:
+        return generator(seed=args.seed)
+    if not args.data or not args.target:
+        raise IngestionError(f"{args.name} needs --data and --target (or --synthetic)")
+    return read_csv(args.data, args.target)
 
 
 def _cmd_experiment(args) -> int:
@@ -174,23 +178,13 @@ def _cmd_experiment(args) -> int:
     elif args.name == "housing":
         if args.towns < 1:
             raise IngestionError(f"--towns must be at least 1, got {args.towns}")
-        if args.synthetic:
-            data, target = synthetic_housing(seed=args.seed)
-        else:
-            if not args.data or not args.target:
-                raise IngestionError("housing needs --data and --target (or --synthetic)")
-            data, target = read_csv(args.data, args.target)
+        data, target = _study_data(args, synthetic_housing)
         towns = min(args.towns, data.n_rows)
         run_imputation_study(
             data, target, args.model_kind, towns, args.k1, args.k2, args.seed, out
         )
     elif args.name == "fire":
-        if args.synthetic:
-            data, labels = synthetic_fire(seed=args.seed)
-        else:
-            if not args.data or not args.target:
-                raise IngestionError("fire needs --data and --target (or --synthetic)")
-            data, labels = read_csv(args.data, args.target)
+        data, labels = _study_data(args, synthetic_fire)
         run_fire_study(data, labels, args.k1, args.k2, args.seed, args.sample_index, out)
     else:  # pragma: no cover - argparse restricts choices
         raise IngestionError(f"unknown experiment {args.name!r}")
@@ -231,7 +225,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explain", help="decompose one sample's prediction")
     p.add_argument("--data", required=True)
-    p.add_argument("--target", help="target column (used with --fit)")
+    p.add_argument("--target", help="target column: dropped from the features, and --fit's target")
     p.add_argument("--model", help="model JSON file")
     p.add_argument("--fit", choices=["linear", "forest"], help="fit a model on --data instead")
     p.add_argument(

@@ -145,9 +145,7 @@ class Decomposition:
         object.__setattr__(self, "phi_int", phi_int)
         object.__setattr__(self, "phi_dep", phi_dep)
 
-    def to_json_dict(self, names: Sequence[str] | None = None) -> dict:
-        m = len(self.phi)
-        names = list(names) if names is not None else [f"x{i}" for i in range(m)]
+    def to_json_dict(self, names: Sequence[str]) -> dict:
         return {
             "base": float(self.base),
             "features": [
@@ -157,7 +155,7 @@ class Decomposition:
                     "phi_int": float(self.phi_int[i]),
                     "phi_dep": float(self.phi_dep[i]),
                 }
-                for i in range(m)
+                for i in range(len(self.phi))
             ],
             "meta": dict(self.meta),
         }

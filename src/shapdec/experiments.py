@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +35,25 @@ from .models import (
     toy_risk_model,
 )
 from .stats import partial_correlation_graph, spearman, to_dot
-from .viz import Band, ForceFeature, ForcePlotSpec, Series, render_force_plot, render_line_chart
+from .viz import Band, Series, force_plot, render_line_chart
 
 SELECTIONS = ("interventional-shap", "interventional-part", "conditional-shap")
 IMPUTATIONS = ("marginal-mean", "conditional-mean")
+# the forest the housing (model_kind="forest") and fire studies grow
+_STUDY_FOREST = {"trees": 100, "max_depth": 6}
 
 
 def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_results(out_dir, result: dict) -> Path:
+    """Create ``out_dir``, write ``result`` to its results.json, and return
+    it as a Path for the study's figures."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "results.json", result)
+    return out_dir
 
 
 def _row_seed(seed: int, i: int) -> int:
@@ -71,27 +81,10 @@ def run_toy(k1: int = 10_000, k2: int = 10_000, seed: int = 0, out_dir=None) -> 
         "sampled": sampled.to_json_dict(names),
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "results.json", result)
-        spec = ForcePlotSpec(
-            base=exact.base,
-            features=tuple(
-                ForceFeature(names[i], x[i], exact.phi_int[i], exact.phi_dep[i])
-                for i in range(2)
-            ),
-        )
-        (out_dir / "force.svg").write_text(render_force_plot(spec))
+        out_dir = _write_results(out_dir, result)
+        svg = force_plot(exact.base, names, x, exact.phi_int, exact.phi_dep)
+        (out_dir / "force.svg").write_text(svg)
     return result
-
-
-@dataclass(frozen=True)
-class CorrelationStudyRow:
-    alpha: float
-    estimated_phi_dep: float
-    analytic_phi_dep: float
-    estimated_residual_norm: float
-    analytic_residual_norm: float
 
 
 def interaction_model(a12: float) -> CallableModel:
@@ -139,51 +132,34 @@ def run_correlation_study(
         )
         dec = decompose(model, sampler, x, k1, k2, seed + j)
         table = shapley_residuals(exact_interaction_value_function(a12, alpha, x))
-        rows.append(
-            CorrelationStudyRow(
-                alpha=float(alpha),
-                estimated_phi_dep=float(dec.phi_dep.mean()),
-                analytic_phi_dep=0.5 * (1.0 + a12) * alpha,
-                estimated_residual_norm=table.norm(0),
-                analytic_residual_norm=math.sqrt(2.0)
-                * abs(0.5 * a12 - (1.0 + 0.5 * a12) * alpha),
-            )
-        )
-    result = {
-        "a12": float(a12),
-        "rows": [row.__dict__ for row in rows],
-    }
+        rows.append({
+            "alpha": float(alpha),
+            "estimated_phi_dep": float(dec.phi_dep.mean()),
+            "analytic_phi_dep": 0.5 * (1.0 + a12) * alpha,
+            "estimated_residual_norm": table.norm(0),
+            "analytic_residual_norm": math.sqrt(2.0)
+            * abs(0.5 * a12 - (1.0 + 0.5 * a12) * alpha),
+        })
+    result = {"a12": float(a12), "rows": rows}
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "results.json", result)
-        al = np.array([r.alpha for r in rows])
+        out_dir = _write_results(out_dir, result)
+
+        def column(key):
+            return [r[key] for r in rows]
+
+        al = column("alpha")
         chart = render_line_chart(
             [
-                Series("dependent part (estimated)", al, [r.estimated_phi_dep for r in rows]),
-                Series("dependent part (analytic)", al, [r.analytic_phi_dep for r in rows]),
-                Series("residual norm (exact)", al, [r.estimated_residual_norm for r in rows]),
-                Series("residual norm (analytic)", al, [r.analytic_residual_norm for r in rows]),
+                Series("dependent part (estimated)", al, column("estimated_phi_dep")),
+                Series("dependent part (analytic)", al, column("analytic_phi_dep")),
+                Series("residual norm (exact)", al, column("estimated_residual_norm")),
+                Series("residual norm (analytic)", al, column("analytic_residual_norm")),
             ],
             x_label="correlation",
             y_label="dependency attribution",
         )
         (out_dir / "correlation.svg").write_text(chart)
     return result
-
-
-@dataclass(frozen=True)
-class ImputationCurve:
-    method: str
-    imputation: str
-    values: np.ndarray  # length M+1; entry k is the mean change after k imputations
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v[0] != 0.0:
-            raise IngestionError("imputation curve must start at zero")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def _select_order(attribution: np.ndarray) -> np.ndarray:
@@ -200,7 +176,6 @@ def run_imputation_study(
     k2: int = 400,
     seed: int = 0,
     out_dir=None,
-    forest_params: dict | None = None,
 ) -> dict:
     """Rank features by each attribution flavor, impute the most negative
     ones, and track the model-output change, averaged over random rows.
@@ -212,9 +187,7 @@ def run_imputation_study(
     if model_kind == "linear":
         model = fit_ols(data, y)
     elif model_kind == "forest":
-        params = {"trees": 100, "max_depth": 6}
-        params.update(forest_params or {})
-        model = fit_forest(data, y, params, RngStream(seed, 77))
+        model = fit_forest(data, y, _STUDY_FOREST, RngStream(seed, 77))
     else:
         raise IngestionError(f"unknown model kind {model_kind!r}")
     gauss = GaussianSampler(fit_gaussian(data))
@@ -259,10 +232,8 @@ def run_imputation_study(
         for out_val, (sel, imp, k) in zip(outputs[:-1], slots):
             changes[(sel, imp)][t, k] = out_val - fx
 
-    curves = {
-        key: ImputationCurve(key[0], key[1], arr.mean(axis=0))
-        for key, arr in changes.items()
-    }
+    # curve k is the mean change after k imputations; each starts at zero
+    curves = {f"{sel}|{imp}": arr.mean(axis=0).tolist() for (sel, imp), arr in changes.items()}
     ks = np.arange(m + 1, dtype=float)
     diff_traces = {}
     for imp in IMPUTATIONS:
@@ -276,21 +247,15 @@ def run_imputation_study(
     result = {
         "model": model.describe(),
         "towns": int(towns),
-        "curves": {
-            f"{sel}|{imp}": curves[(sel, imp)].values.tolist()
-            for sel in SELECTIONS
-            for imp in IMPUTATIONS
-        },
+        "curves": curves,
         "differences_vs_conditional": diff_traces,
         "meta": {"k1": int(k1), "k2": int(k2), "seed": int(seed)},
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "results.json", result)
+        out_dir = _write_results(out_dir, result)
         for imp in IMPUTATIONS:
             chart = render_line_chart(
-                [Series(sel, ks, curves[(sel, imp)].values) for sel in SELECTIONS],
+                [Series(sel, ks, curves[f"{sel}|{imp}"]) for sel in SELECTIONS],
                 x_label="features imputed",
                 y_label="mean output change",
             )
@@ -343,7 +308,6 @@ def run_fire_study(
     seed: int = 0,
     sample_index: int = 0,
     out_dir=None,
-    forest_params: dict | None = None,
 ) -> dict:
     """Binary forest on the fire features, explained on the log-odds scale
     with a Gaussian copula sampler; emits force plots, the feature/SHAP
@@ -353,9 +317,9 @@ def run_fire_study(
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise IngestionError("fire label must be binary 0/1")
-    params = {"trees": 100, "max_depth": 6}
-    params.update(forest_params or {})
-    forest = fit_forest(data, labels, params, RngStream(seed, 99), task="binary-probability")
+    forest = fit_forest(
+        data, labels, _STUDY_FOREST, RngStream(seed, 99), task="binary-probability"
+    )
     model = LogOddsModel(forest)
     sampler = CopulaSampler(fit_copula(data))
     m = data.n_features
@@ -384,28 +348,15 @@ def run_fire_study(
         "meta": {"k1": int(k1), "k2": int(k2), "seed": int(seed), "sample_index": int(sample_index)},
     }
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "results.json", result)
-        x = data.values[sample_index]
-        spec = ForcePlotSpec(
-            base=bases[sample_index],
-            features=tuple(
-                ForceFeature(data.names[j], x[j], phi_int[sample_index, j], phi_dep[sample_index, j])
-                for j in range(m)
-            ),
-            secondary_axis=_probability_axis(),
+        out_dir = _write_results(out_dir, result)
+        i, x, axis = sample_index, data.values[sample_index], _probability_axis()
+        (out_dir / "force_decomposition.svg").write_text(
+            force_plot(bases[i], data.names, x, phi_int[i], phi_dep[i], axis)
         )
-        (out_dir / "force_decomposition.svg").write_text(render_force_plot(spec))
         # interventional SHAP: the split's game under the marginal sampler
-        classic = decompose(model, MarginalSampler(data), x, k1, k2, _row_seed(seed, sample_index))
-        spec_classic = ForcePlotSpec(
-            base=classic.base,
-            features=tuple(
-                ForceFeature(data.names[j], x[j], classic.phi[j], 0.0) for j in range(m)
-            ),
-            secondary_axis=_probability_axis(),
+        classic = decompose(model, MarginalSampler(data), x, k1, k2, _row_seed(seed, i))
+        (out_dir / "force_classic.svg").write_text(
+            force_plot(classic.base, data.names, x, classic.phi, np.zeros(m), axis)
         )
-        (out_dir / "force_classic.svg").write_text(render_force_plot(spec_classic))
         (out_dir / "graph.dot").write_text(to_dot(graph))
     return result

@@ -593,9 +593,6 @@ class ExternalModel:
             proc.terminate()
             proc.communicate(timeout=5)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "external", "cmd": self.cmd, "n_features": self.n_features}
-
 
 class CallableModel:
     """Adapts a plain rows->outputs function to the model interface."""

@@ -63,15 +63,15 @@ def _rank_scores(z: np.ndarray) -> np.ndarray:
     )
 
 
-def _decorrelate_ranks(z: np.ndarray, sweeps: int = 4) -> np.ndarray:
+def _decorrelate_ranks(z: np.ndarray) -> np.ndarray:
     """Push the rank-score correlation of the columns toward identity.
 
     A finite sample of independent columns still shows O(1/sqrt(n))
-    spurious rank correlation; a few symmetric whitening sweeps on the
-    Gaussian scores remove it, so the "independent" configuration really
-    is independent in-sample.
+    spurious rank correlation; four symmetric whitening sweeps on the
+    Gaussian scores remove it, so the features really are independent
+    in-sample.
     """
-    for _ in range(sweeps):
+    for _ in range(4):
         s = _rank_scores(z)
         c = np.corrcoef(s, rowvar=False)
         vals, vecs = np.linalg.eigh(c)
@@ -79,28 +79,22 @@ def _decorrelate_ranks(z: np.ndarray, sweeps: int = 4) -> np.ndarray:
     return _rank_scores(z)
 
 
-def synthetic_fire(n: int = 250, seed: int = 0, correlated: bool = False):
+def synthetic_fire(n: int = 250, seed: int = 0):
     """Weather-style features with a Bernoulli fire label.
 
-    Independent features by default (the degenerate configuration used to
-    check that dependent parts collapse); ``correlated=True`` couples
-    temperature, humidity and rain.
+    The four features (temperature, humidity, wind speed, rain) are
+    independent in-sample: the degenerate configuration used to check
+    that dependent parts collapse.
     """
-    gen = RngStream(seed, 3).generator()
-    if correlated:
-        t = gen.normal(32.0, 4.0, size=n)
-        rh = 62.0 - 2.1 * (t - 32.0) + gen.normal(0.0, 6.0, size=n)
-        rain = np.maximum(0.0, 0.05 * (rh - 62.0) + gen.exponential(0.6, size=n) - 0.3)
-        ws = gen.normal(15.0, 3.0, size=n)
-    else:
-        from scipy.special import ndtr
+    from scipy.special import ndtr
 
-        z = _decorrelate_ranks(gen.standard_normal((n, 4)))
-        t = 32.0 + 4.0 * z[:, 0]
-        rh = 62.0 + 10.0 * z[:, 1]
-        ws = 15.0 + 3.0 * z[:, 2]
-        # exponential marginal via the probability transform (rank-preserving)
-        rain = 0.8 * -np.log1p(-np.clip(ndtr(z[:, 3]), 0.0, 1.0 - 1e-12))
+    gen = RngStream(seed, 3).generator()
+    z = _decorrelate_ranks(gen.standard_normal((n, 4)))
+    t = 32.0 + 4.0 * z[:, 0]
+    rh = 62.0 + 10.0 * z[:, 1]
+    ws = 15.0 + 3.0 * z[:, 2]
+    # exponential marginal via the probability transform (rank-preserving)
+    rain = 0.8 * -np.log1p(-np.clip(ndtr(z[:, 3]), 0.0, 1.0 - 1e-12))
     logit = 0.45 * (t - 32.0) - 0.12 * (rh - 62.0) + 0.25 * (ws - 15.0) - 1.8 * rain + 0.4
     p = 1.0 / (1.0 + np.exp(-logit))
     labels = (gen.uniform(size=n) < p).astype(float)

@@ -227,6 +227,13 @@ def render_force_plot(spec: ForcePlotSpec) -> str:
     return "\n".join(out) + "\n"
 
 
+def force_plot(base, names, shown, phi_int, phi_dep, secondary_axis=None) -> str:
+    """The force plot of one explained row: feature j is labelled
+    ``names[j] = shown[j]`` and split into ``phi_int[j]`` and ``phi_dep[j]``."""
+    features = tuple(map(ForceFeature, names, shown, phi_int, phi_dep))
+    return render_force_plot(ForcePlotSpec(base, features, secondary_axis))
+
+
 @dataclass(frozen=True)
 class Series:
     label: str

@@ -61,6 +61,14 @@ def test_read_csv_errors(tmp_path):
         read_csv(ragged)
     code = main(["explain", "--data", str(ragged), "--fit", "linear", "--target", "c"])
     assert code == 2
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b\n")
+    with pytest.raises(IngestionError, match=r"header\.csv: no data rows"):
+        read_csv(header_only)
+    valid = tmp_path / "valid.csv"
+    valid.write_text("a,b\n1,2\n3,4\n")
+    with pytest.raises(IngestionError, match=r"valid\.csv: no column named 'z'"):
+        read_csv(valid, "z")
 
 
 def test_usage_error_exit_code():
@@ -175,7 +183,7 @@ def test_fit_model_then_explain(tmp_path, housing_csv):
             str(out),
         ]
     )
-    # inline sample has 4 values but the model has 3 features + target column
+    # the inline sample has 4 values; the model and the CSV's features are 3
     assert code == 2
 
 
@@ -487,3 +495,93 @@ def test_explain_silent_bridge_is_stopped_and_exits_3(tmp_path, capsys, monkeypa
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
+def test_explain_plot_under_each_sampler(tmp_path, housing_csv, kind):
+    sampler = shapdec.cli._build_sampler(kind, read_csv(housing_csv, "price")[0])
+    assert type(sampler).__name__ == f"{kind.capitalize()}Sampler"
+    out = tmp_path / "out"
+    argv = ["explain", "--data", str(housing_csv), "--fit", "linear", "--target", "price",
+            "--sampler", kind, "--row", "2", "--k1", "40", "--k2", "40", "--out", str(out),
+            "--plot"]
+    assert main(argv) == 0
+    doc = json.loads((out / "decomposition.json").read_text())
+    assert [f["name"] for f in doc["features"]] == ["a", "b", "c"]
+    for f in doc["features"]:
+        assert f["phi"] == pytest.approx(f["phi_int"] + f["phi_dep"], abs=1e-9)
+    svg = (out / "force.svg").read_text()
+    assert svg.startswith("<svg") and "a = " in svg and "c = " in svg
+
+
+def test_explain_model_with_target_drops_the_target_column(tmp_path, housing_csv):
+    # the saved OLS has 3 features; the CSV still holds its price column
+    model_path = tmp_path / "model.json"
+    fit = ["--data", str(housing_csv), "--target", "price"]
+    assert main(["fit-model", "linear", *fit, "--out", str(model_path)]) == 0
+    budget = ["--row", "4", "--k1", "30", "--k2", "30", "--plot"]
+    for name, source in (("fitted", ["--fit", "linear"]), ("loaded", ["--model", str(model_path)])):
+        assert main(["explain", *fit, *source, *budget, "--out", str(tmp_path / name)]) == 0
+    for doc in ("decomposition.json", "force.svg"):
+        fitted, loaded = ((tmp_path / name / doc).read_bytes() for name in ("fitted", "loaded"))
+        assert fitted == loaded, doc
+
+
+def _directory_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def _write_study_csv(path, data, target, target_name):
+    with path.open("w") as handle:
+        handle.write(",".join([*data.names, target_name]) + "\n")
+        for row, y in zip(data.values, target):
+            handle.write(",".join(repr(float(v)) for v in [*row, y]) + "\n")
+
+
+def test_experiment_housing_synthetic_is_the_bundled_study(tmp_path):
+    from shapdec.synthetic import synthetic_housing
+
+    argv = ["experiment", "housing", "--synthetic", "--towns", "2", "--k1", "8", "--k2", "8",
+            "--seed", "3", "--out", str(tmp_path / "cli")]
+    assert main(argv) == 0
+    data, target = synthetic_housing(seed=3)
+    shapdec.experiments.run_imputation_study(
+        data, target, "linear", 2, 8, 8, 3, tmp_path / "direct"
+    )
+    assert _directory_bytes(tmp_path / "cli") == _directory_bytes(tmp_path / "direct")
+
+
+@pytest.mark.parametrize("study", ["housing", "fire"])
+def test_experiment_from_csv_is_the_study_on_its_rows(tmp_path, study):
+    from shapdec.synthetic import synthetic_fire, synthetic_housing
+
+    if study == "housing":
+        data, target = synthetic_housing(n=30, seed=1)
+        flags = ["--towns", "40"]  # capped at the 30 rows
+
+        def direct(out):
+            shapdec.experiments.run_imputation_study(data, target, "linear", 30, 8, 8, 2, out)
+    else:
+        data, target = synthetic_fire(n=30, seed=1)
+        flags = ["--sample-index", "4"]
+
+        def direct(out):
+            shapdec.experiments.run_fire_study(data, target, 8, 8, 2, 4, out)
+    path = tmp_path / "study.csv"
+    _write_study_csv(path, data, target, "y")
+    argv = ["experiment", study, "--data", str(path), "--target", "y", *flags,
+            "--k1", "8", "--k2", "8", "--seed", "2", "--out", str(tmp_path / "cli")]
+    assert main(argv) == 0
+    direct(tmp_path / "direct")
+    assert _directory_bytes(tmp_path / "cli") == _directory_bytes(tmp_path / "direct")
+
+
+@pytest.mark.parametrize("study", ["housing", "fire"])
+@pytest.mark.parametrize("given", [[], ["--data", "d.csv"], ["--target", "y"]],
+                         ids=["neither", "data-only", "target-only"])
+def test_study_without_its_data_exits_2(tmp_path, capsys, monkeypatch, study, given):
+    _no_decomposition(monkeypatch)
+    argv = ["experiment", study, *given, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"{study} needs --data and --target (or --synthetic)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

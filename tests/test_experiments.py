@@ -186,7 +186,6 @@ def test_run_fire_study_smoke(tmp_path):
         seed=0,
         sample_index=1,
         out_dir=tmp_path,
-        forest_params={"trees": 10, "max_depth": 3},
     )
     assert result["names"] == list(FIRE_NAMES)
     assert len(result["spearman_phi_int"]) == 4
@@ -231,3 +230,22 @@ def test_imputation_study_draws_depend_on_its_seed(monkeypatch):
         assert not drawn & per_study[1][kind], kind
     # both rankings of a town walk the same permutations
     assert per_study[0]["GaussianSampler"] == per_study[0]["MarginalSampler"]
+
+
+def test_run_imputation_study_forest(tmp_path):
+    data, target = synthetic_housing(n=40, seed=2)
+    result = run_imputation_study(
+        data, target, "forest", towns=2, k1=8, k2=8, seed=1, out_dir=tmp_path
+    )
+    assert result["model"].startswith("forest")
+    for key, values in result["curves"].items():
+        assert len(values) == 14 and values[0] == 0.0
+    finals = [v[-1] for k, v in result["curves"].items() if k.endswith("marginal-mean")]
+    assert max(finals) - min(finals) < 1e-9
+    assert json.loads((tmp_path / "results.json").read_text()) == result
+
+
+def test_run_imputation_study_rejects_an_unknown_model_kind():
+    data, target = synthetic_housing(n=10, seed=0)
+    with pytest.raises(IngestionError, match="unknown model kind 'tree'"):
+        run_imputation_study(data, target, "tree", towns=2, k1=8, k2=8)

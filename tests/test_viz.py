@@ -10,6 +10,7 @@ from shapdec.viz import (
     ForceFeature,
     ForcePlotSpec,
     Series,
+    force_plot,
     render_force_plot,
     render_line_chart,
 )
@@ -59,6 +60,16 @@ def test_force_plot_secondary_axis():
     )
     svg = render_force_plot(spec)
     assert "probability" in svg
+
+
+def test_force_plot_of_arrays_is_the_spec_of_its_features():
+    spec = _spec()
+    columns = [[getattr(f, k) for f in spec.features]
+               for k in ("name", "shown_value", "phi_int", "phi_dep")]
+    assert force_plot(spec.base, *columns) == render_force_plot(spec)
+    axis = ("p", math.tanh, math.atanh)
+    svg = force_plot(spec.base, *(np.array(c) for c in columns), secondary_axis=axis)
+    assert svg == render_force_plot(ForcePlotSpec(spec.base, spec.features, axis))
 
 
 def test_force_plot_rejects_empty_features():
