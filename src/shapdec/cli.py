@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .models import fit_forest, fit_ols, model_from_json
 from .synthetic import synthetic_fire, synthetic_housing
-from .viz import force_plot
+from .viz import render_force_plot
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,9 +106,10 @@ def _resolve_sample(args, data: FeatureMatrix) -> np.ndarray:
             return np.array([float(v) for v in args.sample.split(",")])
         except ValueError as err:
             raise IngestionError(f"bad --sample value: {err}") from err
-    if not 0 <= args.row < data.n_rows:
-        raise IngestionError(f"--row {args.row} out of range")
-    return data.values[args.row]
+    row = 0 if args.row is None else args.row
+    if not 0 <= row < data.n_rows:
+        raise IngestionError(f"--row {row} out of range")
+    return data.values[row]
 
 
 def _fit(kind: str, data: FeatureMatrix, target, args, task: str = "regression"):
@@ -150,7 +151,7 @@ def _cmd_explain(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "decomposition.json", dec.to_json_dict(data.names))
     if args.plot:
-        svg = force_plot(dec.base, data.names, x, dec.phi_int, dec.phi_dep)
+        svg = render_force_plot(dec.base, data.names, x, dec.phi_int, dec.phi_dep)
         (out / "force.svg").write_text(svg)
     return EXIT_OK
 
@@ -159,6 +160,8 @@ def _study_data(args, generator):
     """The rows of a housing or fire study: the bundled ``generator``'s
     with --synthetic, else --data's with its --target column."""
     if args.synthetic:
+        if args.data or args.target:
+            raise IngestionError(f"{args.name} --synthetic takes no --data or --target")
         return generator(seed=args.seed)
     if not args.data or not args.target:
         raise IngestionError(f"{args.name} needs --data and --target (or --synthetic)")
@@ -226,15 +229,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("explain", help="decompose one sample's prediction")
     p.add_argument("--data", required=True)
     p.add_argument("--target", help="target column: dropped from the features, and --fit's target")
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--fit", choices=["linear", "forest"], help="fit a model on --data instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--model", help="model JSON file")
+    source.add_argument("--fit", choices=["linear", "forest"], help="fit a model on --data instead")
     p.add_argument(
         "--sampler",
         choices=["gaussian", "copula", "discrete", "marginal"],
         default="gaussian",
     )
-    p.add_argument("--sample", help="inline sample, comma-separated")
-    p.add_argument("--row", type=int, default=0, help="row of --data to explain")
+    row = p.add_mutually_exclusive_group()
+    row.add_argument("--sample", help="inline sample, comma-separated")
+    # default None, not 0: argparse lets a flag given at its default slip past the group
+    row.add_argument("--row", type=int, help="row of --data to explain (default 0)")
     _add_budget_flags(p)
     _add_forest_flags(p)
     p.add_argument("--out", default=".")

@@ -35,7 +35,7 @@ from .models import (
     toy_risk_model,
 )
 from .stats import partial_correlation_graph, spearman, to_dot
-from .viz import Band, Series, force_plot, render_line_chart
+from .viz import Series, render_force_plot, render_line_chart
 
 SELECTIONS = ("interventional-shap", "interventional-part", "conditional-shap")
 IMPUTATIONS = ("marginal-mean", "conditional-mean")
@@ -82,7 +82,7 @@ def run_toy(k1: int = 10_000, k2: int = 10_000, seed: int = 0, out_dir=None) -> 
     }
     if out_dir is not None:
         out_dir = _write_results(out_dir, result)
-        svg = force_plot(exact.base, names, x, exact.phi_int, exact.phi_dep)
+        svg = render_force_plot(exact.base, names, x, exact.phi_int, exact.phi_dep)
         (out_dir / "force.svg").write_text(svg)
     return result
 
@@ -277,13 +277,13 @@ def run_imputation_study(
         # mean +/- one standard deviation, marginal-mean variant
         sel = "interventional-shap"
         arr = changes[(sel, "marginal-mean")]
-        band = Band(ks, arr.mean(axis=0) - arr.std(axis=0), arr.mean(axis=0) + arr.std(axis=0))
+        mean, std = arr.mean(axis=0), arr.std(axis=0)
         (out_dir / "imputation_marginal-mean_std.svg").write_text(
             render_line_chart(
-                [Series(sel, ks, arr.mean(axis=0))],
+                [Series(sel, ks, mean)],
                 x_label="features imputed",
                 y_label="mean output change",
-                band=band,
+                band=(ks, mean - std, mean + std),
             )
         )
     return result
@@ -335,9 +335,8 @@ def run_fire_study(
     corr_int = [spearman(data.values[:, j], phi_int[:, j]) for j in range(m)]
     corr_dep = [spearman(data.values[:, j], phi_dep[:, j]) for j in range(m)]
     log_out = model.predict(data.values)
-    graph = partial_correlation_graph(
-        np.column_stack([data.values, log_out]), list(data.names) + ["f"]
-    )
+    graph_names = list(data.names) + ["f"]
+    graph = partial_correlation_graph(np.column_stack([data.values, log_out]), graph_names)
     result = {
         "names": list(data.names),
         "spearman_phi_int": [float(c) for c in corr_int],
@@ -351,12 +350,12 @@ def run_fire_study(
         out_dir = _write_results(out_dir, result)
         i, x, axis = sample_index, data.values[sample_index], _probability_axis()
         (out_dir / "force_decomposition.svg").write_text(
-            force_plot(bases[i], data.names, x, phi_int[i], phi_dep[i], axis)
+            render_force_plot(bases[i], data.names, x, phi_int[i], phi_dep[i], axis)
         )
         # interventional SHAP: the split's game under the marginal sampler
         classic = decompose(model, MarginalSampler(data), x, k1, k2, _row_seed(seed, i))
         (out_dir / "force_classic.svg").write_text(
-            force_plot(classic.base, data.names, x, classic.phi, np.zeros(m), axis)
+            render_force_plot(classic.base, data.names, x, classic.phi, np.zeros(m), axis)
         )
-        (out_dir / "graph.dot").write_text(to_dot(graph))
+        (out_dir / "graph.dot").write_text(to_dot(graph_names, graph))
     return result

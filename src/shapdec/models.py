@@ -755,6 +755,8 @@ def fit_forest(
     if unknown:
         raise IngestionError(f"unknown forest parameters {unknown}")
     p = {**_FOREST_DEFAULTS, **(params or {})}
+    if p["min_leaf"] < 1:
+        raise IngestionError(f"min_leaf must be at least 1, got {p['min_leaf']}")
     y = np.asarray(target, dtype=float)
     x = data.values
     if task == "binary-probability" and not np.all(np.isin(y, (0.0, 1.0))):

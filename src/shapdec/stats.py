@@ -1,8 +1,7 @@
-"""Rank statistics: Spearman correlation and partial-correlation graphs."""
+"""Rank statistics on plain arrays: Spearman correlation, and the
+partial-correlation matrix with its DOT drawing."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,20 +9,6 @@ from .errors import IngestionError, SingularityError
 
 _JITTER_ATTEMPTS = 10
 _DOT_THRESHOLD = 0.05  # to_dot draws no edge with |rho| below this
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    names: tuple
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (len(self.names), len(self.names)):
-            raise IngestionError("matrix shape does not match names")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "names", tuple(self.names))
 
 
 def _ranks(v) -> np.ndarray:
@@ -63,8 +48,9 @@ def spearman(x, y) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def partial_correlation_graph(columns, names) -> CorrelationMatrix:
-    """Partial rank correlations via the precision matrix of rank data.
+def partial_correlation_graph(columns, names) -> np.ndarray:
+    """Partial rank correlations via the precision matrix of rank data: the
+    p x p matrix of the graph on ``names``, with ones on its diagonal.
 
     Every column is rank-transformed and standardized; the inverse of the
     resulting correlation matrix (jitter-regularized when needed) gives
@@ -98,26 +84,26 @@ def partial_correlation_graph(columns, names) -> CorrelationMatrix:
     partial = -precision / np.outer(d, d)
     partial = np.clip(0.5 * (partial + partial.T), -1.0, 1.0)
     np.fill_diagonal(partial, 1.0)
-    return CorrelationMatrix(tuple(names), partial)
+    return partial
 
 
-def to_dot(graph: CorrelationMatrix) -> str:
-    """Render the graph as DOT: labels carry the rounded correlation, pen
-    width scales linearly with |rho|, red for positive and blue for
-    negative edges."""
+def to_dot(names, matrix) -> str:
+    """Render the partial-correlation ``matrix`` on ``names`` as a DOT
+    graph: labels carry the rounded correlation, pen width scales linearly
+    with |rho|, red for positive and blue for negative edges."""
     lines = ["graph partial_correlations {", "  layout=neato;"]
-    for name in graph.names:
+    for name in names:
         lines.append(f'  "{name}";')
-    p = len(graph.names)
+    p = len(names)
     for i in range(p):
         for j in range(i + 1, p):
-            rho = float(graph.matrix[i, j])
+            rho = float(matrix[i, j])
             if abs(rho) < _DOT_THRESHOLD:
                 continue
             color = "red" if rho > 0 else "blue"
             width = max(0.1, 2.0 * abs(rho))
             lines.append(
-                f'  "{graph.names[i]}" -- "{graph.names[j]}" '
+                f'  "{names[i]}" -- "{names[j]}" '
                 f'[label="{rho:.2f}", color={color}, penwidth={width:.2f}];'
             )
     lines.append("}")

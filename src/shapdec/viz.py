@@ -1,13 +1,14 @@
-"""Deterministic SVG figures: decomposition force plots and line charts.
+"""Deterministic SVG figures, drawn from plain arrays: decomposition force
+plots and line charts.
 
-No timestamps, no randomness, no external fonts: identical specs give
+No timestamps, no randomness, no external fonts: identical arrays give
 byte-identical documents.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,39 +46,20 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list:
     return ticks
 
 
-@dataclass(frozen=True)
-class ForceFeature:
-    name: str
-    shown_value: float
-    phi_int: float
-    phi_dep: float
-
-    @property
-    def phi(self) -> float:
-        return self.phi_int + self.phi_dep
+def _line(x1, y1, x2, y2, stroke="#777") -> str:
+    return (
+        f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+        f'stroke="{stroke}" stroke-width="1"/>'
+    )
 
 
-@dataclass(frozen=True)
-class ForcePlotSpec:
-    """Layout input for a decomposition force plot.
-
-    ``secondary_axis`` optionally maps the value scale to a second tick
-    row, e.g. log odds to probability: (label, transform, inverse).
-    """
-
-    base: float
-    features: tuple
-    secondary_axis: tuple | None = None
-
-    def __post_init__(self):
-        feats = tuple(self.features)
-        if not feats:
-            raise RenderError("force plot needs at least one feature")
-        vals = [self.base] + [f.phi_int for f in feats] + [f.phi_dep for f in feats]
-        vals += [f.shown_value for f in feats]
-        if not np.all(np.isfinite(vals)):
-            raise RenderError("force plot spec contains non-finite values")
-        object.__setattr__(self, "features", feats)
+def _text(x, y, body, anchor="middle", fill="#444", size=10) -> str:
+    """A sans-serif label; ``anchor=None`` leaves SVG's default (start)."""
+    anchor_attr = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (
+        f'<text x="{x:.1f}" y="{y:.1f}" font-family="sans-serif" '
+        f'font-size="{size}"{anchor_attr} fill="{fill}">{body}</text>'
+    )
 
 
 def _hatch_defs() -> str:
@@ -95,29 +77,41 @@ def _hatch_defs() -> str:
     )
 
 
-def render_force_plot(spec: ForcePlotSpec) -> str:
-    """Horizontal force plot: solid segments are interventional parts,
-    hatched segments dependent parts; the arrow tip lands at
-    base + sum(phi)."""
-    feats = spec.features
-    tip = spec.base + sum(f.phi for f in feats)
-    positives = sorted((f for f in feats if f.phi >= 0), key=lambda f: -abs(f.phi))
-    negatives = sorted((f for f in feats if f.phi < 0), key=lambda f: -abs(f.phi))
+def render_force_plot(base, names, shown, phi_int, phi_dep, secondary_axis=None) -> str:
+    """Horizontal force plot of one explained row. Feature j, labelled
+    ``names[j] = shown[j]``, is a solid segment for its interventional part
+    ``phi_int[j]`` and a hatched one for its dependent part ``phi_dep[j]``;
+    the arrow tip lands at base + sum(phi).
 
-    # positive features push right from the base, negatives then pull back
+    ``secondary_axis`` optionally maps the value scale to a second tick
+    row, e.g. log odds to probability: (label, transform, inverse).
+    """
+    if len(names) == 0:
+        raise RenderError("force plot needs at least one feature")
+    shown, phi_int, phi_dep = (np.asarray(v, dtype=float) for v in (shown, phi_int, phi_dep))
+    if not (shown.shape == phi_int.shape == phi_dep.shape == (len(names),)):
+        raise RenderError("force plot needs one value, phi_int and phi_dep per name")
+    if not np.all(np.isfinite(np.r_[base, shown, phi_int, phi_dep])):
+        raise RenderError("force plot contains non-finite values")
+    phi = phi_int + phi_dep
+    tip = base + sum(phi.tolist())
+
+    # positive features push right from the base, largest first; negatives
+    # then pull back
+    order = sorted(range(len(names)), key=lambda j: (phi[j] < 0, -abs(phi[j])))
     segments = []  # (feature, part_value, hatched, start, end)
-    pos = spec.base
-    for f in positives + negatives:
-        for part, hatched in ((f.phi_int, False), (f.phi_dep, True)):
+    pos = base
+    for j in order:
+        for part, hatched in ((phi_int[j], False), (phi_dep[j], True)):
             if part == 0.0:
                 continue
-            segments.append((f, part, hatched, pos, pos + part))
+            segments.append((j, part, hatched, pos, pos + part))
             pos += part
     if segments and abs(pos - tip) > 1e-9 * max(1.0, abs(tip)):
         raise RenderError("segment chain does not close at the tip")
 
-    lo = min([spec.base, tip] + [min(s[3], s[4]) for s in segments] or [spec.base])
-    hi = max([spec.base, tip] + [max(s[3], s[4]) for s in segments] or [spec.base])
+    ends = [base, tip] + [v for s in segments for v in s[3:]]
+    lo, hi = min(ends), max(ends)
     pad = 0.08 * (hi - lo if hi > lo else 1.0)
     lo, hi = lo - pad, hi + pad
     left, right = 40.0, _FORCE_WIDTH - 40.0
@@ -135,48 +129,26 @@ def render_force_plot(spec: ForcePlotSpec) -> str:
 
     # value axis
     axis_y = bar_y + bar_h + 22
-    out.append(
-        f'<line x1="{left:.1f}" y1="{axis_y:.1f}" x2="{right:.1f}" y2="{axis_y:.1f}" '
-        'stroke="#777" stroke-width="1"/>'
-    )
+    out.append(_line(left, axis_y, right, axis_y))
     for t in _nice_ticks(lo, hi):
         x = sx(t)
-        out.append(
-            f'<line x1="{x:.1f}" y1="{axis_y:.1f}" x2="{x:.1f}" y2="{axis_y + 4:.1f}" '
-            'stroke="#777" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.1f}" y="{axis_y + 16:.1f}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="middle" fill="#444">{_fmt(t)}</text>'
-        )
+        out.append(_line(x, axis_y, x, axis_y + 4))
+        out.append(_text(x, axis_y + 16, _fmt(t)))
 
-    if spec.secondary_axis is not None:
-        label, transform, inverse = spec.secondary_axis
+    if secondary_axis is not None:
+        label, transform, inverse = secondary_axis
         top_y = bar_y - 18
-        out.append(
-            f'<line x1="{left:.1f}" y1="{top_y:.1f}" x2="{right:.1f}" y2="{top_y:.1f}" '
-            'stroke="#777" stroke-width="1"/>'
-        )
+        out.append(_line(left, top_y, right, top_y))
         for p in _nice_ticks(transform(lo), transform(hi), target=5):
             v = inverse(p)
             if not lo <= v <= hi:
                 continue
             x = sx(v)
-            out.append(
-                f'<line x1="{x:.1f}" y1="{top_y - 4:.1f}" x2="{x:.1f}" y2="{top_y:.1f}" '
-                'stroke="#777" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{x:.1f}" y="{top_y - 7:.1f}" font-family="sans-serif" '
-                f'font-size="10" text-anchor="middle" fill="#444">{_fmt(p)}</text>'
-            )
-        out.append(
-            f'<text x="{left:.1f}" y="{top_y - 20:.1f}" font-family="sans-serif" '
-            f'font-size="10" fill="#444">{label}</text>'
-        )
+            out.append(_line(x, top_y - 4, x, top_y))
+            out.append(_text(x, top_y - 7, _fmt(p)))
+        out.append(_text(left, top_y - 20, label, anchor=None))
 
-    label_rows = []
-    for f, part, hatched, start, end in segments:
+    for _, part, hatched, start, end in segments:
         x0, x1 = sorted((sx(start), sx(end)))
         positive = part >= 0
         if hatched:
@@ -187,25 +159,15 @@ def render_force_plot(spec: ForcePlotSpec) -> str:
             f'<rect x="{x0:.2f}" y="{bar_y:.1f}" width="{max(x1 - x0, 0.5):.2f}" '
             f'height="{bar_h:.1f}" fill="{fill}" stroke="white" stroke-width="0.6"/>'
         )
-    seen = set()
-    for f, *_ in segments:
-        if f.name in seen:
-            continue
-        seen.add(f.name)
-        mid = sx(
-            (min(s[3] for s in segments if s[0] is f)
-             + max(s[4] for s in segments if s[0] is f)) / 2
-        )
-        label_rows.append((mid, f))
-    for k, (mid, f) in enumerate(label_rows):
+    # one label per drawn feature, under the middle of its segments
+    for k, j in enumerate(dict.fromkeys(s[0] for s in segments)):
+        own = [s for s in segments if s[0] == j]
+        mid = sx((min(s[3] for s in own) + max(s[4] for s in own)) / 2)
         y = bar_y + bar_h + 40 + 12 * (k % 2)
-        out.append(
-            f'<text x="{mid:.1f}" y="{y:.1f}" font-family="sans-serif" font-size="10" '
-            f'text-anchor="middle" fill="#333">{f.name} = {f.shown_value:g}</text>'
-        )
+        out.append(_text(mid, y, f"{names[j]} = {shown[j]:g}", fill="#333"))
 
     # base marker and tip arrow
-    bx = sx(spec.base)
+    bx = sx(base)
     out.append(
         f'<line x1="{bx:.2f}" y1="{bar_y - 12:.1f}" x2="{bx:.2f}" '
         f'y2="{bar_y + bar_h + 6:.1f}" stroke="#555" stroke-width="1" '
@@ -213,7 +175,7 @@ def render_force_plot(spec: ForcePlotSpec) -> str:
     )
     out.append(
         f'<text x="{bx:.2f}" y="{bar_y - 16:.1f}" font-family="sans-serif" '
-        f'font-size="10" text-anchor="middle" fill="#555">base {spec.base:.3g}</text>'
+        f'font-size="10" text-anchor="middle" fill="#555">base {base:.3g}</text>'
     )
     tx = sx(tip)
     out.append(
@@ -225,13 +187,6 @@ def render_force_plot(spec: ForcePlotSpec) -> str:
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def force_plot(base, names, shown, phi_int, phi_dep, secondary_axis=None) -> str:
-    """The force plot of one explained row: feature j is labelled
-    ``names[j] = shown[j]`` and split into ``phi_int[j]`` and ``phi_dep[j]``."""
-    features = tuple(map(ForceFeature, names, shown, phi_int, phi_dep))
-    return render_force_plot(ForcePlotSpec(base, features, secondary_axis))
 
 
 @dataclass(frozen=True)
@@ -251,24 +206,16 @@ class Series:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class Band:
-    """Shaded mean +/- spread region drawn behind its series."""
-
-    x: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 def render_line_chart(
     series: list,
     x_label: str = "",
     y_label: str = "",
     overlays: list | None = None,
-    band: Band | None = None,
+    band: tuple | None = None,
 ) -> str:
     """Line chart with legend; overlays render at reduced opacity and the
-    optional band as a translucent polygon behind the mean lines."""
+    optional ``band = (x, lower, upper)``, a mean +/- spread region, as a
+    translucent polygon behind the mean lines."""
     if not series:
         raise RenderError("need at least one series")
     overlays = overlays or []
@@ -276,7 +223,8 @@ def render_line_chart(
     xs = np.concatenate([s.x for s in all_series])
     ys = np.concatenate([s.y for s in all_series])
     if band is not None:
-        ys = np.concatenate([ys, np.asarray(band.lower), np.asarray(band.upper)])
+        bx, lower, upper = (np.asarray(v, dtype=float) for v in band)
+        ys = np.concatenate([ys, lower, upper])
     xlo, xhi = float(xs.min()), float(xs.max())
     ylo, yhi = float(ys.min()), float(ys.max())
     if xhi == xlo:
@@ -293,6 +241,9 @@ def render_line_chart(
     def sy(v):
         return bottom - (v - ylo) / (yhi - ylo) * (bottom - top)
 
+    def points(px, py) -> str:
+        return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(px, py))
+
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_WIDTH}" height="{_CHART_HEIGHT}" '
         f'viewBox="0 0 {_CHART_WIDTH} {_CHART_HEIGHT}">',
@@ -300,38 +251,16 @@ def render_line_chart(
     ]
     for t in _nice_ticks(ylo, yhi):
         y = sy(t)
-        out.append(
-            f'<line x1="{left:.1f}" y1="{y:.1f}" x2="{right:.1f}" y2="{y:.1f}" '
-            'stroke="#eee" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{left - 6:.1f}" y="{y + 3:.1f}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="end" fill="#444">{_fmt(t)}</text>'
-        )
+        out.append(_line(left, y, right, y, stroke="#eee"))
+        out.append(_text(left - 6, y + 3, _fmt(t), anchor="end"))
     for t in _nice_ticks(xlo, xhi):
         x = sx(t)
-        out.append(
-            f'<line x1="{x:.1f}" y1="{bottom:.1f}" x2="{x:.1f}" y2="{bottom + 4:.1f}" '
-            'stroke="#777" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.1f}" y="{bottom + 16:.1f}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="middle" fill="#444">{_fmt(t)}</text>'
-        )
-    out.append(
-        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" y2="{bottom:.1f}" '
-        'stroke="#777" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{left:.1f}" y1="{bottom:.1f}" x2="{right:.1f}" y2="{bottom:.1f}" '
-        'stroke="#777" stroke-width="1"/>'
-    )
+        out.append(_line(x, bottom, x, bottom + 4))
+        out.append(_text(x, bottom + 16, _fmt(t)))
+    out.append(_line(left, top, left, bottom))
+    out.append(_line(left, bottom, right, bottom))
     if x_label:
-        out.append(
-            f'<text x="{(left + right) / 2:.1f}" y="{_CHART_HEIGHT - 8:.1f}" '
-            f'font-family="sans-serif" font-size="11" text-anchor="middle" '
-            f'fill="#222">{x_label}</text>'
-        )
+        out.append(_text((left + right) / 2, _CHART_HEIGHT - 8, x_label, fill="#222", size=11))
     if y_label:
         out.append(
             f'<text x="14" y="{(top + bottom) / 2:.1f}" font-family="sans-serif" '
@@ -340,29 +269,22 @@ def render_line_chart(
         )
 
     if band is not None:
-        bx = np.asarray(band.x, dtype=float)
-        pts_up = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(bx, band.upper))
-        pts_dn = " ".join(
-            f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(bx[::-1], np.asarray(band.lower)[::-1])
-        )
         out.append(
-            f'<polygon points="{pts_up} {pts_dn}" fill="{_BAND_COLOR}" '
-            'fill-opacity="0.35" stroke="none"/>'
+            f'<polygon points="{points(bx, upper)} {points(bx[::-1], lower[::-1])}" '
+            f'fill="{_BAND_COLOR}" fill-opacity="0.35" stroke="none"/>'
         )
     for k, s in enumerate(overlays):
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(s.x, s.y))
         color = _PALETTE[k % len(_PALETTE)]
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'<polyline points="{points(s.x, s.y)}" fill="none" stroke="{color}" '
             'stroke-width="1" stroke-opacity="0.3"/>'
         )
     for k, s in enumerate(series):
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(s.x, s.y))
         color = _PALETTE[k % len(_PALETTE)]
         dash = _DASHES[k % len(_DASHES)]
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'<polyline points="{points(s.x, s.y)}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"{dash_attr}/>'
         )
         ly = top + 14 + 14 * k
@@ -370,9 +292,6 @@ def render_line_chart(
             f'<line x1="{right - 150:.1f}" y1="{ly:.1f}" x2="{right - 120:.1f}" '
             f'y2="{ly:.1f}" stroke="{color}" stroke-width="1.8"{dash_attr}/>'
         )
-        out.append(
-            f'<text x="{right - 114:.1f}" y="{ly + 3:.1f}" font-family="sans-serif" '
-            f'font-size="10" fill="#222">{s.label}</text>'
-        )
+        out.append(_text(right - 114, ly + 3, s.label, anchor=None, fill="#222"))
     out.append("</svg>")
     return "\n".join(out) + "\n"

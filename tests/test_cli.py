@@ -585,3 +585,58 @@ def test_study_without_its_data_exits_2(tmp_path, capsys, monkeypatch, study, gi
     assert main(argv) == 2
     assert f"{study} needs --data and --target (or --synthetic)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_explain_model_and_fit_together_is_a_usage_error(tmp_path, housing_csv, capsys):
+    # --fit used to be ignored next to --model: exit 0, meta.model "linear(M=3)"
+    model_path = tmp_path / "model.json"
+    fit = ["--data", str(housing_csv), "--target", "price"]
+    assert main(["fit-model", "linear", *fit, "--out", str(model_path)]) == 0
+    argv = ["explain", *fit, "--model", str(model_path), "--fit", "forest", "--trees", "2",
+            "--k1", "20", "--k2", "20", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row", ["7", "0"])
+def test_explain_sample_and_row_together_is_a_usage_error(tmp_path, housing_csv, capsys, row):
+    # --row used to be ignored next to --sample
+    argv = ["explain", "--data", str(housing_csv), "--target", "price", "--fit", "linear",
+            "--sample", "0.1,0.2,0.3", "--row", row, "--k1", "20", "--k2", "20",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_explain_without_model_or_fit_exits_2(tmp_path, housing_csv, capsys):
+    argv = ["explain", "--data", str(housing_csv), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "need either --model or --fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("study", ["housing", "fire"])
+@pytest.mark.parametrize("given", [["--data", "no-such.csv"], ["--target", "nope"],
+                                   ["--data", "no-such.csv", "--target", "nope"]],
+                         ids=["data", "target", "both"])
+def test_synthetic_study_with_data_or_target_exits_2(tmp_path, capsys, monkeypatch, study, given):
+    # both flags used to be ignored: the bundled generator ran and exit was 0
+    _no_decomposition(monkeypatch)
+    argv = ["experiment", study, "--synthetic", *given, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"{study} --synthetic takes no --data or --target" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-model", "explain"])
+def test_forest_min_leaf_below_one_exits_2(tmp_path, housing_csv, capsys, command):
+    # min_leaf 0 used to die in the split search with an IndexError
+    fit = ["--data", str(housing_csv), "--target", "price", "--trees", "2", "--min-leaf", "0"]
+    if command == "fit-model":
+        argv = ["fit-model", "forest", *fit, "--out", str(tmp_path / "forest.json")]
+    else:
+        argv = ["explain", "--fit", "forest", *fit, "--k1", "20", "--k2", "20",
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "min_leaf must be at least 1, got 0" in capsys.readouterr().err

@@ -91,6 +91,14 @@ def test_fit_forest_rejects_unknown_parameters(key):
         fit_forest(data, data.values[:, 0], {"trees": 2, key: 3}, RngStream(0))
 
 
+
+@pytest.mark.parametrize("min_leaf", [0, -2])
+def test_fit_forest_rejects_min_leaf_below_one(min_leaf):
+    # min_leaf 0 used to index past the end of the split search
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    with pytest.raises(IngestionError, match=f"min_leaf must be at least 1, got {min_leaf}"):
+        fit_forest(data, data.values[:, 0], {"trees": 2, "min_leaf": min_leaf}, RngStream(0))
+
 def test_forest_json_roundtrip():
     gen = RngStream(4).generator()
     x = gen.normal(size=(150, 2))

@@ -84,9 +84,9 @@ def test_partial_correlation_chain_structure():
     y = x + 0.5 * gen.normal(size=5000)
     z = y + 0.5 * gen.normal(size=5000)
     graph = partial_correlation_graph(np.column_stack([x, y, z]), ["x", "y", "z"])
-    assert abs(graph.matrix[0, 2]) < 0.05  # x, z
-    assert graph.matrix[0, 1] > 0.5  # x, y
-    assert graph.matrix[1, 2] > 0.5  # y, z
+    assert abs(graph[0, 2]) < 0.05  # x, z
+    assert graph[0, 1] > 0.5  # x, y
+    assert graph[1, 2] > 0.5  # y, z
 
 
 def test_partial_correlation_needs_rows():
@@ -99,8 +99,8 @@ def test_partial_correlation_duplicate_column_recovers_via_jitter():
     gen = RngStream(3).generator()
     x = gen.normal(size=100)
     graph = partial_correlation_graph(np.column_stack([x, x]), ["a", "b"])
-    assert np.all(np.isfinite(graph.matrix))
-    assert graph.matrix[0, 1] == pytest.approx(1.0, abs=1e-3)
+    assert np.all(np.isfinite(graph))
+    assert graph[0, 1] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_to_dot_layout():
@@ -108,8 +108,9 @@ def test_to_dot_layout():
     x = gen.normal(size=1000)
     y = 0.9 * x + 0.3 * gen.normal(size=1000)
     z = gen.normal(size=1000)
-    graph = partial_correlation_graph(np.column_stack([x, y, z]), ["x", "y", "z"])
-    dot = to_dot(graph)  # edges with |rho| >= 0.05
+    names = ["x", "y", "z"]
+    graph = partial_correlation_graph(np.column_stack([x, y, z]), names)
+    dot = to_dot(names, graph)  # edges with |rho| >= 0.05
     assert dot.startswith("graph")
     assert '"x" -- "y"' in dot
     # weakly-associated pair stays out of the drawing
@@ -121,9 +122,8 @@ def test_to_dot_edge_colors_follow_sign():
     gen = RngStream(5).generator()
     x = gen.normal(size=1000)
     y = -0.9 * x + 0.3 * gen.normal(size=1000)
-    graph = partial_correlation_graph(
-        np.column_stack([x, y, gen.normal(size=1000)]), ["x", "y", "z"]
-    )
-    dot = to_dot(graph)
+    names = ["x", "y", "z"]
+    graph = partial_correlation_graph(np.column_stack([x, y, gen.normal(size=1000)]), names)
+    dot = to_dot(names, graph)
     edge = [line for line in dot.splitlines() if '"x" -- "y"' in line][0]
     assert "blue" in edge
