@@ -25,7 +25,6 @@ from .models import (
     ForestModel,
     LinearModel,
     LogOddsModel,
-    TabulatedModel,
     fit_forest,
     fit_ols,
     model_from_json,

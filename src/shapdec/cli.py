@@ -127,7 +127,7 @@ def _load_or_fit_model(args, data: FeatureMatrix, target):
             doc = json.loads(Path(args.model).read_text())
         except OSError as err:
             raise IngestionError(f"cannot read model: {err}") from err
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, or nested too deeply
             raise IngestionError(f"bad model JSON: {err}") from err
         return model_from_json(doc)
     if args.fit:
@@ -138,6 +138,8 @@ def _load_or_fit_model(args, data: FeatureMatrix, target):
 
 
 def _cmd_explain(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before any work: an unwritable --out fails fast
     data, target = read_csv(args.data, args.target)
     model = _load_or_fit_model(args, data, target)
     try:
@@ -147,8 +149,6 @@ def _cmd_explain(args) -> int:
     finally:
         if hasattr(model, "close"):
             model.close()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "decomposition.json", dec.to_json_dict(data.names))
     if args.plot:
         svg = render_force_plot(dec.base, data.names, x, dec.phi_int, dec.phi_dep)
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except ShapdecError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_COMPUTATION
+    except OSError as err:  # every read wraps its OSError in an IngestionError
+        print(f"error: cannot write: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

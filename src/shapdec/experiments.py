@@ -29,10 +29,10 @@ from .engine import decompose, exact_decomposition, shapley_residuals
 from .errors import IngestionError
 from .models import (
     CallableModel,
+    LinearModel,
     LogOddsModel,
     fit_forest,
     fit_ols,
-    toy_risk_model,
 )
 from .stats import partial_correlation_graph, spearman, to_dot
 from .viz import Series, render_force_plot, render_line_chart
@@ -47,12 +47,13 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_results(out_dir, result: dict) -> Path:
-    """Create ``out_dir``, write ``result`` to its results.json, and return
-    it as a Path for the study's figures."""
+def _output_dir(out_dir) -> Path | None:
+    """``out_dir`` created, as a Path, or None. A study makes it after its
+    input checks and before its first draw, so a bad path fails fast."""
+    if out_dir is None:
+        return None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "results.json", result)
     return out_dir
 
 
@@ -67,9 +68,15 @@ def toy_joint() -> DiscreteJoint:
     return DiscreteJoint(support, np.array([0.35, 0.15, 0.15, 0.35]))
 
 
+def toy_risk_model() -> LinearModel:
+    """The toy problem's model: its output copies the first feature."""
+    return LinearModel(np.array([1.0, 0.0]))
+
+
 def run_toy(k1: int = 10_000, k2: int = 10_000, seed: int = 0, out_dir=None) -> dict:
     """Explain x=(1,1) of the two-binary-feature toy problem with both the
     exact oracle and the sampled pipeline."""
+    out_dir = _output_dir(out_dir)
     joint = toy_joint()
     model = toy_risk_model()
     x = np.array([1.0, 1.0])
@@ -81,7 +88,7 @@ def run_toy(k1: int = 10_000, k2: int = 10_000, seed: int = 0, out_dir=None) -> 
         "sampled": sampled.to_json_dict(names),
     }
     if out_dir is not None:
-        out_dir = _write_results(out_dir, result)
+        write_json(out_dir / "results.json", result)
         svg = render_force_plot(exact.base, names, x, exact.phi_int, exact.phi_dep)
         (out_dir / "force.svg").write_text(svg)
     return result
@@ -123,6 +130,7 @@ def run_correlation_study(
     for alpha in alphas:
         if not -0.99 < alpha < 0.99:
             raise IngestionError(f"alpha {alpha} outside (-0.99, 0.99)")
+    out_dir = _output_dir(out_dir)
     x = np.array([1.0, 1.0])
     model = interaction_model(a12)
     rows = []
@@ -142,7 +150,7 @@ def run_correlation_study(
         })
     result = {"a12": float(a12), "rows": rows}
     if out_dir is not None:
-        out_dir = _write_results(out_dir, result)
+        write_json(out_dir / "results.json", result)
 
         def column(key):
             return [r[key] for r in rows]
@@ -183,6 +191,7 @@ def run_imputation_study(
     the town's seed, so both rankings walk the same permutations."""
     if not 1 <= towns <= data.n_rows:
         raise IngestionError(f"towns={towns} outside 1..{data.n_rows}")
+    out_dir = _output_dir(out_dir)
     y = np.asarray(target, dtype=float)
     if model_kind == "linear":
         model = fit_ols(data, y)
@@ -252,7 +261,7 @@ def run_imputation_study(
         "meta": {"k1": int(k1), "k2": int(k2), "seed": int(seed)},
     }
     if out_dir is not None:
-        out_dir = _write_results(out_dir, result)
+        write_json(out_dir / "results.json", result)
         for imp in IMPUTATIONS:
             chart = render_line_chart(
                 [Series(sel, ks, curves[f"{sel}|{imp}"]) for sel in SELECTIONS],
@@ -317,6 +326,7 @@ def run_fire_study(
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise IngestionError("fire label must be binary 0/1")
+    out_dir = _output_dir(out_dir)
     forest = fit_forest(
         data, labels, _STUDY_FOREST, RngStream(seed, 99), task="binary-probability"
     )
@@ -347,7 +357,7 @@ def run_fire_study(
         "meta": {"k1": int(k1), "k2": int(k2), "seed": int(seed), "sample_index": int(sample_index)},
     }
     if out_dir is not None:
-        out_dir = _write_results(out_dir, result)
+        write_json(out_dir / "results.json", result)
         i, x, axis = sample_index, data.values[sample_index], _probability_axis()
         (out_dir / "force_decomposition.svg").write_text(
             render_force_plot(bases[i], data.names, x, phi_int[i], phi_dep[i], axis)

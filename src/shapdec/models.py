@@ -1,8 +1,8 @@
 """Black-box predictors: batch row-to-output functions.
 
-In-repo models are a linear regressor, a CART random forest (regression
-or binary probability), and an exact lookup table. Anything else plugs in
-through a line-delimited JSON bridge over a child process's stdin/stdout.
+In-repo models are a linear regressor and a CART random forest
+(regression or binary probability). Anything else plugs in through a
+line-delimited JSON bridge over a child process's stdin/stdout.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class LinearModel:
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
+        if coef.ndim != 1:
+            raise IngestionError("linear model coefficients must be a vector")
         if not (np.all(np.isfinite(coef)) and np.isfinite(self.intercept)):
             raise IngestionError("linear model parameters must be finite")
         coef.setflags(write=False)
@@ -312,47 +314,6 @@ def _read_tree(nodes: _Nodes, doc: dict) -> int:
     right = _read_tree(nodes, doc["right"])
     nodes.split(k, int(doc["split"]), float(doc["threshold"]), left, right)
     return k
-
-
-@dataclass(frozen=True)
-class TabulatedModel:
-    """Exact mapping from input vectors to outputs (oracle/toy models)."""
-
-    support: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        outputs = np.asarray(self.outputs, dtype=float)
-        if support.ndim != 2 or len(support) != len(outputs):
-            raise IngestionError("support and outputs must have matching length")
-        support.setflags(write=False)
-        outputs.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "outputs", outputs)
-        table = {tuple(row): float(y) for row, y in zip(support, outputs)}
-        object.__setattr__(self, "_table", table)
-
-    @property
-    def n_features(self) -> int:
-        return self.support.shape[1]
-
-    def predict(self, rows) -> np.ndarray:
-        rows = _check_rows(rows, self.n_features)
-        try:
-            return np.array([self._table[tuple(r)] for r in rows])
-        except KeyError as err:
-            raise IngestionError(f"input {err.args[0]} outside tabulated support") from None
-
-    def describe(self) -> str:
-        return f"tabulated(support={len(self.outputs)})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "support": self.support.tolist(),
-            "outputs": self.outputs.tolist(),
-        }
 
 
 def _request_lines(rows: np.ndarray):
@@ -771,24 +732,28 @@ def fit_forest(
     return ForestModel(nodes, task, data.n_features)
 
 
-def model_from_json(doc: dict):
-    """Rebuild a model from its JSON document."""
+def model_from_json(doc):
+    """Rebuild a model from its JSON document. One that is not an object,
+    lacks a key, holds a value of the wrong type or nests past the
+    recursion limit raises IngestionError."""
+    if not isinstance(doc, dict):
+        raise IngestionError("a model document must be a JSON object")
     kind = doc.get("kind")
-    if kind == "linear":
-        return LinearModel(np.array(doc["coefficients"]), float(doc["intercept"]))
-    if kind == "forest":
-        nodes = _Nodes()
-        for tree in doc["trees"]:
-            nodes.roots.append(_read_tree(nodes, tree))
-        return ForestModel(nodes, doc["task"], int(doc["n_features"]))
-    if kind == "tabulated":
-        return TabulatedModel(np.array(doc["support"]), np.array(doc["outputs"]))
-    if kind == "external":
-        return ExternalModel(doc["cmd"], int(doc["n_features"]))
+    try:
+        if kind == "linear":
+            return LinearModel(np.array(doc["coefficients"]), float(doc["intercept"]))
+        if kind == "forest":
+            nodes = _Nodes()
+            for tree in doc["trees"]:
+                nodes.roots.append(_read_tree(nodes, tree))
+            return ForestModel(nodes, doc["task"], int(doc["n_features"]))
+        if kind == "external":
+            cmd = doc["cmd"]
+            if not (isinstance(cmd, list) and cmd and all(isinstance(a, str) for a in cmd)):
+                raise IngestionError("an external model's cmd must be a non-empty list of strings")
+            return ExternalModel(cmd, int(doc["n_features"]))
+    except KeyError as err:
+        raise IngestionError(f"{kind} model document has no {err}") from None
+    except (ValueError, TypeError, RecursionError) as err:
+        raise IngestionError(f"malformed {kind} model document: {err}") from None
     raise IngestionError(f"unknown model kind {kind!r}")
-
-
-def toy_risk_model() -> TabulatedModel:
-    """Two binary features; the output copies the first feature."""
-    support = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    return TabulatedModel(support, support[:, 0])

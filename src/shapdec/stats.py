@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IngestionError, SingularityError
+from .distributions import _jittered_cholesky
+from .errors import IngestionError
 
-_JITTER_ATTEMPTS = 10
 _DOT_THRESHOLD = 0.05  # to_dot draws no edge with |rho| below this
 
 
@@ -52,8 +52,9 @@ def partial_correlation_graph(columns, names) -> np.ndarray:
     """Partial rank correlations via the precision matrix of rank data: the
     p x p matrix of the graph on ``names``, with ones on its diagonal.
 
-    Every column is rank-transformed and standardized; the inverse of the
-    resulting correlation matrix (jitter-regularized when needed) gives
+    Every column is rank-transformed and standardized; the precision P of
+    the resulting correlation matrix, L^-T L^-1 from its Cholesky factor L
+    (jittered as the samplers' when needed), gives
     rho_{ij.rest} = -P_ij / sqrt(P_ii P_jj).
     """
     cols = np.asarray(columns, dtype=float)
@@ -68,18 +69,8 @@ def partial_correlation_graph(columns, names) -> np.ndarray:
         raise IngestionError("a column has zero rank variance")
     ranks = (ranks - ranks.mean(axis=0)) / ranks.std(axis=0)
     corr = np.corrcoef(ranks, rowvar=False)
-    eps = 1e-9
-    precision = None
-    target = corr
-    for _ in range(_JITTER_ATTEMPTS + 1):
-        try:
-            precision = np.linalg.inv(target)
-            break
-        except np.linalg.LinAlgError:
-            target = corr + eps * np.eye(p)
-            eps *= 2.0
-    if precision is None:
-        raise SingularityError("rank covariance stayed singular after jitter")
+    inv_lower = np.linalg.inv(_jittered_cholesky(corr))
+    precision = inv_lower.T @ inv_lower
     d = np.sqrt(np.diag(precision))
     partial = -precision / np.outer(d, d)
     partial = np.clip(0.5 * (partial + partial.T), -1.0, 1.0)
@@ -90,7 +81,9 @@ def partial_correlation_graph(columns, names) -> np.ndarray:
 def to_dot(names, matrix) -> str:
     """Render the partial-correlation ``matrix`` on ``names`` as a DOT
     graph: labels carry the rounded correlation, pen width scales linearly
-    with |rho|, red for positive and blue for negative edges."""
+    with |rho|, red for positive and blue for negative edges. Names are
+    quoted, with their backslashes and quotes escaped."""
+    names = [n.replace("\\", "\\\\").replace('"', '\\"') for n in names]
     lines = ["graph partial_correlations {", "  layout=neato;"]
     for name in names:
         lines.append(f'  "{name}";')

@@ -17,10 +17,8 @@ HOUSING_NAMES = (
     "CRIM", "ZN", "INDUS", "CHAS", "NOX", "RM", "AGE",
     "DIS", "RAD", "TAX", "PTRATIO", "B", "LSTAT",
 )
-HOUSING_TARGET = "MEDV"
 
 FIRE_NAMES = ("T", "RH", "Ws", "Rain")
-FIRE_TARGET = "fire"
 
 # fixed price coefficients; mixed signs so "most negative attribution"
 # rankings are nontrivial

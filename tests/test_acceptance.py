@@ -31,8 +31,9 @@ from shapdec.experiments import (
     run_fire_study,
     run_imputation_study,
     toy_joint,
+    toy_risk_model,
 )
-from shapdec.models import CallableModel, LinearModel, fit_ols, toy_risk_model
+from shapdec.models import CallableModel, LinearModel, fit_ols
 from shapdec.synthetic import synthetic_fire, synthetic_housing
 
 TOY_X = np.array([1.0, 1.0])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -640,3 +641,92 @@ def test_forest_min_leaf_below_one_exits_2(tmp_path, housing_csv, capsys, comman
                 "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "min_leaf must be at least 1, got 0" in capsys.readouterr().err
+
+
+def _doc(**fields):
+    return json.dumps(fields)
+
+
+_LEFTLESS = {"split": 0, "threshold": 0.0, "right": {"value": 1.0}}
+_DEEP = 100_000  # tree levels, past the recursion limit
+_DEEP_FOREST = (
+    '{"kind": "forest", "task": "regression", "n_features": 3, "trees": ['
+    + '{"split": 0, "threshold": 0.0, "right": {"value": 1.0}, "left": ' * _DEEP
+    + '{"value": 0.0}' + "}" * _DEEP + "]}"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "a model document must be a JSON object"),
+        (_doc(kind="linear", intercept=0.0), "linear model document has no 'coefficients'"),
+        (_doc(kind="linear", coefficients="abc", intercept=0.0), "malformed linear model"),
+        (_doc(kind="linear", coefficients=5, intercept=0.0), "coefficients must be a vector"),
+        (_doc(kind="forest", task="regression", n_features=3),
+         "forest model document has no 'trees'"),
+        (_doc(kind="forest", task="regression", n_features=3, trees=[_LEFTLESS]),
+         "forest model document has no 'left'"),
+        (_DEEP_FOREST, "bad model JSON"),
+        (_doc(kind="external", n_features=3), "external model document has no 'cmd'"),
+        (_doc(kind="external", cmd=5, n_features=3), "cmd must be a non-empty list of strings"),
+        (_doc(kind="external", cmd="python3", n_features=3), "cmd must be a non-empty list"),
+        (_doc(kind="external", cmd=[], n_features=3), "cmd must be a non-empty list"),
+        (_doc(kind="tabulated", support=[[0.0, 0.0], [1.0, 1.0]], outputs=[0.0, 1.0]),
+         "unknown model kind 'tabulated'"),
+    ],
+    ids=["not-an-object", "no-coefficients", "string-coefficients", "scalar-coefficients",
+         "no-trees", "no-left", "nested-too-deep", "no-cmd", "number-cmd", "string-cmd",
+         "empty-cmd", "tabulated"],
+)
+def test_malformed_model_document_exits_2_with_one_error_line(tmp_path, capsys, text, message):
+    # each used to exit 1 with a traceback (KeyError, ValueError, TypeError,
+    # AttributeError, RecursionError), or to launch a string's first letter
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    assert _explain_with(model_path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["explain", "experiment", "fit-model"])
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, housing_csv, capsys, monkeypatch,
+                                                   command):
+    # each used to exit 1 with a traceback; explain and experiment only
+    # after their work
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    fit = ["--data", str(housing_csv), "--target", "price"]
+    _no_decomposition(monkeypatch)
+    if command == "explain":
+        def read(*args):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr(shapdec.cli, "read_csv", read)
+        argv = ["explain", *fit, "--fit", "linear", "--out", str(taken)]
+    elif command == "experiment":
+        argv = ["experiment", "toy", "--out", str(taken)]
+    else:
+        argv = ["fit-model", "linear", *fit, "--out", str(tmp_path)]  # a directory
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write: ") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
+def test_feature_names_are_escaped_in_the_force_plot(tmp_path):
+    # R&D and b<c used to make force.svg ill-formed XML
+    data = tmp_path / "odd.csv"
+    gen = RngStream(6).generator()
+    x = gen.normal(size=(60, 3))
+    _write_csv(data, ["R&D", "b<c", 'q"t', "y"],
+               np.column_stack([x, x @ [1.0, -1.0, 0.5]]).round(6).tolist())
+    out = tmp_path / "out"
+    argv = ["explain", "--data", str(data), "--target", "y", "--fit", "linear",
+            "--k1", "20", "--k2", "20", "--out", str(out), "--plot"]
+    assert main(argv) == 0
+    svg = ET.parse(out / "force.svg")
+    labels = [e.text for e in svg.iter("{http://www.w3.org/2000/svg}text")]
+    for name in ("R&D", "b<c", 'q"t'):
+        assert any(label.startswith(f"{name} = ") for label in labels)

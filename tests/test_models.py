@@ -24,12 +24,10 @@ from shapdec.models import (
     ExternalModel,
     LinearModel,
     LogOddsModel,
-    TabulatedModel,
     fit_forest,
     fit_ols,
     model_from_json,
     predict_batches,
-    toy_risk_model,
 )
 
 
@@ -120,20 +118,6 @@ def test_binary_forest_outputs_probabilities():
     model = fit_forest(data, y, {"trees": 30}, RngStream(1, 1), task="binary-probability")
     p = model.predict(gen.normal(size=(100, 2)))
     assert np.all((p >= 0.0) & (p <= 1.0))
-
-
-def test_tabulated_model_exact_lookup():
-    model = toy_risk_model()
-    assert np.allclose(model.predict([[1.0, 0.0], [0.0, 1.0]]), [1.0, 0.0])
-    with pytest.raises(IngestionError):
-        model.predict([[0.5, 0.5]])
-
-
-def test_tabulated_model_json_roundtrip():
-    model = toy_risk_model()
-    clone = model_from_json(model.to_json_dict())
-    rows = [[0.0, 0.0], [1.0, 1.0]]
-    assert np.allclose(model.predict(rows), clone.predict(rows))
 
 
 def test_log_odds_clamps_extreme_probabilities():
@@ -753,3 +737,12 @@ def test_decompose_stops_at_a_nan_model_output():
     model = CallableModel(lambda rows: np.where(rows[:, 0] > 1.0, np.nan, rows[:, 1]), 2)
     with pytest.raises(ModelOutputError):
         decompose(model, sampler, np.array([0.0, 1.0]), 20, 20, 0)
+
+
+def test_model_from_json_rejects_a_tree_nested_past_the_recursion_limit():
+    tree = {"value": 0.0}
+    for _ in range(sys.getrecursionlimit() + 10):
+        tree = {"split": 0, "threshold": 0.0, "left": tree, "right": {"value": 1.0}}
+    doc = {"kind": "forest", "task": "regression", "n_features": 1, "trees": [tree]}
+    with pytest.raises(IngestionError, match="malformed forest model document"):
+        model_from_json(doc)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -127,3 +129,13 @@ def test_to_dot_edge_colors_follow_sign():
     dot = to_dot(names, graph)
     edge = [line for line in dot.splitlines() if '"x" -- "y"' in line][0]
     assert "blue" in edge
+
+
+def test_to_dot_escapes_quotes_and_backslashes_in_names():
+    names = ['q"t', "a\\b", "R&D"]
+    dot = to_dot(names, np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]]))
+    # DOT's quoted strings: any character but a quote, or a backslash pair
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    unescaped = [re.sub(r"\\(.)", r"\1", q) for q in quoted]
+    assert unescaped[:3] == names  # the node lines
+    assert unescaped[3:] == ['q"t', "a\\b", "0.50", 'q"t', "R&D", "-0.50"]  # two edges
