@@ -121,6 +121,21 @@ def _fit(kind: str, data: FeatureMatrix, target, args, task: str = "regression")
     return fit_forest(data, target, params, RngStream(args.seed, 77), task=task)
 
 
+# The least value of each budget and forest flag a command takes
+_FLAG_FLOORS = {"k1": 1, "k2": 1, "trees": 1, "max_depth": 0, "min_leaf": 1}
+
+
+def _check_flags(args) -> None:
+    """Reject a budget or forest flag below its floor before any read or
+    draw: ``decompose`` and ``fit_forest`` would find it only after the
+    data were read and the model fitted."""
+    for name, least in _FLAG_FLOORS.items():
+        value = getattr(args, name, least)
+        if value < least:
+            flag = "--" + name.replace("_", "-")
+            raise IngestionError(f"{flag} must be at least {least}, got {value}")
+
+
 def _load_or_fit_model(args, data: FeatureMatrix, target):
     if args.model:
         try:
@@ -280,6 +295,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flags(args)
         return args.func(args)
     except IngestionError as err:
         print(f"error: {err}", file=sys.stderr)

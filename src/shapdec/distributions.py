@@ -22,7 +22,9 @@ L_mm]]`` gives the gain ``Sigma_ms Sigma_ss^-1 = L_ms L_ss^-1`` and the
 conditional covariance ``L_mm L_mm^T``. The walk conditions every prefix
 of an ordering with one factor of the covariance in that order (the chain
 rule), all of a row's orderings factored in one stacked Cholesky, and an
-ordering's prefixes share one normal vector per draw; the marginal
+ordering's prefixes share one normal vector per draw: each prefix's
+conditional mean is one more row of its factor, so a pair is one matmul
+of its normals by its prefixes' factors; the marginal
 sampler's prefixes share one block of background rows, and the discrete
 sampler matches every prefix in one pass over the support. It needs numpy
 alone; scipy is imported only by the copula's normal transforms.
@@ -116,12 +118,19 @@ def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int
 
     With ``L L^T = Sigma[perm, perm]`` and ``w = L^-1 (cond - mu)[perm]``,
     draw r of prefix j is ``mu + L [w_<j, z_r,>=j]`` in perm order, an
-    exact draw given the first j features of perm at ``cond``. Returns
-    ``draw(q, gen, out)``: it draws ``z = gen.standard_normal((2, draws,
-    M))``, whose column c drives position c of ordering o for every prefix
-    of it, and writes prefix j of ordering o to out[o, j] (2 x M x draws x
-    M, each out[o] contiguous, so that its reshapes are views) in feature
-    order, with ``fill`` on the known columns.
+    exact draw given the first j features of perm at ``cond``. In feature
+    order that is ``[z_r, 1] @ F_j``, where the factor F_j holds ``gain =
+    L^T`` (its columns in feature order) with rows k < j zeroed, then the
+    prefix's conditional mean ``base_j = mu + sum_{k<j} w_k gain_k`` as
+    its last row, ``fill`` on the known columns. Those columns of gain
+    are zeros of L's upper triangle, so they come out as ``fill``'s bytes
+    but for a zero's sign, which is written back.
+
+    Returns ``draw(q, gen, out)``: it draws ``z = gen.standard_normal((2,
+    draws, M))``, whose column c drives position c of ordering o for every
+    prefix of it, and writes prefix j of ordering o to out[o, j] (2 x M x
+    draws x M, each out[o] contiguous) in one matmul of ``[z, 1]`` by the
+    pair's factors, built in a reused block.
     """
     pairs, _, m = orders.shape
     perms = orders.reshape(-1, m)
@@ -130,26 +139,31 @@ def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int
         lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         lower = np.array([_jittered_cholesky(a) for a in cov])
-    # prefix j knows positions k < j: w there, and in feature order orders[..., k]
-    prefix, position = np.tril_indices(m, -1)
     w = np.linalg.solve(lower, (cond - model.mean)[perms][..., None])
-    w = w.reshape(pairs, 2, m)[..., position, None]
-    known = orders[..., position]
-    # L^T with its columns in feature order: u @ gain is in feature order
-    gain = np.take_along_axis(lower.transpose(0, 2, 1), np.argsort(perms)[:, None, :], 2)
-    gain = gain.reshape(pairs, 2, m, m)
-    mean = np.tile(model.mean, draws)  # over a prefix's draws flat: one long add per prefix
-    ordering = np.arange(2)[:, None]
-    u = np.empty((2, m, draws, m))  # reused by every pair
+    rank = np.argsort(perms)  # rank[n, c]: the position of feature c in ordering n
+    gain = np.take_along_axis(lower.transpose(0, 2, 1), rank[:, None, :], 2)
+    # base[n, j] = mu + sum_{k<j} w_k gain_k, one running sum over k
+    base = np.empty_like(gain)
+    base[:, 0] = model.mean
+    np.multiply(w[:, :-1], gain[:, :-1], out=base[:, 1:])
+    np.cumsum(base, axis=1, out=base)
+    base = np.where(rank[:, None, :] < np.arange(m)[:, None], fill, base)  # a masked copyto is slower
+    gain, base = gain.reshape(pairs, 2, m, m), base.reshape(pairs, 2, m, m)
+    rank = rank.reshape(pairs, 2, m)
+    zeros = np.flatnonzero(fill == 0)  # the matmul may turn -0.0 into 0.0
+    # drawn[j, k]: prefix j draws position k
+    drawn = np.arange(m)[:, None, None] <= np.arange(m)[:, None]
+    z1 = np.ones((2, 1, draws, m + 1))  # reused by every pair: [z, 1]
+    factors = np.zeros((2, m, m + 1, m))  # F_j of both orderings; rows k < j stay zero
 
     def draw(q: int, gen, out: np.ndarray) -> None:
-        # fancy assignments: masked copies of the same entries take 2-3 times as long
-        u[...] = gen.standard_normal((2, 1, draws, m))
-        u[ordering, prefix, :, position] = w[q]
-        np.matmul(u.reshape(2, -1, m), gain[q], out=out.reshape(2, -1, m))
-        rows = out.reshape(2, m, -1)
-        np.add(rows, mean, out=rows)
-        out[ordering, prefix, :, known[q]] = fill[known[q], None]
+        z1[..., :m] = gen.standard_normal((2, 1, draws, m))
+        np.copyto(factors[:, :, :m], gain[q][:, None], where=drawn)
+        factors[:, :, m] = base[q]
+        np.matmul(z1, factors, out=out)
+        for c in zeros:
+            for o in range(2):
+                out[o, rank[q, o, c] + 1:, :, c] = fill[c]
 
     return draw
 

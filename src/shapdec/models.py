@@ -305,6 +305,16 @@ class ForestModel:
         }
 
 
+def _integer(doc: dict, key: str, least: int) -> int:
+    """doc[key], which must be a JSON integer (no bool, float or string)
+    of at least ``least``."""
+    value = doc[key]
+    if type(value) is not int or value < least:
+        raise IngestionError(f"model document field {key!r} must be an integer >= {least}, "
+                             f"got {value!r}")
+    return value
+
+
 def _read_tree(nodes: _Nodes, doc: dict) -> int:
     """Add the tree of a JSON document to ``nodes``; returns its root."""
     if "value" in doc:
@@ -312,7 +322,7 @@ def _read_tree(nodes: _Nodes, doc: dict) -> int:
     k = nodes.leaf()
     left = _read_tree(nodes, doc["left"])
     right = _read_tree(nodes, doc["right"])
-    nodes.split(k, int(doc["split"]), float(doc["threshold"]), left, right)
+    nodes.split(k, _integer(doc, "split", 0), float(doc["threshold"]), left, right)
     return k
 
 
@@ -718,6 +728,8 @@ def fit_forest(
     p = {**_FOREST_DEFAULTS, **(params or {})}
     if p["min_leaf"] < 1:
         raise IngestionError(f"min_leaf must be at least 1, got {p['min_leaf']}")
+    if p["max_depth"] < 0:
+        raise IngestionError(f"max_depth must be at least 0, got {p['max_depth']}")
     y = np.asarray(target, dtype=float)
     x = data.values
     if task == "binary-probability" and not np.all(np.isin(y, (0.0, 1.0))):
@@ -734,8 +746,9 @@ def fit_forest(
 
 def model_from_json(doc):
     """Rebuild a model from its JSON document. One that is not an object,
-    lacks a key, holds a value of the wrong type or nests past the
-    recursion limit raises IngestionError."""
+    lacks a key, holds a value of the wrong type (``n_features`` and
+    ``split`` must be JSON integers) or nests past the recursion limit
+    raises IngestionError."""
     if not isinstance(doc, dict):
         raise IngestionError("a model document must be a JSON object")
     kind = doc.get("kind")
@@ -746,12 +759,12 @@ def model_from_json(doc):
             nodes = _Nodes()
             for tree in doc["trees"]:
                 nodes.roots.append(_read_tree(nodes, tree))
-            return ForestModel(nodes, doc["task"], int(doc["n_features"]))
+            return ForestModel(nodes, doc["task"], _integer(doc, "n_features", 1))
         if kind == "external":
             cmd = doc["cmd"]
             if not (isinstance(cmd, list) and cmd and all(isinstance(a, str) for a in cmd)):
                 raise IngestionError("an external model's cmd must be a non-empty list of strings")
-            return ExternalModel(cmd, int(doc["n_features"]))
+            return ExternalModel(cmd, _integer(doc, "n_features", 1))
     except KeyError as err:
         raise IngestionError(f"{kind} model document has no {err}") from None
     except (ValueError, TypeError, RecursionError) as err:

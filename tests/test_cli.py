@@ -640,7 +640,7 @@ def test_forest_min_leaf_below_one_exits_2(tmp_path, housing_csv, capsys, comman
         argv = ["explain", "--fit", "forest", *fit, "--k1", "20", "--k2", "20",
                 "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert "min_leaf must be at least 1, got 0" in capsys.readouterr().err
+    assert "--min-leaf must be at least 1, got 0" in capsys.readouterr().err
 
 
 def _doc(**fields):
@@ -648,6 +648,12 @@ def _doc(**fields):
 
 
 _LEFTLESS = {"split": 0, "threshold": 0.0, "right": {"value": 1.0}}
+
+
+def _SPLIT_AT(feature):
+    return {"split": feature, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 1.0}}
+
+
 _DEEP = 100_000  # tree levels, past the recursion limit
 _DEEP_FOREST = (
     '{"kind": "forest", "task": "regression", "n_features": 3, "trees": ['
@@ -674,10 +680,23 @@ _DEEP_FOREST = (
         (_doc(kind="external", cmd=[], n_features=3), "cmd must be a non-empty list"),
         (_doc(kind="tabulated", support=[[0.0, 0.0], [1.0, 1.0]], outputs=[0.0, 1.0]),
          "unknown model kind 'tabulated'"),
+        (_doc(kind="forest", task="regression", n_features=3.9, trees=[{"value": 1.0}]),
+         "field 'n_features' must be an integer >= 1, got 3.9"),
+        (_doc(kind="forest", task="regression", n_features=3, trees=[_SPLIT_AT(1.7)]),
+         "field 'split' must be an integer >= 0, got 1.7"),
+        (_doc(kind="forest", task="regression", n_features=3, trees=[_SPLIT_AT(True)]),
+         "field 'split' must be an integer >= 0, got True"),
+        (_doc(kind="external", cmd=["python3"], n_features=-2),
+         "field 'n_features' must be an integer >= 1, got -2"),
+        (_doc(kind="external", cmd=["python3"], n_features=True),
+         "field 'n_features' must be an integer >= 1, got True"),
+        (_doc(kind="external", cmd=["python3"], n_features="3"),
+         "field 'n_features' must be an integer >= 1, got '3'"),
     ],
     ids=["not-an-object", "no-coefficients", "string-coefficients", "scalar-coefficients",
          "no-trees", "no-left", "nested-too-deep", "no-cmd", "number-cmd", "string-cmd",
-         "empty-cmd", "tabulated"],
+         "empty-cmd", "tabulated", "float-n-features", "float-split", "bool-split",
+         "negative-n-features", "bool-n-features", "string-n-features"],
 )
 def test_malformed_model_document_exits_2_with_one_error_line(tmp_path, capsys, text, message):
     # each used to exit 1 with a traceback (KeyError, ValueError, TypeError,
@@ -688,6 +707,39 @@ def test_malformed_model_document_exits_2_with_one_error_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+_CSV = ["--data", "data.csv", "--target", "price"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["explain", *_CSV, "--fit", "linear", "--k1", "0"], "--k1 must be at least 1, got 0"),
+        (["explain", *_CSV, "--fit", "linear", "--k2", "0"], "--k2 must be at least 1, got 0"),
+        (["explain", *_CSV, "--fit", "forest", "--max-depth", "-3"],
+         "--max-depth must be at least 0, got -3"),
+        (["explain", *_CSV, "--fit", "forest", "--trees", "0"], "--trees must be at least 1, got 0"),
+        (["experiment", "housing", *_CSV, "--k1", "0"], "--k1 must be at least 1, got 0"),
+        (["experiment", "toy", "--k2", "-5"], "--k2 must be at least 1, got -5"),
+        (["fit-model", "forest", *_CSV, "--max-depth", "-3"],
+         "--max-depth must be at least 0, got -3"),
+    ],
+    ids=["explain-k1", "explain-k2", "explain-max-depth", "explain-trees", "experiment-k1",
+         "experiment-k2", "fit-model-max-depth"],
+)
+def test_budget_and_forest_flags_below_their_floor_exit_2_before_any_read(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # --k1 0 used to exit 3 after the read and the fit; --max-depth -3 to exit 0
+    def read(*args):
+        raise AssertionError("the data were read")
+
+    monkeypatch.setattr(shapdec.cli, "read_csv", read)
+    _no_decomposition(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["explain", "experiment", "fit-model"])

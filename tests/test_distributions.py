@@ -261,8 +261,31 @@ def _near_twin_gaussian(m):
 
 def _chain_reference(model, perm, x, z):
     """Every prefix of one ordering from its own ``_jittered_cholesky``
-    factor L: w = L^-1 (x - mu)[perm], and draw r of prefix j is mu + L
-    [w_<j, z_r,>=j] in perm order, with x on the prefix."""
+    factor L, as the walk folds it: gain is L^T with its columns in
+    feature order, w = L^-1 (x - mu)[perm], and draw r of prefix j is
+    [z_r, 1] times gain with rows k < j zeroed over the running mean
+    mu + sum_{k<j} w_k gain_k, with x on the prefix."""
+    m = len(x)
+    lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
+    w = np.linalg.solve(lower, x[perm] - model.mean[perm])
+    gain = np.empty((m, m))
+    gain[:, perm] = lower.T
+    z1 = np.column_stack([z, np.ones(len(z))])
+    out, mean = np.empty((m, len(z), m)), model.mean
+    for j in range(m):
+        factor = np.zeros((m + 1, m))
+        factor[j:m] = gain[j:]
+        factor[m] = mean
+        factor[m, perm[:j]] = x[perm[:j]]
+        out[j] = z1 @ factor
+        out[j][:, perm[:j]] = x[perm[:j]]
+        mean = mean + w[j] * gain[j]
+    return out
+
+
+def _chain_unfolded(model, perm, x, z):
+    """The same prefixes as ``mu + L [w_<j, z_r,>=j]`` in perm order, the
+    mean added after the product."""
     m = len(x)
     lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
     w = np.linalg.solve(lower, x[perm] - model.mean[perm])
@@ -302,6 +325,58 @@ def test_walk_factors_each_ordering_alone_when_the_stacked_factor_fails():
         for o, perm in enumerate(pair):
             expected = _chain_reference(model, perm, x, z[o])
             assert out[o, o:].tobytes() == expected[o:].tobytes(), (q, o)
+            # folding the mean into the factor moves only rounding: 1e-12 of
+            # the ordering's largest value, as a draw near 0 is a difference
+            # of terms that size
+            unfolded = _chain_unfolded(model, perm, x, z[o])[o:]
+            scale = np.abs(unfolded).max()
+            np.testing.assert_allclose(out[o, o:], unfolded, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _signed_zero_walk_case(kind, m):
+    """A sampler of ``kind`` over M features and a row x it can condition
+    on, holding -0.0 on features 1 and 7 and 0.0 on 4 and 10 (and on the
+    last, the constant feature of "constant-gaussian")."""
+    rows = RngStream(8).generator().integers(-2, 3, size=(300, m)).astype(float)
+    rows[0, [1, 4, 7, 10]] = 0.0
+    if kind == "constant-gaussian":
+        rows[:, -1] = 0.0  # every ordering's covariance needs the jitter
+    x = rows[0].copy()
+    x[[1, 7]] = -0.0
+    data = FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows)
+    if kind.endswith("gaussian"):
+        return GaussianSampler(fit_gaussian(data)), x
+    if kind == "copula":
+        return CopulaSampler(fit_copula(data)), x
+    if kind == "marginal":
+        return MarginalSampler(data), x
+    support, counts = np.unique(rows, axis=0, return_counts=True)
+    return DiscreteSampler(DiscreteJoint(support, counts / counts.sum())), x
+
+
+@pytest.mark.parametrize(
+    "kind", ["gaussian", "constant-gaussian", "copula", "discrete", "marginal"]
+)
+def test_walk_known_columns_are_xs_bytes(kind):
+    # every known column of every prefix of both orderings holds x's own
+    # bytes, down to the sign of a zero
+    m, draws = 12, 6
+    sampler, x = _signed_zero_walk_case(kind, m)
+    assert np.signbit(x[[1, 7]]).all() and not np.signbit(x[[4, 10]]).any()
+    if kind == "constant-gaussian":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sampler.model.cov)
+    perms = [RngStream(s, 3).generator().permutation(m) for s in range(30)]
+    orders = np.array([(perm, perm[::-1]) for perm in perms])
+    draw = sampler._prefix_draws(orders, x, draws)
+    gen = RngStream(4).generator()
+    out = np.empty((2, m, draws, m))
+    for q, pair in enumerate(orders):
+        draw(q, gen, out)
+        for o, perm in enumerate(pair):
+            for j in range(1, m):
+                known = perm[:j]
+                assert out[o, j][:, known].tobytes() == np.tile(x[known], (draws, 1)).tobytes()
 
 
 def test_walk_with_an_indefinite_covariance_raises_singularity_error():

@@ -97,6 +97,14 @@ def test_fit_forest_rejects_min_leaf_below_one(min_leaf):
     with pytest.raises(IngestionError, match=f"min_leaf must be at least 1, got {min_leaf}"):
         fit_forest(data, data.values[:, 0], {"trees": 2, "min_leaf": min_leaf}, RngStream(0))
 
+@pytest.mark.parametrize("max_depth", [-1, -3])
+def test_fit_forest_rejects_max_depth_below_zero(max_depth):
+    # max_depth -3 used to grow constant trees
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    with pytest.raises(IngestionError, match=f"max_depth must be at least 0, got {max_depth}"):
+        fit_forest(data, data.values[:, 0], {"trees": 2, "max_depth": max_depth}, RngStream(0))
+
+
 def test_forest_json_roundtrip():
     gen = RngStream(4).generator()
     x = gen.normal(size=(150, 2))
