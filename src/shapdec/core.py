@@ -3,8 +3,9 @@
 A coalition of known features is an int bitmask: bit i set means feature
 i is known. Everything here is immutable after construction. All
 randomness flows through :class:`RngStream`, which derives independent
-substreams from (seed, index) pairs, so a work item's draws depend only on
-the seed and its own key, not on what was drawn before it.
+substreams from (seed, index) pairs, so a work item's draws (a coalition
+of the table, or an explained row of the walk) depend only on the seed
+and its own key, not on what was drawn before it.
 """
 
 from __future__ import annotations

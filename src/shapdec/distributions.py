@@ -4,15 +4,16 @@ Four samplers (multivariate Gaussian, Gaussian copula over empirical
 marginals, an exact discrete joint used by the oracles, and a marginal
 whole-row sampler that plays the interventional game) give rows of X
 with x's own bytes on the known columns, per coalition mask (``_draw``)
-and per antithetic pair of the walk. For the walk, ``_prefix_draws(orders,
-x, draws)`` does the explained row's work once, for the orderings
-``orders`` (pairs x 2 x M: each permutation and its reverse), and returns
-``draw(q, gen, out)``: one call per pair writes prefix j of ordering o to
-out[o, j] (2 x M x draws x M), all but the reverse's empty coalition,
-which the caller shares from the first ordering. ``out`` is a view of the
-caller's pair block, which holds the reverse first so that the pair is
-one contiguous model batch; out[0] is still the first ordering, and each
-out[o] is contiguous. A fitted model is immutable; a sampler caches only
+and per chunk of antithetic pairs of the walk. For the walk,
+``_prefix_draws(orders, x, draws, chunk)`` does the explained row's work
+once, for the orderings ``orders`` (pairs x 2 x M: each permutation and
+its reverse), and returns ``draw(lo, gen, out)``: one call writes the v
+rows of pairs lo to lo + len(out) - 1 to out (at most ``chunk`` pairs x
+2M - 1 x draws x M). A pair's 2M - 1 blocks are the first ordering's M
+prefixes, then the reverse's prefixes 1 to M - 1; the reverse's empty
+coalition is the first's. Each call draws from ``gen`` in (pair,
+ordering, draw, position) order, so how the pairs are split into chunks
+changes no drawn row. A fitted model is immutable; a sampler caches only
 work that repeats for one coalition or one explained row, so a draw
 depends only on its inputs and generator.
 
@@ -23,8 +24,9 @@ conditional covariance ``L_mm L_mm^T``. The walk conditions every prefix
 of an ordering with one factor of the covariance in that order (the chain
 rule), all of a row's orderings factored in one stacked Cholesky, and an
 ordering's prefixes share one normal vector per draw: each prefix's
-conditional mean is one more row of its factor, so a pair is one matmul
-of its normals by its prefixes' factors; the marginal
+conditional mean is one more row of its factor, so a chunk of pairs is
+two matmuls of its normals by its prefixes' factors, the first
+orderings' and the reverses'; the marginal
 sampler's prefixes share one block of background rows, and the discrete
 sampler matches every prefix in one pass over the support. It needs numpy
 alone; scipy is imported only by the copula's normal transforms.
@@ -109,7 +111,16 @@ def _is_known(masks, m: int) -> np.ndarray:
     return (np.asarray(masks)[..., None] >> np.arange(m) & 1).astype(bool)
 
 
-def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int):
+def _walk_known(orders: np.ndarray) -> np.ndarray:
+    """known[q, r, c]: whether feature c is known in v row block r of pair
+    q of ``orders`` (pairs x 2 x M): the first ordering's prefixes 0 to
+    M - 1, then the reverse's 1 to M - 1."""
+    m = orders.shape[-1]
+    known = np.argsort(orders)[..., None, :] < np.arange(m)[:, None]  # [q, o, j, c]
+    return np.concatenate([known[:, 0], known[:, 1, 1:]], axis=1)
+
+
+def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int, chunk: int):
     """The walk kernel of ``model`` on ``cond``: every prefix of every
     ordering of ``orders`` (pairs x 2 x M) from one factor of the
     covariance in that order (the chain rule; Aas, Jullum & Loland, AI
@@ -126,11 +137,14 @@ def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int
     are zeros of L's upper triangle, so they come out as ``fill``'s bytes
     but for a zero's sign, which is written back.
 
-    Returns ``draw(q, gen, out)``: it draws ``z = gen.standard_normal((2,
-    draws, M))``, whose column c drives position c of ordering o for every
-    prefix of it, and writes prefix j of ordering o to out[o, j] (2 x M x
-    draws x M, each out[o] contiguous) in one matmul of ``[z, 1]`` by the
-    pair's factors, built in a reused block.
+    Returns ``draw(lo, gen, out)`` for up to ``chunk`` pairs: it draws ``z
+    = gen.standard_normal((pairs, 2, draws, M))``, whose column c drives
+    position c of ordering o for every prefix of it, and writes the v rows
+    (the module's layout) in two matmuls of ``[z, 1]`` by the factors, one
+    for the first orderings and one for the reverses. ``[z, 1]`` and the
+    factors, their conditional means last, are built in buffers reused by
+    every chunk: buffers of this size, allocated anew for each chunk, would
+    go through the allocator's mmap and trim path.
     """
     pairs, _, m = orders.shape
     perms = orders.reshape(-1, m)
@@ -139,31 +153,35 @@ def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int
         lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         lower = np.array([_jittered_cholesky(a) for a in cov])
-    w = np.linalg.solve(lower, (cond - model.mean)[perms][..., None])
+    w = np.linalg.solve(lower, (cond - model.mean)[perms][..., None]).reshape(pairs, 2, m, 1)
+    gain = np.empty((2 * pairs, m, m))
+    gain[np.arange(2 * pairs)[:, None], :, perms] = lower  # gain[n][:, perm] = L^T
+    gain = gain.reshape(pairs, 2, m, m)
     rank = np.argsort(perms)  # rank[n, c]: the position of feature c in ordering n
-    gain = np.take_along_axis(lower.transpose(0, 2, 1), rank[:, None, :], 2)
-    # base[n, j] = mu + sum_{k<j} w_k gain_k, one running sum over k
-    base = np.empty_like(gain)
-    base[:, 0] = model.mean
-    np.multiply(w[:, :-1], gain[:, :-1], out=base[:, 1:])
-    np.cumsum(base, axis=1, out=base)
-    base = np.where(rank[:, None, :] < np.arange(m)[:, None], fill, base)  # a masked copyto is slower
-    gain, base = gain.reshape(pairs, 2, m, m), base.reshape(pairs, 2, m, m)
-    rank = rank.reshape(pairs, 2, m)
-    zeros = np.flatnonzero(fill == 0)  # the matmul may turn -0.0 into 0.0
-    # drawn[j, k]: prefix j draws position k
-    drawn = np.arange(m)[:, None, None] <= np.arange(m)[:, None]
-    z1 = np.ones((2, 1, draws, m + 1))  # reused by every pair: [z, 1]
-    factors = np.zeros((2, m, m + 1, m))  # F_j of both orderings; rows k < j stay zero
+    # known[q, o, j, c]: prefix j of ordering o of pair q knows feature c
+    known = (rank[:, None, :] < np.arange(m)[:, None]).reshape(pairs, 2, m, m)
+    zeros = np.any(fill == 0)  # the matmul may turn -0.0 into 0.0 on a known column
+    drawn = (np.arange(m)[:, None] <= np.arange(m))[..., None]  # [j, k]: prefix j draws position k
+    z1 = np.ones((chunk, 2, 1, draws, m + 1))  # [z, 1]
+    factors = np.zeros((chunk, 2, m, m + 1, m))  # F_j; rows k < j stay zero
 
-    def draw(q: int, gen, out: np.ndarray) -> None:
-        z1[..., :m] = gen.standard_normal((2, 1, draws, m))
-        np.copyto(factors[:, :, :m], gain[q][:, None], where=drawn)
-        factors[:, :, m] = base[q]
-        np.matmul(z1, factors, out=out)
-        for c in zeros:
-            for o in range(2):
-                out[o, rank[q, o, c] + 1:, :, c] = fill[c]
+    def draw(lo: int, gen, out: np.ndarray) -> None:
+        p = len(out)
+        hi = lo + p
+        z1[:p, ..., :m] = gen.standard_normal((p, 2, 1, draws, m))
+        f = factors[:p]
+        np.copyto(f[..., :m, :], gain[lo:hi, :, None], where=drawn)
+        # base[q, o, j] = mu + sum_{k<j} w_k gain_k, one running sum over k
+        base = f[..., m, :]
+        base[:, :, 0] = model.mean
+        np.multiply(w[lo:hi, :, :-1], gain[lo:hi, :, :-1], out=base[:, :, 1:])
+        np.cumsum(base, axis=2, out=base)
+        np.copyto(base, fill, where=known[lo:hi])
+        np.matmul(z1[:p, 0], f[:, 0], out=out[:, :m])
+        np.matmul(z1[:p, 1], f[:, 1, 1:], out=out[:, m:])
+        if zeros:
+            np.copyto(out[:, :m], fill, where=known[lo:hi, 0, :, None])
+            np.copyto(out[:, m:], fill, where=known[lo:hi, 1, 1:, None])
 
     return draw
 
@@ -221,8 +239,8 @@ class GaussianSampler:
         rows[:, order[k:]] = self.conditional_mean(mask, x) + z @ chol.T
         return rows
 
-    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
-        return _chain_walk(self.model, orders, x, x, draws)
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int, chunk: int):
+        return _chain_walk(self.model, orders, x, x, draws, chunk)
 
     def conditional_mean(self, mask: int, x) -> np.ndarray:
         """Exact conditional mean of the missing features of ``mask``
@@ -334,19 +352,17 @@ class CopulaSampler:
             rows[:, j] = x[j] if mask >> j & 1 else self._from_scores(j, rows[:, j])
         return rows
 
-    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int, chunk: int):
         """The Gaussian walk kernel on the latent scores of x, then each
         feature back through its marginal over every prefix that drew it."""
-        chain = _chain_walk(self._latent.model, orders, self._to_scores(x), x, draws)
-        # drawn[q, o, j, c]: feature c is not among the first j of ordering o
-        drawn = np.argsort(orders)[..., None, :] >= np.arange(self.n_features)[:, None]
-        drawn[:, 1, 0] = False  # the reverse's empty coalition is the caller's
+        chain = _chain_walk(self._latent.model, orders, self._to_scores(x), x, draws, chunk)
+        drawn = ~_walk_known(orders)  # [q, r, c]: v row block r of pair q draws feature c
 
-        def draw(q: int, gen, out: np.ndarray) -> None:
-            chain(q, gen, out)
+        def draw(lo: int, gen, out: np.ndarray) -> None:
+            chain(lo, gen, out)
+            on = drawn[lo:lo + len(out)]
             for j in range(self.n_features):
-                on = drawn[q, :, :, j]
-                out[on, :, j] = self._from_scores(j, out[on, :, j])
+                out[on[..., j], :, j] = self._from_scores(j, out[on[..., j], :, j])
 
         return draw
 
@@ -428,24 +444,27 @@ class DiscreteSampler:
         np.copyto(out, x, where=_is_known(mask, len(x)))  # x's bytes: -0.0 == 0.0 matched
         return out
 
-    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int, chunk: int):
         """Per ordering, every prefix from one pass over the support: the
         rows matching x on perm[:j + 1] are the rows matching it on perm[:j]
         whose perm[j] does too. Prefix j draws as ``_draw`` would on its
-        mask; the reverse's empty coalition is the caller's."""
+        mask; the reverse's empty coalition is the first's."""
         support = self.joint.support
+        m = len(x)
 
-        def draw(q: int, gen, out: np.ndarray) -> None:
-            for o, perm in enumerate(orders[q]):
-                rows, probs = self.joint.restrict(0, x)
-                match = np.arange(len(probs))  # the support rows matching x on perm[:j]
-                for j, mask in enumerate(_prefix_masks(perm).tolist()):
-                    if j:
-                        match = match[support[match, perm[j - 1]] == x[perm[j - 1]]]
-                        rows, probs = self.joint._renormalized(match, mask, x)
-                    if o == 0 or j:
-                        np.take(rows, _picks(probs, draws, gen), 0, out[o, j])
-                        out[o, j][:, perm[:j]] = x[perm[:j]]
+        def draw(lo: int, gen, out: np.ndarray) -> None:
+            for pair, blocks in zip(orders[lo:lo + len(out)], out):
+                for o, perm in enumerate(pair):
+                    rows, probs = self.joint.restrict(0, x)
+                    match = np.arange(len(probs))  # the support rows matching x on perm[:j]
+                    for j, mask in enumerate(_prefix_masks(perm).tolist()):
+                        if j:
+                            match = match[support[match, perm[j - 1]] == x[perm[j - 1]]]
+                            rows, probs = self.joint._renormalized(match, mask, x)
+                        if o == 0 or j:
+                            block = blocks[j + o * (m - 1)]
+                            np.take(rows, _picks(probs, draws, gen), 0, block)
+                            block[:, perm[:j]] = x[perm[:j]]
 
         return draw
 
@@ -473,17 +492,19 @@ class MarginalSampler:
         np.copyto(rows, x, where=_is_known(mask, len(x)))
         return rows
 
-    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int):
+    def _prefix_draws(self, orders: np.ndarray, x: np.ndarray, draws: int, chunk: int):
         """One block of ``draws`` background rows per ordering; each prefix
         sets its known columns to x on it. Every prefix is still an exact
         draw from the marginal, and prefix j + 1 is prefix j with perm[j]
         set to x, so v[S + i] - t[S, i] is a paired difference."""
-        prefix, position = np.tril_indices(len(x), -1)  # prefix j knows positions k < j
-        known = orders[..., position]
-        ordering = np.arange(2)[:, None]
+        m = len(x)
+        known = _walk_known(orders)[:, :, None, :]
 
-        def draw(q: int, gen, out: np.ndarray) -> None:
-            out[...] = self.data.values[gen.integers(0, self.data.n_rows, size=(2, 1, draws))]
-            out[ordering, prefix, :, known[q]] = x[known[q], None]
+        def draw(lo: int, gen, out: np.ndarray) -> None:
+            p = len(out)
+            rows = self.data.values[gen.integers(0, self.data.n_rows, size=(p, 2, 1, draws))]
+            out[:, :m] = rows[:, 0]
+            out[:, m:] = rows[:, 1]
+            np.copyto(out, x, where=known[lo:lo + p])
 
         return draw

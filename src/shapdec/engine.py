@@ -7,13 +7,14 @@ coalition's rows, paired with their copies along random orderings, while
 2^M is small, and antithetic permutations beyond, within one budget of
 model rows; ``exact_decomposition`` fills them exactly. Under a
 ``MarginalSampler`` the game is the interventional one, so ``decompose``'s
-phi is interventional SHAP. The sampled loops re-key one Philox
-generator to each work item's substream. A coalition's rows come from
-one ``_draw`` and go to the model as one batch; an antithetic pair's, for
-every prefix of both its orderings, come from one call of the kernel that
-``_prefix_draws`` builds once per explained row and go as one batch, the
-reverse ordering's rows first. All are feature-space rows with x on the
-known columns, as ``DiscreteJoint.restrict`` gives the oracle. Each loop
+phi is interventional SHAP. The table re-keys one Philox generator to each
+coalition's substream; the walk draws from one generator per explained
+row. A coalition's rows come from one ``_draw`` and go to the model as
+one batch; a chunk of antithetic pairs' rows, for every prefix of both
+orderings of each pair, come from one call of the kernel that
+``_prefix_draws`` builds once per explained row and go as one batch. All
+are feature-space rows with x on the known columns, as
+``DiscreteJoint.restrict`` gives the oracle. Each loop
 is a generator of (payload, rows) model batches and a consumer of their
 outputs, joined by ``predict_batches``: through an external model the next
 batch is drawn while the child works on the last. A plan rewrites rows it
@@ -34,6 +35,11 @@ from .errors import IngestionError, OracleError, SizeError
 from .models import predict_batches
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
+# Model rows the walk draws and sends in one chunk of antithetic pairs:
+# 2 pairs at M=13 and 50 draws, 20 at 5 draws, in a block of about 0.5 MB
+# that every chunk of the row reuses. At 50 draws, 8-pair chunks were
+# slower than 2-4-pair ones.
+_CHUNK_ROWS = 5120
 
 
 def _coalitions_without(m: int) -> list:
@@ -142,7 +148,7 @@ def _split(v: np.ndarray, t: np.ndarray, u: np.ndarray, pair_weight=None) -> tup
 
 def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream) -> tuple:
     """Antithetic permutation estimate of the split (Mitchell et al., JMLR
-    2022): each pair is a permutation from substream q and its reverse.
+    2022): each pair is a random permutation and its reverse.
 
     Along a permutation, prefix S_j draws ``draws`` rows once; they give
     v[S_j] and, with the next feature i set to x_i, t[S_j, i]. Feature i
@@ -155,64 +161,71 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     the first feature of a permutation uses them, and no feature is first
     in both, so each feature's estimate keeps its variance.
 
-    The row is walked in two passes. The first re-keys the generator to
-    each pair's substream q, draws its permutation, saves the generator
-    state just past it, and lets the sampler do the row's work once (the
-    Gaussian factors all 2 x pairs orderings in one stacked Cholesky). The
-    second restores pair q's state and draws both orderings into one
-    block, the reverse first: per ordering the v rows of its M prefixes,
-    then the t rows of the first M - 1 (the last prefix's t rows are x
-    itself). x is the first model batch, then each pair's rows are one
-    batch, a view of the block that starts after the reverse's empty
-    coalition rows, which it shares with the first. The prefix means go
-    into one table, summed in permutation order at the end.
+    The row has one generator, on ``rng``. It draws every permutation in
+    one call, as the stable argsort of pairs x M uniforms, and the sampler
+    does the row's work once (the Gaussian factors all 2 x pairs orderings
+    in one stacked Cholesky). Then the pairs are walked in chunks of at
+    most _CHUNK_ROWS model rows, drawn in pair order into one block reused
+    by every chunk. A pair's rows are the t rows of the first ordering's
+    first M - 1 prefixes (the last prefix's t rows are x itself), the v
+    rows of its M prefixes and of the reverse's prefixes 1 to M - 1 (its
+    empty coalition is the first's), then the reverse's t rows. Each
+    ordering's t rows, copies of its v rows, sit next to them, so the
+    bridge's encoder, which turns each distinct value in a window of rows
+    into text once, finds them in one window. x is the first model batch,
+    then each chunk is one batch. The prefix means go into one table,
+    summed in permutation order at the end.
     Returns (base, phi_int, phi_dep, model rows).
     """
     m = len(x)
-    n_v, n_t = draws * m, draws * (m - 1)
+    # a pair's row blocks: the first ordering's M - 1 of t rows, both
+    # orderings' v rows (the first's M, the reverse's M - 1), the reverse's
+    # M - 1 of t rows
+    width = 4 * m - 3
+    t_lanes = np.r_[:m - 1, 3 * m - 2:width]
+    chunk = max(1, min(pairs, _CHUNK_ROWS // (draws * width)))
+    gen = rng.generator()
+    perm = np.argsort(gen.random((pairs, m)), axis=1, kind="stable")
+    orders = np.stack([perm, perm[:, ::-1]], axis=1)
+    paired = np.concatenate([orders[:, 0, :-1], orders[:, 1, :-1]], axis=1)  # per t block, its i
+    x_paired = x[paired, None]
+    t_pair = np.arange(chunk)[:, None]
 
     def plans():
-        """x, then one batch per pair. One block, reused by every pair,
-        holds both orderings' rows: predict_batches reads a batch in full
-        before it pulls the next."""
+        """x, then one batch per chunk, a view of one block reused by every
+        chunk: predict_batches reads a batch in full before it pulls the
+        next."""
         yield None, x[None, :]
-        gen = rng.generator()  # one build, re-keyed to each pair's substream
-        orders, states = [], []  # per pair: its orderings, and gen just past them
-        for q in range(pairs):
-            rng.substream(q).rekey(gen)
-            order = gen.permutation(m)
-            orders.append((order, order[::-1]))
-            states.append(gen.bit_generator.state)
-        orders = np.array(orders)
-        draw_pair = sampler._prefix_draws(orders, x, draws)
-        block = np.empty((2, 2 * m - 1, draws, m))  # the reverse's rows, then the first's
-        v_rows, t_rows = block[::-1, :m], block[::-1, m:]  # [o]: ordering o of the pair
-        batch = block.reshape(-1, m)[draws:]  # all but the reverse's empty coalition
-        ordering = np.arange(2)[:, None]
-        for q, pair in enumerate(orders):
-            gen.bit_generator.state = states[q]
-            draw_pair(q, gen, v_rows)
-            v_rows[1, 0] = v_rows[0, 0]
-            for o in range(2):  # one ordering's t and v rows share no bytes: no temporary
-                t_rows[o] = v_rows[o, :-1]
-            t_rows[ordering, np.arange(m - 1), :, pair[:, :-1]] = x[pair[:, :-1], None]
-            yield pair, batch
+        draw = sampler._prefix_draws(orders, x, draws, chunk)
+        block = np.empty((chunk, width, draws, m))
+        for lo in range(0, pairs, chunk):
+            hi = min(lo + chunk, pairs)
+            rows = block[:hi - lo]
+            v = rows[:, m - 1:3 * m - 2]
+            draw(lo, gen, v)
+            rows[:, :m - 1] = v[:, :m - 1]
+            rows[:, 3 * m - 2] = v[:, 0]
+            rows[:, 3 * m - 1:] = v[:, m:2 * m - 2]
+            rows[t_pair[:hi - lo], t_lanes, :, paired[lo:hi]] = x_paired[lo:hi]
+            yield (lo, hi), rows.reshape(-1, m)
 
     n = 2 * pairs
-    # per ordering: v of its prefixes and of the full set, then t of its prefixes
-    table = np.empty((n, 2 * m + 1))
-    perms = np.empty((n, m), dtype=np.intp)
-    lanes = np.r_[:m, m + 1:2 * m]  # the table columns of an ordering's block rows
+    means = np.empty((pairs, width))  # per pair, the mean of each row block
     evaluated = predict_batches(model, plans())
-    table[:, m] = table[:, -1] = next(evaluated)[1][0]  # f(x): v[full] and t[S_M-1, last]
-    for q, (pair, pred) in enumerate(evaluated):
-        perms[2 * q:2 * q + 2] = pair
-        means = np.add.reduce(pred.reshape(-1, draws), axis=1) / draws  # the bits of mean
-        table[2 * q + 1, lanes[1:]] = means[:2 * m - 2]  # the reverse's v[empty] is filled below
-        table[2 * q, lanes] = means[2 * m - 2:]
-    table[1::2, 0] = table[::2, 0]
+    fx = next(evaluated)[1][0]
+    for (lo, hi), pred in evaluated:
+        np.add.reduce(pred.reshape(hi - lo, width, draws), axis=2, out=means[lo:hi])
+    means /= draws  # the bits of mean
+    # per ordering: v of its prefixes and of the full set, then t of its prefixes
+    table = np.empty((pairs, 2, 2 * m + 1))
+    lanes = np.r_[:m, m + 1:2 * m]  # the table columns of an ordering's row blocks
+    # per ordering, the row blocks of a pair that fill its lanes
+    blocks = np.array([np.r_[m - 1:2 * m - 1, :m - 1], np.r_[m - 1, 2 * m - 1:width]])
+    table[..., lanes] = means[:, blocks]
+    table[..., m] = table[..., -1] = fx  # v[full] and t[S_M-1, last]
+    table = table.reshape(n, 2 * m + 1)
     v, t = table[:, :m + 1], table[:, m + 1:]
-    rank = np.argsort(perms)  # each feature's position, to add in feature order
+    rank = np.argsort(orders.reshape(n, m))  # each feature's position, to add in feature order
     parts = np.column_stack([
         v[:, 0],
         np.take_along_axis(t - v[:, :-1], rank, 1),
@@ -220,7 +233,7 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     ])
     # over axis 0 of a 2-D table the sum runs in row order, from 0.0
     total = np.add.reduce(parts, axis=0, initial=0.0) / n
-    return total[0], total[1:m + 1], total[m + 1:], 1 + pairs * (2 * (n_v + n_t) - draws)
+    return total[0], total[1:m + 1], total[m + 1:], 1 + pairs * draws * width
 
 
 WALK_COALITIONS = 500  # beyond enumeration, the walk's budget is that of a table this size
@@ -269,7 +282,8 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     differences. Beyond that (estimator "walk"), antithetic pairs of
     permutations are walked with K1 // 4 draws per prefix, as many pairs
     as the row budget holds; the model sees f(x)'s row, then one batch per
-    pair.
+    chunk of pairs (_CHUNK_ROWS rows at most, or one pair where a pair is
+    more).
 
     Under a MarginalSampler v[S] is the interventional game, so phi is
     interventional SHAP (Lundberg & Lee, NeurIPS 2017) and phi_dep is 0 in

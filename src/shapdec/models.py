@@ -34,7 +34,7 @@ BRIDGE_REPLY_TIMEOUT_S = 60.0  # longest wait for one reply line from a bridge
 # batch.
 _REQUEST_ROWS = 256
 # Rows a batch's lines are encoded from at a time, a whole number of lines:
-# a walk's pair batch (2,450 rows at M=13 and 50 draws) takes two windows.
+# a walk's chunk batch (4,900 rows at M=13 and 50 draws) takes four windows.
 _ENCODE_ROWS = 5 * _REQUEST_ROWS
 # Capacity asked for the child's stdin pipe: Linux's default pipe-max-size
 # for unprivileged processes, room for more than a batch of request lines.
@@ -315,14 +315,23 @@ def _integer(doc: dict, key: str, least: int) -> int:
     return value
 
 
+def _number(value, field: str) -> float:
+    """``value`` of the model document field ``field``, which must be a JSON
+    number (no bool or string)."""
+    if type(value) not in (int, float):
+        raise IngestionError(f"model document field {field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _read_tree(nodes: _Nodes, doc: dict) -> int:
     """Add the tree of a JSON document to ``nodes``; returns its root."""
     if "value" in doc:
-        return nodes.leaf(float(doc["value"]))
+        return nodes.leaf(_number(doc["value"], "'value'"))
     k = nodes.leaf()
     left = _read_tree(nodes, doc["left"])
     right = _read_tree(nodes, doc["right"])
-    nodes.split(k, _integer(doc, "split", 0), float(doc["threshold"]), left, right)
+    threshold = _number(doc["threshold"], "'threshold'")
+    nodes.split(k, _integer(doc, "split", 0), threshold, left, right)
     return k
 
 
@@ -747,14 +756,18 @@ def fit_forest(
 def model_from_json(doc):
     """Rebuild a model from its JSON document. One that is not an object,
     lacks a key, holds a value of the wrong type (``n_features`` and
-    ``split`` must be JSON integers) or nests past the recursion limit
-    raises IngestionError."""
+    ``split`` must be JSON integers; ``intercept``, ``threshold``, ``value``
+    and the entries of a ``coefficients`` list must be JSON numbers) or
+    nests past the recursion limit raises IngestionError."""
     if not isinstance(doc, dict):
         raise IngestionError("a model document must be a JSON object")
     kind = doc.get("kind")
     try:
         if kind == "linear":
-            return LinearModel(np.array(doc["coefficients"]), float(doc["intercept"]))
+            coef = doc["coefficients"]
+            if isinstance(coef, list):
+                coef = [_number(c, f"'coefficients'[{k}]") for k, c in enumerate(coef)]
+            return LinearModel(np.array(coef), _number(doc["intercept"], "'intercept'"))
         if kind == "forest":
             nodes = _Nodes()
             for tree in doc["trees"]:
@@ -767,6 +780,6 @@ def model_from_json(doc):
             return ExternalModel(cmd, _integer(doc, "n_features", 1))
     except KeyError as err:
         raise IngestionError(f"{kind} model document has no {err}") from None
-    except (ValueError, TypeError, RecursionError) as err:
+    except (ValueError, TypeError, OverflowError, RecursionError) as err:
         raise IngestionError(f"malformed {kind} model document: {err}") from None
     raise IngestionError(f"unknown model kind {kind!r}")

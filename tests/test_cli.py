@@ -692,11 +692,33 @@ _DEEP_FOREST = (
          "field 'n_features' must be an integer >= 1, got True"),
         (_doc(kind="external", cmd=["python3"], n_features="3"),
          "field 'n_features' must be an integer >= 1, got '3'"),
+        (_doc(kind="linear", coefficients=[True, False], intercept=0.0),
+         "field 'coefficients'[0] must be a JSON number, got True"),
+        (_doc(kind="linear", coefficients=["1", "2.5"], intercept=0.0),
+         "field 'coefficients'[0] must be a JSON number, got '1'"),
+        (_doc(kind="linear", coefficients=[1.0, 2.5, 3.0], intercept="1e0"),
+         "field 'intercept' must be a JSON number, got '1e0'"),
+        (_doc(kind="linear", coefficients=[1.0, 2.5, 3.0], intercept=True),
+         "field 'intercept' must be a JSON number, got True"),
+        ('{"kind": "linear", "coefficients": [1.0, 2.5, 3.0], "intercept": 1' + "0" * 400 + "}",
+         "malformed linear model document: int too large to convert to float"),
+        (_doc(kind="forest", task="regression", n_features=3,
+              trees=[dict(_SPLIT_AT(0), threshold=True)]),
+         "field 'threshold' must be a JSON number, got True"),
+        (_doc(kind="forest", task="regression", n_features=3,
+              trees=[dict(_SPLIT_AT(0), threshold="0.5")]),
+         "field 'threshold' must be a JSON number, got '0.5'"),
+        (_doc(kind="forest", task="regression", n_features=3, trees=[{"value": True}]),
+         "field 'value' must be a JSON number, got True"),
+        (_doc(kind="forest", task="regression", n_features=3, trees=[{"value": "0.5"}]),
+         "field 'value' must be a JSON number, got '0.5'"),
     ],
     ids=["not-an-object", "no-coefficients", "string-coefficients", "scalar-coefficients",
          "no-trees", "no-left", "nested-too-deep", "no-cmd", "number-cmd", "string-cmd",
          "empty-cmd", "tabulated", "float-n-features", "float-split", "bool-split",
-         "negative-n-features", "bool-n-features", "string-n-features"],
+         "negative-n-features", "bool-n-features", "string-n-features", "bool-coefficients",
+         "string-coefficient-entries", "string-intercept", "bool-intercept", "huge-intercept",
+         "bool-threshold", "string-threshold", "bool-value", "string-value"],
 )
 def test_malformed_model_document_exits_2_with_one_error_line(tmp_path, capsys, text, message):
     # each used to exit 1 with a traceback (KeyError, ValueError, TypeError,

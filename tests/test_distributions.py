@@ -176,14 +176,14 @@ def _prefix_masks(perm):
 
 
 def _walked(sampler, perm, x, draws, gen):
-    """One walk-kernel call for the pair (perm, its reverse): out[o, j] is
-    prefix j of ordering o, draws x M. The reverse's empty coalition,
-    out[1, 0], is left to the caller and is not returned: out[1, 1:]."""
+    """One walk-kernel call for the pair (perm, its reverse): the first
+    ordering's prefixes 0 to M - 1 and the reverse's 1 to M - 1, each
+    draws x M. The reverse's empty coalition is the first's."""
     m = len(x)
-    out = np.empty((2, m, draws, m))
+    out = np.empty((1, 2 * m - 1, draws, m))
     orders = np.array([[perm, perm[::-1]]])
-    sampler._prefix_draws(orders, x, draws)(0, gen, out)
-    return out[0], out[1, 1:]
+    sampler._prefix_draws(orders, x, draws, 1)(0, gen, out)
+    return out[0, :m], out[0, m:]
 
 
 def test_walk_prefix_draws_follow_each_prefixes_conditional_law():
@@ -317,20 +317,21 @@ def test_walk_factors_each_ordering_alone_when_the_stacked_factor_fails():
 
     plainly = {factors_plainly(perm) for perm in orders.reshape(-1, m)}
     assert plainly == {True, False}
-    draw = GaussianSampler(model)._prefix_draws(orders, x, draws)
-    out = np.empty((2, m, draws, m))
+    draw = GaussianSampler(model)._prefix_draws(orders, x, draws, 1)
+    out = np.empty((1, 2 * m - 1, draws, m))
     for q, pair in enumerate(orders):
         draw(q, RngStream(q).generator(), out)
         z = RngStream(q).generator().standard_normal((2, draws, m))
         for o, perm in enumerate(pair):
+            walked = out[0, :m] if o == 0 else out[0, m:]
             expected = _chain_reference(model, perm, x, z[o])
-            assert out[o, o:].tobytes() == expected[o:].tobytes(), (q, o)
+            assert walked.tobytes() == expected[o:].tobytes(), (q, o)
             # folding the mean into the factor moves only rounding: 1e-12 of
             # the ordering's largest value, as a draw near 0 is a difference
             # of terms that size
             unfolded = _chain_unfolded(model, perm, x, z[o])[o:]
             scale = np.abs(unfolded).max()
-            np.testing.assert_allclose(out[o, o:], unfolded, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(walked, unfolded, rtol=1e-12, atol=1e-12 * scale)
 
 
 def _signed_zero_walk_case(kind, m):
@@ -368,15 +369,18 @@ def test_walk_known_columns_are_xs_bytes(kind):
             np.linalg.cholesky(sampler.model.cov)
     perms = [RngStream(s, 3).generator().permutation(m) for s in range(30)]
     orders = np.array([(perm, perm[::-1]) for perm in perms])
-    draw = sampler._prefix_draws(orders, x, draws)
+    draw = sampler._prefix_draws(orders, x, draws, 8)
     gen = RngStream(4).generator()
-    out = np.empty((2, m, draws, m))
-    for q, pair in enumerate(orders):
-        draw(q, gen, out)
-        for o, perm in enumerate(pair):
-            for j in range(1, m):
-                known = perm[:j]
-                assert out[o, j][:, known].tobytes() == np.tile(x[known], (draws, 1)).tobytes()
+    out = np.empty((8, 2 * m - 1, draws, m))
+    for lo in range(0, len(orders), 8):
+        chunk = out[:len(orders[lo:lo + 8])]
+        draw(lo, gen, chunk)
+        for pair, blocks in zip(orders[lo:lo + 8], chunk):
+            for o, perm in enumerate(pair):
+                for j in range(1, m):
+                    known = perm[:j]
+                    rows = blocks[j + o * (m - 1)][:, known]
+                    assert rows.tobytes() == np.tile(x[known], (draws, 1)).tobytes()
 
 
 def test_walk_with_an_indefinite_covariance_raises_singularity_error():

@@ -1,6 +1,5 @@
 import ast
 import itertools
-import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -24,6 +23,7 @@ from shapdec.distributions import (
     fit_gaussian,
 )
 from shapdec.engine import (
+    _CHUNK_ROWS,
     decompose,
     exact_decomposition,
     shapley_residuals,
@@ -31,7 +31,7 @@ from shapdec.engine import (
 )
 from shapdec.errors import IngestionError, OracleError, SizeError
 from shapdec.experiments import toy_risk_model
-from shapdec.models import CallableModel, LinearModel, fit_ols
+from shapdec.models import CallableModel, LinearModel, fit_forest, fit_ols
 from shapdec.synthetic import synthetic_housing
 
 
@@ -298,11 +298,19 @@ def _latent_gaussian(fitted, x):
     )
 
 
+def _walked_permutations(rng, pairs, m):
+    """The walk's permutations: the stable argsort of pairs x M uniforms,
+    the first draws of the row's one generator on ``rng``. Returns that
+    generator, just past them, and the permutations."""
+    gen = rng.generator()
+    return gen, np.argsort(gen.random((pairs, m)), axis=1, kind="stable")
+
+
 def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
-    """The permutation walk from first principles. Pair q builds a new
-    generator for substream q, draws a permutation, and walks it and its
-    reverse. Each walk factors the covariance in its order, L L^T (through
-    the jitter where it must), solves
+    """The permutation walk from first principles. One generator for the
+    row draws every permutation first, then walks pair by pair each
+    permutation and its reverse. Each walk factors the covariance in its
+    order, L L^T (through the jitter where it must), solves
     w = L^-1 (x - mu) in that order and draws one normal block z (draws x
     M). Draw r of prefix j sets the features after the prefix to mu + L
     [w_<j, z_r,>=j] (back-transformed for the copula) and keeps x on the
@@ -311,9 +319,8 @@ def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
     m = len(x)
     mean, cov, cond, back = _latent_gaussian(fitted, x)
     base, phi_int, phi_dep = 0.0, np.zeros(m), np.zeros(m)
-    for q in range(pairs):
-        gen = rng.substream(q).generator()
-        order = list(gen.permutation(m))
+    gen, perms = _walked_permutations(rng, pairs, m)
+    for order in perms.tolist():
         empty = None
         for perm in (order, order[::-1]):
             lower = _jittered_cholesky(cov[np.ix_(perm, perm)])
@@ -385,8 +392,7 @@ def test_walk_through_the_jitter_equals_fresh_samplers():
     assert (dec.meta["draws"], dec.meta["permutations"]) == (3, 100)
     walked = RngStream(seed).substream(2)
     plainly = set()
-    for q in range(50):
-        perm = walked.substream(q).generator().permutation(m)
+    for perm in _walked_permutations(walked, 50, m)[1]:
         for order in (perm, perm[::-1]):
             try:
                 np.linalg.cholesky(fitted.cov[np.ix_(order, order)])
@@ -486,58 +492,97 @@ def _walked_sampler(kind):
     return make(), data.values[3]
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
-def test_walk_sends_x_then_one_batch_per_pair(kind):
+def _walk_batch_sizes(kind):
+    """The sizes of the batches a walk of ``kind`` at 10 draws sends, its
+    pair count, and the rows of one pair."""
     sampler, x = _walked_sampler(kind)
     m = len(x)
     sizes = []
     model = CallableModel(lambda rows: sizes.append(len(rows)) or rows.sum(axis=1), m)
     meta = decompose(model, sampler, x, 40, 60, 9).meta
-    pairs, draws = meta["permutations"] // 2, meta["draws"]
-    assert (meta["estimator"], draws) == ("walk", 10)
-    # f(x), then per pair the v and t rows of both orderings, less the
-    # reverse's empty coalition rows, which it shares with the first
-    assert sizes == [1] + [2 * (2 * m - 1) * draws - draws] * pairs
+    assert (meta["estimator"], meta["draws"]) == ("walk", 10)
     assert sum(sizes) == meta["model_rows"]
+    # a pair sends the v and t rows of both its orderings, less the
+    # reverse's empty coalition rows, which it shares with the first
+    return sizes, meta["permutations"] // 2, (4 * m - 3) * meta["draws"]
 
 
-def _plain(state):
-    """A bit generator state with its arrays as lists, to compare with ==."""
-    return json.loads(json.dumps(state, default=lambda a: a.tolist()))
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
+def test_walk_sends_x_then_one_batch_per_pair(kind, monkeypatch):
+    # a pair of more rows than a chunk holds goes alone
+    monkeypatch.setattr(shapdec.engine, "_CHUNK_ROWS", 1)
+    sizes, pairs, pair = _walk_batch_sizes(kind)
+    assert sizes == [1] + [pair] * pairs
 
 
-def test_walk_keys_each_pair_once_and_restores_its_generator(monkeypatch):
-    # the first pass keys substream q and draws pair q's permutation; the
-    # second restores the state saved just past it instead of keying again
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
+def test_walk_sends_x_then_one_batch_per_chunk(kind):
+    # f(x), then chunks of _CHUNK_ROWS // pair pairs, the last one the rest
+    sizes, pairs, pair = _walk_batch_sizes(kind)
+    chunk = _CHUNK_ROWS // pair
+    assert 1 < chunk < pairs
+    assert sizes == [1] + [min(chunk, pairs - lo) * pair for lo in range(0, pairs, chunk)]
+
+
+def _walk_rows(kind, model_of, cap, monkeypatch):
+    """decompose on a walked row of ``kind`` with chunks of at most ``cap``
+    rows: its outputs, and the bytes of every row sent to the model."""
+    sampler, x = _walked_sampler(kind)
+    sent = []
+    model = model_of(len(x), sent)
+    monkeypatch.setattr(shapdec.engine, "_CHUNK_ROWS", cap)
+    dec = decompose(model, sampler, x, 40, 60, 9)
+    assert dec.meta["estimator"] == "walk"
+    return dec, b"".join(sent)
+
+
+def _sum_of_rows(m, sent):
+    return CallableModel(lambda rows: sent.append(rows.tobytes()) or rows.sum(axis=1), m)
+
+
+def _forest_of_rows(m, sent):
+    data, y = synthetic_housing()
+    forest = fit_forest(
+        FeatureMatrix(data.names[:m], data.values[:, :m]), y, {"trees": 5, "max_depth": 4}
+    )
+    return CallableModel(lambda rows: sent.append(rows.tobytes()) or forest.predict(rows), m)
+
+
+@pytest.mark.parametrize("model_of", [_sum_of_rows, _forest_of_rows], ids=["callable", "forest"])
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
+def test_walk_rows_and_outputs_do_not_depend_on_the_chunk_size(kind, model_of, monkeypatch):
+    # one pair per chunk (a cap below one pair's rows) against all pairs in
+    # one chunk: the same rows reach the model, and a model that predicts
+    # each row on its own gives the same bits. A LinearModel is not used:
+    # OpenBLAS's rows @ coef can round a row differently with the length of
+    # its batch, so its outputs may differ in the last bit between chunk sizes
+    one, rows_one = _walk_rows(kind, model_of, 1, monkeypatch)
+    every, rows_every = _walk_rows(kind, model_of, 10**9, monkeypatch)
+    assert len(rows_one) == one.meta["model_rows"] * len(one.phi) * 8
+    assert rows_one == rows_every
+    assert one.base == every.base
+    for part in ("phi", "phi_int", "phi_dep"):
+        assert getattr(one, part).tobytes() == getattr(every, part).tobytes(), part
+
+
+def test_walk_keys_one_generator_per_row_and_never_rekeys(monkeypatch):
+    # the walk builds one generator on substream 2 of the seed's stream and
+    # draws every pair from it; no substream is keyed per pair
     data, y = synthetic_housing()
     sampler, model = GaussianSampler(fit_gaussian(data)), fit_ols(data, y)
     x, seed = data.values[2], 5
-    walked = RngStream(seed).substream(2)
-    fresh = []
-    for q in range(44):  # 44 pairs at K1=200, K2=400 and M=13
-        gen = walked.substream(q).generator()
-        gen.permutation(13)
-        fresh.append(_plain(gen.bit_generator.state))
-    keyed, restored = [], []
-    substream, prefix_draws = RngStream.substream, GaussianSampler._prefix_draws
-
-    def recording(self, orders, x, draws):
-        draw = prefix_draws(self, orders, x, draws)
-
-        def record(q, gen, out):
-            restored.append(_plain(gen.bit_generator.state))
-            draw(q, gen, out)
-
-        return record
-
+    keyed, built, rekeyed = [], [], []
+    substream, generator = RngStream.substream, RngStream.generator
     monkeypatch.setattr(
         RngStream, "substream", lambda self, key: keyed.append((self, key)) or substream(self, key)
     )
-    monkeypatch.setattr(GaussianSampler, "_prefix_draws", recording)
+    monkeypatch.setattr(RngStream, "generator", lambda self: built.append(self) or generator(self))
+    monkeypatch.setattr(RngStream, "rekey", lambda self, gen: rekeyed.append(self))
     dec = decompose(model, sampler, x, 200, 400, seed)
     assert (dec.meta["estimator"], dec.meta["permutations"]) == ("walk", 88)
-    assert keyed == [(RngStream(seed), 2)] + [(walked, q) for q in range(44)]
-    assert restored == fresh
+    assert keyed == [(RngStream(seed), 2)]
+    assert built == [RngStream(seed).substream(2)]
+    assert rekeyed == []
 
 
 DEFAULT_SAMPLED_COALITIONS = 1024

@@ -5,7 +5,8 @@ permutation walk (M=12), to rtol=1e-12.
 A change of the mapping (how a seed becomes substreams, generator keys and
 draws) moves these values by about 1e-2; last-bit BLAS drift stays far
 below 1e-12. A change that alters the mapping on purpose updates the
-values here and says so in CHANGES.md.
+values here and says so in CHANGES.md. Running this file prints PINNED as
+the code computes it: ``PYTHONPATH=src python tests/test_seed_mapping.py``.
 """
 
 import numpy as np
@@ -103,18 +104,18 @@ PINNED = {
         [0.7200107627432241, -1.0276094895612056, 0.529459866321292],
     ),
     "gaussian_sampled_coalitions": (
-        -0.05404297505091114,
+        0.015354101073146859,
         [
-            -0.8183830146565907, -0.6700740883834042, -0.4137527357643448,
-            -0.2948547915739742, -0.07229841003208316, -0.043957380108359846,
-            -0.005698453913390219, -0.032419845724755536, -0.08826759015558894,
-            -0.17777228927732003, -0.3734972151737238, -0.5004357556400985,
+            -1.0195593163577834, -0.76641194490353, -0.3793750571370197,
+            -0.21424926661370516, -0.2224495929400406, -0.03290892387705021,
+            0.04475700510545595, 0.042623129000372864, -0.03663972697964893,
+            -0.22293510662555588, -0.2806877492971126, -0.4729720959020743,
         ],
         [
-            -0.5793631048496536, -0.2853760525604127, -0.13673661081350932,
-            -0.1095688260162902, -0.04225989461207717, -0.005541513007312801,
-            0.007173639964213898, -0.0031388357058497055, -0.03196237238946275,
-            -0.04720270750919177, -0.1600374766748847, -0.31561706030698533,
+            -0.6323570766749771, -0.3231248698758085, -0.12708145554756992,
+            -0.08187713125647741, -0.04515812499949091, -0.008827682783222587,
+            0.006682817975865916, 0.011239862535234384, -0.017322395781340538,
+            -0.056093950427938084, -0.13167077991757695, -0.3576998513338623,
         ],
     ),
     "copula": (
@@ -123,18 +124,18 @@ PINNED = {
         [-2.133880564962359, -0.05895190120671201, 0.16319356614690686],
     ),
     "copula_sampled_coalitions": (
-        20.984362244776218,
+        18.973427900616922,
         [
-            -2.1557434718775292, -2.351884169845935, -1.7348113902428166,
-            0.3830200432268234, 2.077876814679039, -1.0817283734181422,
-            -0.07507746177646607, -1.7947866556618586, -3.5877445953696134,
-            0.32547533081928315, 5.998754254188041, 3.837809691101124,
+            -2.260666783936447, -2.570717187999017, -0.642562750245982,
+            0.5460469315761879, 2.4849982873180623, -1.9987929149715944,
+            -0.2568839006457211, -1.8303237791714044, -3.1501368940111583,
+            0.6636495604190629, 6.605234433410925, 4.26224935823833,
         ],
         [
-            -1.8173653644398724, -2.009123958773647, 0.14982369043323404,
-            0.11503877487367536, 0.7682789218808649, -0.7256251268777906,
-            -0.19279020773641523, -0.46677272636798023, -1.4611815152532754,
-            0.12112101993472359, 2.9379422260838637, 2.4631234285754795,
+            -1.9180879597983707, -2.2723823663436873, 0.09480251735848164,
+            0.09741538701097303, 0.9314757621995619, -0.9106061593187184,
+            -0.25899147866324795, -0.49164362616812135, -1.368571518157865,
+            0.06549419831428192, 3.059825574427329, 2.2939584889975593,
         ],
     ),
     "discrete": (
@@ -143,18 +144,18 @@ PINNED = {
         [0.7999999999999999, 0.11666666666666646, -0.5000000000000001],
     ),
     "discrete_sampled_coalitions": (
-        4.2851063829787215,
+        4.319148936170212,
         [
-            -0.06595744680851061, -0.04255319148936168, 0.3797872340425531,
-            -0.39255319148936174, -0.5159574468085109, -0.6585106382978725,
-            -0.5936170212765961, 0.448936170212766, 0.328723404255319,
-            -0.30106382978723417, -0.40531914893617027, 0.5329787234042552,
+            -0.13191489361702127, -0.15531914893617016, 0.4776595744680849,
+            -0.3425531914893618, -0.4382978723404256, -0.6478723404255318,
+            -0.6265957446808512, 0.5074468085106385, 0.4617021276595745,
+            -0.620212765957447, -0.3074468085106382, 0.5042553191489362,
         ],
         [
-            -0.12765957446808507, -0.09468085106382976, 0.403191489361702,
-            -0.3553191489361703, -0.4925531914893619, -0.5638297872340428,
-            -0.47659574468085136, 0.49042553191489363, 0.33510638297872325,
-            -0.3882978723404256, -0.3510638297872341, 0.4882978723404254,
+            -0.11595744680851064, -0.11914893617021274, 0.41063829787234013,
+            -0.3606382978723406, -0.5148936170212767, -0.5553191489361701,
+            -0.4872340425531915, 0.4797872340425534, 0.4021276595744681,
+            -0.4159574468085108, -0.31595744680851057, 0.522340425531915,
         ],
     ),
     "marginal": (
@@ -163,41 +164,65 @@ PINNED = {
         [-0.5460528881442327, -0.06702252816072214, 0.0030470611201404685],
     ),
     "marginal_sampled_coalitions": (
-        -0.0447974210934623,
+        0.028839324766676683,
         [
-            0.8036160699124854, -0.1308896997419003, 0.3120072140721408,
-            1.166329927301941, 0.9136412242056621, 0.3421618308408433,
-            -0.6125781471850159, -1.134413302355337, -1.4689077849057217,
-            -1.6479719000411213, 0.21977801944024625, 0.4661167529404698,
+            0.7746625285135652, -0.07364992683061974, 0.2303654372595861,
+            1.2051035471999119, 0.8849744471114447, 0.3358189524739447,
+            -0.6715596859408693, -1.1624293287174539, -1.4019967355021898,
+            -1.6071087354906708, 0.17521005818307817, 0.4658629003648251,
         ],
         [
-            0.8248490253163598, -0.15322279414960466, 0.2438021866014942,
-            1.1258810571327886, 0.9285701020918103, 0.3512296916237686,
-            -0.6447068921721076, -1.1694969611503891, -1.4603099859392732,
-            -1.6524953624078513, 0.21977801944024625, 0.46776891461234105,
+            0.7894485608345899, -0.07364992683061974, 0.27692617417847154,
+            1.1554408680146329, 0.8448215099374661, 0.28878811485298883,
+            -0.6528760802077627, -1.1183827285820898, -1.3868595889164719,
+            -1.6037297266585009, 0.21770023436603958, 0.4430851481570645,
         ],
     ),
 }
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        _gaussian,
-        _gaussian_sampled_coalitions,
-        _copula,
-        _copula_sampled_coalitions,
-        _discrete,
-        _discrete_sampled_coalitions,
-        _marginal,
-        _marginal_sampled_coalitions,
-    ],
-    ids=lambda case: case.__name__.lstrip("_"),
-)
-def test_decompose_outputs_are_pinned(case):
+_CASES = [
+    _gaussian,
+    _gaussian_sampled_coalitions,
+    _copula,
+    _copula_sampled_coalitions,
+    _discrete,
+    _discrete_sampled_coalitions,
+    _marginal,
+    _marginal_sampled_coalitions,
+]
+
+
+def _decomposed(case):
     model, sampler, x, seed = case()
-    dec = decompose(model, sampler, x, 40, 60, seed)
+    return decompose(model, sampler, x, 40, 60, seed)
+
+
+@pytest.mark.parametrize("case", _CASES, ids=lambda case: case.__name__.lstrip("_"))
+def test_decompose_outputs_are_pinned(case):
+    dec = _decomposed(case)
     base, phi, phi_int = PINNED[case.__name__.lstrip("_")]
     assert dec.base == pytest.approx(base, rel=1e-12, abs=0)
     assert np.allclose(dec.phi, phi, rtol=1e-12, atol=0)
     assert np.allclose(dec.phi_int, phi_int, rtol=1e-12, atol=0)
+
+
+def _literal(values) -> str:
+    """A list of floats as PINNED writes it: inline up to three, else three
+    to a line."""
+    if len(values) <= 3:
+        return "[" + ", ".join(map(repr, values)) + "]"
+    lines = (", ".join(map(repr, values[k:k + 3])) for k in range(0, len(values), 3))
+    return "[\n" + "".join(f"            {line},\n" for line in lines) + "        ]"
+
+
+if __name__ == "__main__":
+    print("PINNED = {")
+    for case in _CASES:
+        dec = _decomposed(case)
+        print(f'    "{case.__name__.lstrip("_")}": (')
+        print(f"        {float(dec.base)!r},")
+        print(f"        {_literal(dec.phi.tolist())},")
+        print(f"        {_literal(dec.phi_int.tolist())},")
+        print("    ),")
+    print("}")
