@@ -120,12 +120,24 @@ def _walk_known(orders: np.ndarray) -> np.ndarray:
     return np.concatenate([known[:, 0], known[:, 1, 1:]], axis=1)
 
 
+def _forward_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w with ``lower[n] @ w[n] = b[n]`` for stacked lower triangular
+    factors (n x M x M) and right sides (n x M): forward substitution, one
+    position at a time over all n."""
+    w = np.empty_like(b)
+    for k in range(b.shape[1]):
+        w[:, k] = (b[:, k] - np.einsum("nl,nl->n", lower[:, k, :k], w[:, :k])) / lower[:, k, k]
+    return w
+
+
 def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int, chunk: int):
     """The walk kernel of ``model`` on ``cond``: every prefix of every
     ordering of ``orders`` (pairs x 2 x M) from one factor of the
     covariance in that order (the chain rule; Aas, Jullum & Loland, AI
     2021). All 2 x pairs orderings are factored in one stacked Cholesky;
-    if that fails, each one goes through the jitter alone.
+    if that fails, each one goes through the jitter alone. ``w`` is solved
+    for every ordering at once by forward substitution on the factors
+    (``_forward_solve``), jittered or not.
 
     With ``L L^T = Sigma[perm, perm]`` and ``w = L^-1 (cond - mu)[perm]``,
     draw r of prefix j is ``mu + L [w_<j, z_r,>=j]`` in perm order, an
@@ -153,7 +165,7 @@ def _chain_walk(model: GaussianModel, orders: np.ndarray, cond, fill, draws: int
         lower = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         lower = np.array([_jittered_cholesky(a) for a in cov])
-    w = np.linalg.solve(lower, (cond - model.mean)[perms][..., None]).reshape(pairs, 2, m, 1)
+    w = _forward_solve(lower, (cond - model.mean)[perms]).reshape(pairs, 2, m, 1)
     gain = np.empty((2 * pairs, m, m))
     gain[np.arange(2 * pairs)[:, None], :, perms] = lower  # gain[n][:, perm] = L^T
     gain = gain.reshape(pairs, 2, m, m)

@@ -57,6 +57,14 @@ def _coalitions_without(m: int) -> list:
     return out
 
 
+def _cycled(c: int, n: int) -> np.ndarray:
+    """The weights of c picks that cycle through n rows, on the first
+    min(c, n) of them: with q, r = divmod(c, n), q + 1 picks of c on the
+    first r rows and q on the rest."""
+    q, r = divmod(c, n)
+    return np.where(np.arange(min(c, n)) < r, q + 1, q) / c
+
+
 def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     """v[S] = E[f | x_S] over all 2^M coalitions and, for each i outside
     S, the paired means t[S, i] = E[f with X_i := x_i | x_S] and u[S, i] =
@@ -78,8 +86,7 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
                 pairs = [(i, weights) for i in cols]
             else:
                 # c picks cycle through the rows: each row is sent once, weighted by its picks
-                pairs = [(i, np.bincount(np.arange(c) % len(rows)) / c)
-                         for i, c in zip(cols, uses[mask, cols]) if c]
+                pairs = [(i, _cycled(c, len(rows))) for i, c in zip(cols, uses[mask, cols]) if c]
             copies = []
             for i, w in pairs:
                 if mask | 1 << i != full:
@@ -126,9 +133,7 @@ def _prefix_counts(m: int, orderings: int, rng: RngStream) -> np.ndarray:
     keys = rng.generator().random((orderings, m))
     before = keys[:, None, :] < keys[:, :, None]  # [r, i, j]: j precedes i
     masks = (before * (1 << np.arange(m))).sum(axis=2)
-    counts = np.zeros((1 << m, m), dtype=np.intp)
-    np.add.at(counts, (masks, np.arange(m)), 1)
-    return counts
+    return np.bincount((masks * m + np.arange(m)).ravel(), minlength=m << m).reshape(1 << m, m)
 
 
 def _split(v: np.ndarray, t: np.ndarray, u: np.ndarray, pair_weight=None) -> tuple:

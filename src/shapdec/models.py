@@ -70,14 +70,31 @@ class LinearModel:
             raise IngestionError("linear model parameters must be finite")
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "_zero_columns", np.flatnonzero(coef == 0))
 
     @property
     def n_features(self) -> int:
         return len(self.coefficients)
 
     def predict(self, rows) -> np.ndarray:
-        rows = _check_rows(rows, self.n_features)
-        return rows @ self.coefficients + self.intercept
+        """Outputs on k x M rows, a vector being one row. Rows of that
+        shape are checked through their outputs: a NaN or an infinity
+        times a nonzero coefficient is not finite, and neither is any sum
+        with such a term, so rows are scanned only when an output is not
+        finite. That scan raises as ``_check_rows`` does, or finds the rows
+        finite and the output an overflow, which ``predict_batches``
+        rejects. A column with a zero coefficient can vanish from the
+        product (0 x inf is NaN only if it is computed, and some BLAS skip
+        zero entries), so those columns are checked first, on every call."""
+        rows = np.asarray(rows, dtype=float)
+        zero = self._zero_columns
+        if (rows.ndim != 2 or rows.shape[1] != self.n_features
+                or len(zero) and not np.all(np.isfinite(rows[:, zero]))):
+            rows = _check_rows(rows, self.n_features)
+        out = rows @ self.coefficients + self.intercept
+        if not np.all(np.isfinite(out)):
+            _check_rows(rows, self.n_features)
+        return out
 
     def describe(self) -> str:
         return f"linear(M={self.n_features})"

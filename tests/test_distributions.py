@@ -11,6 +11,7 @@ from shapdec.distributions import (
     GaussianSampler,
     MarginalSampler,
     _CACHED_MASKS,
+    _forward_solve,
     _jittered_cholesky,
     _picks,
     fit_copula,
@@ -24,6 +25,7 @@ from shapdec.errors import (
     SingularityError,
 )
 from shapdec.models import LinearModel
+from shapdec.synthetic import synthetic_housing
 
 
 def _toy_gaussian():
@@ -259,15 +261,25 @@ def _near_twin_gaussian(m):
     return fit_gaussian(FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows)), rows
 
 
+def _forward_substituted(lower, b):
+    """w with lower @ w = b for one lower triangular factor, a position at
+    a time: w_k = (b_k - sum_{l<k} L_kl w_l) / L_kk, the sum as the walk's
+    kernel takes it."""
+    w = np.empty(len(b))
+    for k in range(len(b)):
+        w[k] = (b[k] - np.einsum("l,l->", lower[k, :k], w[:k])) / lower[k, k]
+    return w
+
+
 def _chain_reference(model, perm, x, z):
     """Every prefix of one ordering from its own ``_jittered_cholesky``
     factor L, as the walk folds it: gain is L^T with its columns in
-    feature order, w = L^-1 (x - mu)[perm], and draw r of prefix j is
-    [z_r, 1] times gain with rows k < j zeroed over the running mean
-    mu + sum_{k<j} w_k gain_k, with x on the prefix."""
+    feature order, w = L^-1 (x - mu)[perm] by forward substitution, and
+    draw r of prefix j is [z_r, 1] times gain with rows k < j zeroed over
+    the running mean mu + sum_{k<j} w_k gain_k, with x on the prefix."""
     m = len(x)
     lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
-    w = np.linalg.solve(lower, x[perm] - model.mean[perm])
+    w = _forward_substituted(lower, x[perm] - model.mean[perm])
     gain = np.empty((m, m))
     gain[:, perm] = lower.T
     z1 = np.column_stack([z, np.ones(len(z))])
@@ -288,7 +300,7 @@ def _chain_unfolded(model, perm, x, z):
     mean added after the product."""
     m = len(x)
     lower = _jittered_cholesky(model.cov[np.ix_(perm, perm)])
-    w = np.linalg.solve(lower, x[perm] - model.mean[perm])
+    w = _forward_substituted(lower, x[perm] - model.mean[perm])
     out = np.empty((m, len(z), m))
     for j in range(m):
         u = z.copy()
@@ -296,6 +308,35 @@ def _chain_unfolded(model, perm, x, z):
         out[j][:, perm] = u @ lower.T + model.mean[perm]
         out[j][:, perm[:j]] = x[perm[:j]]
     return out
+
+
+def test_forward_solve_equals_the_lu_solve_on_housing_orderings():
+    data, _ = synthetic_housing(seed=0)
+    model = fit_gaussian(data)
+    m = data.n_features
+    gen = RngStream(5).generator()
+    perms = np.array([gen.permutation(m) for _ in range(80)])
+    lower = np.linalg.cholesky(model.cov[perms[:, :, None], perms[:, None, :]])
+    b = (data.values[gen.integers(0, data.n_rows, 80)] - model.mean)
+    b = np.take_along_axis(b, perms, axis=1)
+    w = _forward_solve(lower, b)
+    np.testing.assert_allclose(w, np.linalg.solve(lower, b[..., None])[..., 0], rtol=1e-12)
+
+
+def test_forward_solve_is_backward_stable_on_jittered_factors():
+    # on the near-twin covariance w is ill-conditioned, so it is checked by
+    # its componentwise residual, the bound of a backward-stable triangular
+    # solve, taken in long double
+    m = 12
+    model, rows = _near_twin_gaussian(m)
+    perms = np.array([RngStream(s).generator().permutation(m) for s in range(40)])
+    lower = np.array([_jittered_cholesky(model.cov[np.ix_(p, p)]) for p in perms])
+    b = (rows[3] - model.mean)[perms]
+    w = _forward_solve(lower, b)
+    lo, wo, bo = (a.astype(np.longdouble) for a in (lower, w, b))
+    residual = np.abs(np.einsum("nkl,nl->nk", lo, wo) - bo)
+    bound = m * np.finfo(float).eps * (np.einsum("nkl,nl->nk", np.abs(lo), np.abs(wo)) + np.abs(bo))
+    assert np.all(residual <= bound)
 
 
 def test_walk_factors_each_ordering_alone_when_the_stacked_factor_fails():

@@ -114,6 +114,42 @@ def test_decompose_local_accuracy():
     assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, atol=1e-12)
 
 
+def _few_features_case(kind, m):
+    """A sampler of ``kind`` over M correlated features, and a row x of its
+    data: the discrete joint holds the rows rounded into -1, 0 and 1."""
+    gen = RngStream(6).generator()
+    ar = 0.6 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    rows = gen.multivariate_normal(np.zeros(m), ar, 300)
+    data = FeatureMatrix(tuple(f"f{j}" for j in range(m)), rows)
+    if kind == "gaussian":
+        return GaussianSampler(fit_gaussian(data)), rows[4]
+    if kind == "copula":
+        return CopulaSampler(fit_copula(data)), rows[4]
+    if kind == "marginal":
+        return MarginalSampler(data), rows[4]
+    levels = np.round(rows).clip(-1.0, 1.0)
+    support, counts = np.unique(levels, axis=0, return_counts=True)
+    return DiscreteSampler(DiscreteJoint(support, counts / counts.sum())), levels[4]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("k1, k2", [(20, 20), (200, 400)])
+def test_decompose_with_one_or_two_features(kind, m, k1, k2):
+    sampler, x = _few_features_case(kind, m)
+    model = CallableModel(lambda r: np.sin(r[:, 0]) + r[:, -1] ** 2 + r.sum(axis=1), m)
+    dec = decompose(model, sampler, x, k1, k2, 0)
+    assert dec.meta["estimator"] == "table"
+    assert abs(dec.base + dec.phi.sum() - model.predict(x[None, :])[0]) <= 1e-12
+    assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, rtol=0, atol=1e-12)
+    if m == 1:
+        # with one feature the dependent part is 0; here 2 K2 picks cycle
+        # through the empty coalition's K1 rows a whole number of times, so
+        # u[empty, 0] is v[empty] and phi_dep is 0 exactly
+        assert dec.phi_dep.tolist() == [0.0]
+        assert dec.phi_int[0] == dec.phi[0] != 0.0
+
+
 def test_decompose_warns_on_small_k2():
     model = LinearModel(np.array([1.0]), 0.0)
     sampler = GaussianSampler(GaussianModel(np.zeros(1), np.eye(1)))
@@ -306,13 +342,22 @@ def _walked_permutations(rng, pairs, m):
     return gen, np.argsort(gen.random((pairs, m)), axis=1, kind="stable")
 
 
+def _forward_substituted(lower, b):
+    """w with lower @ w = b for one lower triangular factor, a position at
+    a time: w_k = (b_k - sum_{l<k} L_kl w_l) / L_kk."""
+    w = np.empty(len(b))
+    for k in range(len(b)):
+        w[k] = (b[k] - np.einsum("l,l->", lower[k, :k], w[:k])) / lower[k, k]
+    return w
+
+
 def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
     """The permutation walk from first principles. One generator for the
     row draws every permutation first, then walks pair by pair each
     permutation and its reverse. Each walk factors the covariance in its
     order, L L^T (through the jitter where it must), solves
-    w = L^-1 (x - mu) in that order and draws one normal block z (draws x
-    M). Draw r of prefix j sets the features after the prefix to mu + L
+    w = L^-1 (x - mu) in that order by forward substitution and draws one
+    normal block z (draws x M). Draw r of prefix j sets the features after the prefix to mu + L
     [w_<j, z_r,>=j] (back-transformed for the copula) and keeps x on the
     prefix. The reverse reuses the empty coalition's rows, and v and t of
     a prefix are plain means over its rows."""
@@ -324,7 +369,7 @@ def _walk_with_fresh_generators(model, fitted, x, draws, pairs, rng):
         empty = None
         for perm in (order, order[::-1]):
             lower = _jittered_cholesky(cov[np.ix_(perm, perm)])
-            w = np.linalg.solve(lower, cond[perm] - mean[perm])
+            w = _forward_substituted(lower, cond[perm] - mean[perm])
             z = gen.standard_normal((draws, m))
             v, t = [], []
             for j, i in enumerate(perm):

@@ -38,6 +38,51 @@ def test_linear_model_predict():
     assert model.n_features == 2
 
 
+def _zero_coefficient_model():
+    return LinearModel([1.0, 0.0, -2.0], 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["coef-1", "coef-0", "coef-minus-2"])
+def test_linear_model_rejects_a_non_finite_row_in_any_column(bad, column):
+    # the outputs reveal a bad entry under a nonzero coefficient; the zero
+    # coefficient's column is checked directly, since its entries may never
+    # enter the product
+    rows = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0]])
+    rows[1, column] = bad
+    model = _zero_coefficient_model()
+    for call in (model.predict, lambda r: list(predict_batches(model, [(None, r)]))):
+        with pytest.raises(IngestionError, match="^prediction input contains non-finite values$"):
+            call(rows)
+    with pytest.raises(IngestionError, match="^prediction input contains non-finite values$"):
+        model.predict(rows[1])  # one row as a vector
+
+
+def test_linear_model_checks_shapes_as_before():
+    model = _zero_coefficient_model()
+    assert model.predict([1.0, 2.0, 3.0]).tolist() == [-4.5]  # a vector is one row
+    assert model.predict(np.empty((0, 3))).shape == (0,)
+    for rows, message in [
+        ([1.0, 2.0], "expected 3 columns, got 2"),
+        (np.ones((2, 4)), "expected 3 columns, got 4"),
+        (np.ones((2, 2)), "expected 3 columns, got 2"),
+        (np.ones((1, 2, 3)), r"must be 2-D, got shape \(1, 2, 3\)"),
+        # a wrong width with a non-finite entry fails on the entry first
+        ([[np.nan, 1.0, 2.0, 3.0]], "contains non-finite values"),
+    ]:
+        with pytest.raises(IngestionError, match=message):
+            model.predict(rows)
+
+
+def test_linear_model_overflow_on_finite_rows_is_an_output_error():
+    model = _zero_coefficient_model()
+    rows = np.array([[1e308, 1e308, -1e308], [-1e308, 1e308, 1e308]])
+    with np.errstate(over="ignore"):
+        assert model.predict(rows).tolist() == [np.inf, -np.inf]
+        with pytest.raises(ModelOutputError, match="non-finite outputs"):
+            list(predict_batches(model, [(None, rows)]))
+
+
 def test_linear_model_json_roundtrip():
     model = LinearModel(np.array([0.5, 0.25]), -1.0)
     clone = model_from_json(model.to_json_dict())
