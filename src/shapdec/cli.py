@@ -33,7 +33,7 @@ from .experiments import (
     run_toy,
     write_json,
 )
-from .models import fit_forest, fit_ols, model_from_json
+from .models import _FOREST_FLOORS, fit_forest, fit_ols, model_from_json
 from .synthetic import synthetic_fire, synthetic_housing
 from .viz import render_force_plot
 
@@ -122,7 +122,7 @@ def _fit(kind: str, data: FeatureMatrix, target, args, task: str = "regression")
 
 
 # The least value of each budget and forest flag a command takes
-_FLAG_FLOORS = {"k1": 1, "k2": 1, "trees": 1, "max_depth": 0, "min_leaf": 1}
+_FLAG_FLOORS = {"k1": 1, "k2": 1, **_FOREST_FLOORS}
 
 
 def _check_flags(args) -> None:

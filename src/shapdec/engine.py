@@ -36,8 +36,9 @@ from .models import predict_batches
 
 ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
 # Model rows the walk draws and sends in one chunk of antithetic pairs:
-# 2 pairs at M=13 and 50 draws, 20 at 5 draws, in a block of about 0.5 MB
-# that every chunk of the row reuses. At 50 draws, 8-pair chunks were
+# 2 pairs at M=13 and 50 draws, in a block of about 0.5 MB that every chunk
+# of the row reuses. A chunk's Gaussian factor stack holds no more floats:
+# at 5 draws a chunk is 14 pairs, not 20. At 50 draws, 8-pair chunks were
 # slower than 2-4-pair ones.
 _CHUNK_ROWS = 5120
 
@@ -188,7 +189,9 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     # M - 1 of t rows
     width = 4 * m - 3
     t_lanes = np.r_[:m - 1, 3 * m - 2:width]
-    chunk = max(1, min(pairs, _CHUNK_ROWS // (draws * width)))
+    # the sampler's factor stack, 2 x chunk orderings of M x (M + 1), holds
+    # no more floats than the block
+    chunk = max(1, min(pairs, _CHUNK_ROWS // (draws * width), _CHUNK_ROWS // (2 * m * (m + 1))))
     gen = rng.generator()
     perm = np.argsort(gen.random((pairs, m)), axis=1, kind="stable")
     orders = np.stack([perm, perm[:, ::-1]], axis=1)

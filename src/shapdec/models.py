@@ -668,70 +668,7 @@ def fit_ols(data: FeatureMatrix, target) -> LinearModel:
 
 
 _FOREST_DEFAULTS = {"trees": 200, "max_depth": 8, "min_leaf": 5}
-
-
-def _best_split(x, y, feat_candidates, min_leaf):
-    """Best (feature, threshold) by impurity reduction, or None."""
-    best = None
-    best_score = -np.inf
-    n = len(y)
-    sum_all = y.sum()
-    for j in feat_candidates:
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        # candidate split after position k keeps k+1 rows on the left
-        ks = np.arange(min_leaf - 1, n - min_leaf)
-        if len(ks) == 0:
-            continue
-        valid = xs[ks] < xs[ks + 1]
-        ks = ks[valid]
-        if len(ks) == 0:
-            continue
-        nl = ks + 1.0
-        nr = n - nl
-        sl = csum[ks]
-        sr = sum_all - sl
-        # variance reduction == Gini gain up to scale for 0/1 targets
-        score = sl * sl / nl + sr * sr / nr
-        k_best = np.argmax(score)
-        if score[k_best] > best_score + 1e-15:
-            best_score = score[k_best]
-            k = ks[k_best]
-            best = (j, 0.5 * (xs[k] + xs[k + 1]))
-    return best
-
-
-def _grow_tree(nodes: _Nodes, x, y, params, gen) -> int:
-    """Grow one CART tree into ``nodes``, trying ceil(sqrt(M)) features
-    per split; returns its root."""
-    m = x.shape[1]
-    fps = int(np.ceil(np.sqrt(m)))
-
-    def build(idx, depth) -> int:
-        k = nodes.leaf()
-        ys = y[idx]
-        if (
-            depth >= params["max_depth"]
-            or len(idx) < 2 * params["min_leaf"]
-            or np.all(ys == ys[0])
-        ):
-            nodes.value[k] = float(ys.mean())
-            return k
-        cand = gen.choice(m, size=fps, replace=False)
-        split = _best_split(x[idx], ys, sorted(cand), params["min_leaf"])
-        if split is None:
-            nodes.value[k] = float(ys.mean())
-            return k
-        j, thr = split
-        go_left = x[idx, j] <= thr
-        left = build(idx[go_left], depth + 1)
-        right = build(idx[~go_left], depth + 1)
-        nodes.split(k, j, thr, left, right)
-        return k
-
-    return build(np.arange(len(y)), 0)
+_FOREST_FLOORS = {"trees": 1, "max_depth": 0, "min_leaf": 1}
 
 
 def fit_forest(
@@ -741,32 +678,44 @@ def fit_forest(
     rng: RngStream = RngStream(0),
     task: str = "regression",
 ) -> ForestModel:
-    """Bagged CART forest, deterministic given the stream: each tree grows
-    on a bootstrap sample. ``params`` may set any of _FOREST_DEFAULTS.
+    """Bagged CART forest, deterministic given the stream: tree t grows on
+    a bootstrap sample drawn from substream t of ``rng``. ``params`` may
+    set any of _FOREST_DEFAULTS, each an int or a numpy integer (not a
+    bool) of at least its _FOREST_FLOORS value.
 
     Regression splits maximize variance reduction; for 0/1 targets the
     same criterion equals the Gini gain, and leaves hold class-1
-    proportions.
+    proportions. The trees grow in lockstep (``cart.grow_forest``): each
+    round searches the splits of every unfinished tree's next node in
+    batches, and gives the trees of a recursive one-node-at-a-time grower,
+    bit for bit.
     """
     unknown = sorted(set(params or {}) - set(_FOREST_DEFAULTS))
     if unknown:
         raise IngestionError(f"unknown forest parameters {unknown}")
     p = {**_FOREST_DEFAULTS, **(params or {})}
-    if p["min_leaf"] < 1:
-        raise IngestionError(f"min_leaf must be at least 1, got {p['min_leaf']}")
-    if p["max_depth"] < 0:
-        raise IngestionError(f"max_depth must be at least 0, got {p['max_depth']}")
+    for name, least in _FOREST_FLOORS.items():
+        if isinstance(p[name], bool) or not isinstance(p[name], (int, np.integer)):
+            raise IngestionError(f"forest parameter {name} must be an integer, got {p[name]!r}")
+        if p[name] < least:
+            raise IngestionError(f"{name} must be at least {least}, got {p[name]}")
     y = np.asarray(target, dtype=float)
     x = data.values
+    if y.shape != (data.n_rows,):
+        raise IngestionError(f"a forest needs one target per row, got shape {y.shape}")
     if task == "binary-probability" and not np.all(np.isin(y, (0.0, 1.0))):
         raise IngestionError("binary-probability forest needs a 0/1 target")
     if len(y) < 2 * p["min_leaf"]:
         raise SizeError(f"need at least {2 * p['min_leaf']} rows, got {len(y)}")
+    # imported here, so that a command that fits no forest does not load it
+    from .cart import grow_forest
+
+    gens = [rng.substream(t).generator() for t in range(int(p["trees"]))]
     nodes = _Nodes()
-    for t in range(p["trees"]):
-        gen = rng.substream(t).generator()
-        idx = gen.integers(0, len(y), size=len(y))
-        nodes.roots.append(_grow_tree(nodes, x[idx], y[idx], p, gen))
+    fields = (nodes.roots, nodes.feature, nodes.threshold, nodes.value, nodes.left, nodes.right)
+    grown = grow_forest(x, y, gens, int(p["max_depth"]), int(p["min_leaf"]))
+    for field, values in zip(fields, grown):
+        field.frombytes(values.astype(field.typecode).tobytes())
     return ForestModel(nodes, task, data.n_features)
 
 

@@ -468,6 +468,23 @@ def test_walk_traced_peak_stays_under_one_mib():
     assert peak <= 1 << 20
 
 
+def test_walk_traced_peak_at_five_draws_stays_under_one_and_a_half_mib():
+    # one housing row at M=13, K1=20, K2=400: 80 pairs of 5 draws. A chunk
+    # of 20 pairs, as many as the row block holds, stacked 40 x 13 x 14
+    # factors and read 1.75 MiB; capped at the block's floats it is 14 pairs
+    data, y = synthetic_housing()
+    sampler, model = GaussianSampler(fit_gaussian(data)), fit_ols(data, y)
+    decompose(model, sampler, data.values[0], 20, 400, 0)  # lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        dec = decompose(model, sampler, data.values[1], 20, 400, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dec.meta["estimator"], dec.meta["draws"], dec.meta["permutations"]) == ("walk", 5, 160)
+    assert peak <= 3 << 19
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "copula"])
 def test_walk_solves_no_coalition_mask(kind, monkeypatch):
     # the walk conditions each permutation once; only the per-mask draws
@@ -562,7 +579,8 @@ def test_walk_sends_x_then_one_batch_per_pair(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
 def test_walk_sends_x_then_one_batch_per_chunk(kind):
-    # f(x), then chunks of _CHUNK_ROWS // pair pairs, the last one the rest
+    # f(x), then chunks of _CHUNK_ROWS // pair pairs, the last one the rest;
+    # at 10 draws the factor stack's cap, _CHUNK_ROWS // (2 M (M + 1)), is larger
     sizes, pairs, pair = _walk_batch_sizes(kind)
     chunk = _CHUNK_ROWS // pair
     assert 1 < chunk < pairs

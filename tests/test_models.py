@@ -1,8 +1,10 @@
 import fcntl
+import hashlib
 import json
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ import pytest
 from shapdec.core import FeatureMatrix, RngStream
 from shapdec.distributions import GaussianModel, GaussianSampler
 from shapdec.engine import decompose
+from shapdec.experiments import _STUDY_FOREST
 from shapdec.errors import BridgeError, IngestionError, ModelOutputError, SizeError
+import shapdec.cart
 import shapdec.models
 from shapdec.models import (
     _ENCODE_ROWS,
@@ -29,6 +33,7 @@ from shapdec.models import (
     model_from_json,
     predict_batches,
 )
+from shapdec.synthetic import synthetic_fire, synthetic_housing
 
 
 def test_linear_model_predict():
@@ -150,6 +155,45 @@ def test_fit_forest_rejects_max_depth_below_zero(max_depth):
         fit_forest(data, data.values[:, 0], {"trees": 2, "max_depth": max_depth}, RngStream(0))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trees", 2.0),  # escaped as a TypeError
+    ("min_leaf", 2.5),  # escaped as an IndexError
+    ("max_depth", 2.5),  # was accepted
+    ("trees", True),  # fitted one tree
+    ("min_leaf", True),  # fitted with min_leaf 1
+    ("max_depth", "3"),  # escaped as a TypeError
+])
+def test_fit_forest_takes_integer_parameters_only(key, value):
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    with pytest.raises(IngestionError, match=f"forest parameter {key} must be an integer"):
+        fit_forest(data, data.values[:, 0], {"trees": 2, key: value}, RngStream(0))
+
+
+@pytest.mark.parametrize("trees", [0, -1])
+def test_fit_forest_rejects_trees_below_one(trees):
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    with pytest.raises(IngestionError, match=f"trees must be at least 1, got {trees}"):
+        fit_forest(data, data.values[:, 0], {"trees": trees}, RngStream(0))
+
+
+@pytest.mark.parametrize("rows", [39, 41])
+def test_fit_forest_needs_one_target_per_row(rows):
+    # a longer target used to fail on an index, a shorter one to fit on
+    # the first rows of the data
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    with pytest.raises(IngestionError, match="one target per row"):
+        fit_forest(data, np.zeros(rows), {"trees": 2}, RngStream(0))
+
+
+def test_fit_forest_takes_numpy_integers():
+    data = FeatureMatrix(("a", "b"), RngStream(3).generator().normal(size=(40, 2)))
+    params = {"trees": 3, "max_depth": 2, "min_leaf": 4}
+    numpy_params = {key: np.int64(value) for key, value in params.items()}
+    a = fit_forest(data, data.values[:, 0], params, RngStream(0))
+    b = fit_forest(data, data.values[:, 0], numpy_params, RngStream(0))
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
 def test_forest_json_roundtrip():
     gen = RngStream(4).generator()
     x = gen.normal(size=(150, 2))
@@ -171,6 +215,79 @@ def test_binary_forest_outputs_probabilities():
     model = fit_forest(data, y, {"trees": 30}, RngStream(1, 1), task="binary-probability")
     p = model.predict(gen.normal(size=(100, 2)))
     assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+def _pinned_fit(case):
+    """fit_forest's arguments for one pinned forest: the two study forests,
+    the CLI's default forest on the housing data, and edge cases of the
+    grower (deep trees of single-row leaves, tied values, a pure root, no
+    split allowed, and just enough rows for one split)."""
+    housing, price = synthetic_housing()
+    if case == "fire-study":
+        fire, labels = synthetic_fire()
+        return fire, labels, _STUDY_FOREST, RngStream(0, 99), "binary-probability"
+    small = FeatureMatrix(housing.names, housing.values[:10])
+    rounded = FeatureMatrix(housing.names, housing.values.round(1))
+    return {
+        "housing-study": (housing, price, _STUDY_FOREST, RngStream(0, 77)),
+        "cli-default": (housing, price, {}, RngStream(0, 77)),
+        "min-leaf-1-depth-14": (
+            housing, price, {"trees": 8, "max_depth": 14, "min_leaf": 1}, RngStream(3, 77)
+        ),
+        "ties": (rounded, price.round(1), {"trees": 20, "min_leaf": 2}, RngStream(4, 77)),
+        "constant-target": (housing, np.full(len(price), 2.5), {"trees": 5}, RngStream(5, 77)),
+        "max-depth-0": (housing, price, {"trees": 5, "max_depth": 0}, RngStream(6, 77)),
+        "n-twice-min-leaf": (small, price[:10], {"trees": 30}, RngStream(7, 77)),
+    }[case] + ("regression",)
+
+
+# sha256 of json.dumps(forest.to_json_dict()), recorded from the recursive
+# one-node-at-a-time grower that the lockstep grower replaced
+_PINNED_FORESTS = {
+    "fire-study": "af7094633a08419c68559876fa6c4856ca2e71e9de1d35eacc3894024ab7ef37",
+    "housing-study": "75e2a30eab9dc0d81ba88aba9e363ece044eb6216fd3c5179a7a92870921f017",
+    "cli-default": "60972f47efab214f0c30883783f694e10cb54ac8de019a9ea1c954588703a140",
+    "min-leaf-1-depth-14": "a4b9df385b256c775b365fb08978ee055f34b5b93cb257fc83263a7e9570e661",
+    "ties": "d7752e9c3a25713a1f0fe5434c8b13fcb011115a1a29d2dd4d606cca0afeb23f",
+    "constant-target": "c9f31d3d9e11b6e8b84162931f3003331489c08bb16934fceebfe902129f2db1",
+    "max-depth-0": "cbfe5cb5cd4392f804f9a7c8fa77b43e0a15a0e377b6884ea5ced64dc52c85fe",
+    "n-twice-min-leaf": "18f2544494d07a85c174fe8f180de056d6b23975fa200e7f3b78ca4ba6310bb0",
+}
+
+
+def test_default_forest_fit_traced_peak_stays_under_8_mib():
+    # the CLI's default 200 depth-8 trees on the housing data. The search
+    # runs in batches of at most _SPLIT_CELLS cells and no tree's bootstrap
+    # sample is copied; copying every one would take 10.5 MB
+    housing, price = synthetic_housing()
+    fit_forest(housing, price, {"trees": 2}, RngStream(0, 77))  # lazy imports are not counted
+    tracemalloc.start()
+    try:
+        forest = fit_forest(housing, price, {}, RngStream(0, 77))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forest.roots) == 200
+    assert peak <= 8 << 20
+
+
+def _pinned_digest(case):
+    data, y, params, rng, task = _pinned_fit(case)
+    forest = fit_forest(data, y, params, rng, task=task)
+    return hashlib.sha256(json.dumps(forest.to_json_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_FORESTS))
+def test_fitted_forests_are_pinned(case):
+    assert _pinned_digest(case) == _PINNED_FORESTS[case]
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+@pytest.mark.parametrize("case", ["ties", "n-twice-min-leaf"])
+def test_fitted_forests_do_not_depend_on_the_batch_cap(case, cells, monkeypatch):
+    # one node a batch and one (node, feature) row a search block, or a few
+    monkeypatch.setattr(shapdec.cart, "_SPLIT_CELLS", cells)
+    assert _pinned_digest(case) == _PINNED_FORESTS[case]
 
 
 def test_log_odds_clamps_extreme_probabilities():
