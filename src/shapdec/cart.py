@@ -102,7 +102,7 @@ def grow_forest(x, y, gens, max_depth: int, min_leaf: int):
     partitions it stably. Each node's target sum is taken on its own. So
     the forest is the recursive grower's, bit for bit.
 
-    Returns the forest in ``models._Nodes``'s layout, as arrays: each
+    Returns the six node arrays ``models.ForestModel`` is built from: each
     tree's root, then per node its feature, threshold, value, left and
     right child, the nodes numbered in pre-order tree after tree."""
     n, m = x.shape

@@ -24,7 +24,7 @@ from .distributions import (
     fit_copula,
     fit_gaussian,
 )
-from .engine import decompose
+from .engine import WALK_COALITIONS, decompose
 from .errors import IngestionError, ShapdecError
 from .experiments import (
     run_correlation_study,
@@ -33,7 +33,7 @@ from .experiments import (
     run_toy,
     write_json,
 )
-from .models import _FOREST_FLOORS, fit_forest, fit_ols, model_from_json
+from .models import _FOREST_DEFAULTS, _FOREST_FLOORS, fit_forest, fit_ols, model_from_json
 from .synthetic import synthetic_fire, synthetic_housing
 from .viz import render_force_plot
 
@@ -219,8 +219,8 @@ def _cmd_fit_model(args) -> int:
 
 
 _K1_HELP = ("draws per coalition at M <= 11; K1/4 draws per permutation prefix at M > 11, "
-            "where K1 and K2 set a budget of 1 + 500*K1 + 2*K2*(M-1) model rows that fixes "
-            "the number of permutations")
+            f"where K1 and K2 set a budget of 1 + {WALK_COALITIONS}*K1 + 2*K2*(M-1) model rows "
+            "that fixes the number of permutations")
 _K2_HELP = ("2*K2 random orderings, each pairing one draw per feature for phi_int, at M <= 11; "
             "at M > 11 the K2 share of the row budget")
 
@@ -232,9 +232,8 @@ def _add_budget_flags(p, k1_default=1000, k2_default=4000):
 
 
 def _add_forest_flags(p):
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-leaf", type=int, default=5)
+    for name, default in _FOREST_DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default)
 
 
 def build_parser() -> _Parser:

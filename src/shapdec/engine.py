@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .distributions import DiscreteJoint
 from .errors import IngestionError, OracleError, SizeError
 from .models import predict_batches
 
-ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M stays below this
+ENUMERATION_LIMIT = 2048  # enumerate all coalitions while 2^M is at most this
 # Model rows the walk draws and sends in one chunk of antithetic pairs:
 # 2 pairs at M=13 and 50 draws, in a block of about 0.5 MB that every chunk
 # of the row reuses. A chunk's Gaussian factor stack holds no more floats:
@@ -74,8 +73,9 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     rows or, where ``uses`` is given, the mean over uses[S, i] picks that
     cycle through them (none where that is 0).
     One model batch per coalition holds the rows, then their copies
-    with X_i := x_i; where S + i is the full set a copy is x itself, so
-    t[S, i] = f(x) needs no rows. Returns (v, t, u, model rows)."""
+    with X_i := x_i. Where S + i is the full set a copy is x itself, so
+    that pair is f(x) - v[S]: t[S, i] = f(x) and u[S, i] = v[S] need no
+    rows. Returns (v, t, u, model rows)."""
     m = len(x)
     full = (1 << m) - 1
 
@@ -83,6 +83,8 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
         for mask in range(full + 1):
             rows, weights = rows_of(mask, x)
             cols = missing_columns(mask, m)
+            if len(cols) == 1:
+                cols = cols[:0]  # S + i is the full set
             if uses is None:
                 pairs = [(i, weights) for i in cols]
             else:
@@ -90,9 +92,8 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
                 pairs = [(i, _cycled(c, len(rows))) for i, c in zip(cols, uses[mask, cols]) if c]
             copies = []
             for i, w in pairs:
-                if mask | 1 << i != full:
-                    copies.append(rows[:len(w)].copy())
-                    copies[-1][:, i] = x[i]
+                copies.append(rows[:len(w)].copy())
+                copies[-1][:, i] = x[i]
             yield (mask, weights, pairs), np.concatenate([rows, *copies])
 
     v = np.empty(full + 1)
@@ -104,12 +105,12 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
         lo = len(weights)
         for i, w in pairs:
             u[mask, i] = pred[:len(w)] @ w
-            if mask | 1 << i != full:
-                t[mask, i] = pred[lo:lo + len(w)] @ w
-                lo += len(w)
+            t[mask, i] = pred[lo:lo + len(w)] @ w
+            lo += len(w)
         model_rows += len(pred)
     for i in range(m):
         t[full ^ 1 << i, i] = v[full]
+        u[full ^ 1 << i, i] = v[full ^ 1 << i]
     return v, t, u, model_rows
 
 
@@ -366,39 +367,19 @@ def exact_decomposition(model, joint: DiscreteJoint, x) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class ResidualTable:
-    """Shapley residuals r_{i,S} = phi_{i,S} - phi_i for every coalition
-    S not containing i: per feature, the Shapley weights of those
-    coalitions (ascending mask) and the residuals in the same order."""
-
-    n_features: int
-    phi: np.ndarray
-    weights: tuple
-    residuals: tuple
-
-    def norm(self, i: int) -> float:
-        """Euclidean norm over the coalition-indexed residual vector.
-
-        At M=2 the vector is [S=empty, S={other}], which carries the
-        sqrt(2) factor.
-        """
-        return float(np.sqrt(self.residuals[i] @ self.residuals[i]))
-
-
-def shapley_residuals(v) -> ResidualTable:
+def shapley_residuals(v) -> list:
     """Single-coalition contributions v(S + i) - v(S) minus the Shapley
     value (Kumar et al., NeurIPS 2021), for a game given as its table of
-    2^M values indexed by coalition mask."""
+    2^M values indexed by coalition mask. Returns M vectors: vector i holds
+    the residuals r_{i,S} over the coalitions S without i, in ascending
+    mask order. At M=2 it is [S=empty, S={other}], so its Euclidean norm
+    carries a sqrt(2) factor."""
     v = np.asarray(v, dtype=float)
     m = v.size.bit_length() - 1
     if v.ndim != 1 or m < 1 or v.size != 1 << m:
         raise SizeError(f"a game table needs 2^M values with M >= 1, got shape {v.shape}")
-    phi = np.zeros(m)
-    weights, residuals = [], []
+    residuals = []
     for i, (without, w) in enumerate(_coalitions_without(m)):
         contributions = v[without | 1 << i] - v[without]
-        phi[i] = w @ contributions
-        weights.append(w)
-        residuals.append(contributions - phi[i])
-    return ResidualTable(m, phi, tuple(weights), tuple(residuals))
+        residuals.append(contributions - w @ contributions)
+    return residuals

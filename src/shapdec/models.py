@@ -107,32 +107,6 @@ class LinearModel:
         }
 
 
-class _Nodes:
-    """A forest's nodes in the order they are grown or read, tree after
-    tree, in the layout of ``ForestModel``, as typed arrays. A new node is
-    a leaf, its own child, until it is split."""
-
-    def __init__(self):
-        self.roots, self.left, self.right = array("i"), array("i"), array("i")
-        self.feature = array("q")  # as read, checked against M before it is narrowed
-        self.threshold, self.value = array("d"), array("d")
-
-    def leaf(self, value: float = 0.0) -> int:
-        k = len(self.feature)
-        self.feature.append(0)
-        self.threshold.append(0.0)
-        self.value.append(value)
-        self.left.append(k)
-        self.right.append(k)
-        return k
-
-    def split(self, k: int, feature: int, threshold: float, left: int, right: int) -> None:
-        self.feature[k] = feature
-        self.threshold[k] = threshold
-        self.left[k] = left
-        self.right[k] = right
-
-
 # Tree x row cells per block, walked or looked up: a float64 temporary is
 # 64 kB. Walk blocks four times as large were no faster on the fire benchmark
 # and raised its peak RSS by about 1 MB. The fire forest scored rows about
@@ -176,9 +150,18 @@ class ForestModel:
     probability averages leaf class-1 proportions. Thresholds and leaf
     values must be finite.
 
-    Every tree lives in one int32-indexed node array. Tree t's root is node
-    ``roots[t]``; ``kids[2k]`` is node k's right child and ``kids[2k + 1]``
-    its left one. A row goes left at a node when ``x <= threshold``.
+    A forest is built from six node arrays, ``nodes = (roots, feature,
+    threshold, value, left, right)``: tree t's root is node ``roots[t]``,
+    and node k splits on ``feature[k]`` at ``threshold[k]``, holds the leaf
+    value ``value[k]`` and has children ``left[k]`` and ``right[k]``. The
+    nodes are numbered in pre-order, tree after tree. A leaf is its own
+    left and right child, with feature 0 and threshold 0.0; a split holds
+    the value 0.0. ``fit_forest`` passes ``cart.grow_forest``'s numpy
+    arrays as they are; ``model_from_json`` reads typed ``array``s.
+
+    Every tree lives in one int32-indexed node array: ``kids[2k]`` is node
+    k's right child and ``kids[2k + 1]`` its left one. A row goes left at a
+    node when ``x <= threshold``.
 
     A forest whose trees have at most 64 leaves each, and whose tables take
     at most _TABLE_BYTES (4 MiB), is scored from leaf bitvectors
@@ -202,23 +185,24 @@ class ForestModel:
     values are added tree by tree in tree order, so they give the same bits.
     """
 
-    def __init__(self, nodes: _Nodes, task: str, n_features: int):
+    def __init__(self, nodes, task: str, n_features: int):
         if task not in ("regression", "binary-probability"):
             raise IngestionError(f"unknown forest task {task!r}")
-        if not nodes.roots:
+        roots, feature, threshold, value, left, right = nodes
+        if not len(roots):
             raise IngestionError("a forest needs at least one tree")
         self.task = task
         self.n_features = n_features
-        feature = np.array(nodes.feature, dtype=np.int64)
+        feature = np.asarray(feature, dtype=np.int64)  # checked against M before it is narrowed
         if np.any((feature < 0) | (feature >= n_features)):
             raise IngestionError(f"a tree splits on a feature outside 0..{n_features - 1}")
         self.feature = feature.astype(np.int32)
-        self.threshold = np.array(nodes.threshold, dtype=float)
-        self.value = np.array(nodes.value, dtype=float)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.value = np.asarray(value, dtype=float)
         if not (np.all(np.isfinite(self.threshold)) and np.all(np.isfinite(self.value))):
             raise IngestionError("forest thresholds and leaf values must be finite")
-        self.roots = np.array(nodes.roots, dtype=np.int32)
-        kids = np.column_stack([nodes.right, nodes.left]).astype(np.int32)
+        self.roots = np.asarray(roots, dtype=np.int32)
+        kids = np.column_stack([right, left]).astype(np.int32)
         self.kids = kids.ravel()
         leaf = kids[:, 0] == np.arange(len(kids))
         tree, count, first, self.depth = _leaf_ranges(self.roots, kids, leaf)
@@ -340,15 +324,23 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def _read_tree(nodes: _Nodes, doc: dict) -> int:
-    """Add the tree of a JSON document to ``nodes``; returns its root."""
-    if "value" in doc:
-        return nodes.leaf(_number(doc["value"], "'value'"))
-    k = nodes.leaf()
-    left = _read_tree(nodes, doc["left"])
-    right = _read_tree(nodes, doc["right"])
-    threshold = _number(doc["threshold"], "'threshold'")
-    nodes.split(k, _integer(doc, "split", 0), threshold, left, right)
+def _read_tree(nodes: tuple, doc: dict) -> int:
+    """Add the tree of a JSON document to ``nodes``, ``ForestModel``'s six
+    typed arrays; returns its root."""
+    _, feature, threshold, value, left, right = nodes
+    k = len(value)
+    is_leaf = "value" in doc
+    value.append(_number(doc["value"], "'value'") if is_leaf else 0.0)
+    feature.append(0)
+    threshold.append(0.0)
+    left.append(k)  # a leaf, its own child, until it is split
+    right.append(k)
+    if is_leaf:
+        return k
+    left[k] = _read_tree(nodes, doc["left"])
+    right[k] = _read_tree(nodes, doc["right"])
+    threshold[k] = _number(doc["threshold"], "'threshold'")
+    feature[k] = _integer(doc, "split", 0)
     return k
 
 
@@ -711,11 +703,7 @@ def fit_forest(
     from .cart import grow_forest
 
     gens = [rng.substream(t).generator() for t in range(int(p["trees"]))]
-    nodes = _Nodes()
-    fields = (nodes.roots, nodes.feature, nodes.threshold, nodes.value, nodes.left, nodes.right)
-    grown = grow_forest(x, y, gens, int(p["max_depth"]), int(p["min_leaf"]))
-    for field, values in zip(fields, grown):
-        field.frombytes(values.astype(field.typecode).tobytes())
+    nodes = grow_forest(x, y, gens, int(p["max_depth"]), int(p["min_leaf"]))
     return ForestModel(nodes, task, data.n_features)
 
 
@@ -735,9 +723,10 @@ def model_from_json(doc):
                 coef = [_number(c, f"'coefficients'[{k}]") for k, c in enumerate(coef)]
             return LinearModel(np.array(coef), _number(doc["intercept"], "'intercept'"))
         if kind == "forest":
-            nodes = _Nodes()
+            # int32 node numbers; features as read, checked against M by ForestModel
+            nodes = (array("i"), array("q"), array("d"), array("d"), array("i"), array("i"))
             for tree in doc["trees"]:
-                nodes.roots.append(_read_tree(nodes, tree))
+                nodes[0].append(_read_tree(nodes, tree))
             return ForestModel(nodes, doc["task"], _integer(doc, "n_features", 1))
         if kind == "external":
             cmd = doc["cmd"]

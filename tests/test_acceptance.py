@@ -125,9 +125,11 @@ def test_a04_residual_weighted_average_vanishes():
             for mask in range(8):
                 rows, probs = joint.restrict(mask, x)
                 v.append(probs @ model.predict(rows))
-            table = shapley_residuals(v)
-            for i in range(3):
-                assert abs(table.weights[i] @ table.residuals[i]) < 1e-12
+            for i, r in enumerate(shapley_residuals(v)):
+                # the Shapley weight of each S without i, ascending
+                sizes = [mask.bit_count() for mask in range(8) if not mask >> i & 1]
+                w = [math.factorial(s) * math.factorial(2 - s) / 6 for s in sizes]
+                assert abs(np.dot(w, r)) < 1e-12
 
 
 def test_a05_dummy_feature_gets_zero_interventional_part():

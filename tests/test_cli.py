@@ -37,6 +37,16 @@ def housing_csv(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("command", [
+    ["explain", "--data", "data.csv"],
+    ["fit-model", "forest", "--data", "data.csv", "--target", "price"],
+])
+def test_forest_flags_default_to_the_forest_defaults(command):
+    args = shapdec.cli.build_parser().parse_args(command)
+    defaults = shapdec.models._FOREST_DEFAULTS
+    assert {name: getattr(args, name) for name in defaults} == defaults
+
+
 def test_read_csv_roundtrip(tmp_path):
     path = tmp_path / "small.csv"
     _write_csv(path, ["x", "y"], [[1.0, 2.0], [3.0, 4.0]])

@@ -30,7 +30,7 @@ from shapdec.engine import (
     _row_budget,
 )
 from shapdec.errors import IngestionError, OracleError, SizeError
-from shapdec.experiments import toy_risk_model
+from shapdec.experiments import exact_interaction_value_function, toy_risk_model
 from shapdec.models import CallableModel, LinearModel, fit_forest, fit_ols
 from shapdec.synthetic import synthetic_housing
 
@@ -134,7 +134,8 @@ def _few_features_case(kind, m):
 
 @pytest.mark.parametrize("kind", ["gaussian", "copula", "marginal", "discrete"])
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("k1, k2", [(20, 20), (200, 400)])
+@pytest.mark.parametrize("k1, k2", [(20, 20), (30, 20), (200, 400)])
+@pytest.mark.filterwarnings("ignore:K2=20 below K1=30")
 def test_decompose_with_one_or_two_features(kind, m, k1, k2):
     sampler, x = _few_features_case(kind, m)
     model = CallableModel(lambda r: np.sin(r[:, 0]) + r[:, -1] ** 2 + r.sum(axis=1), m)
@@ -143,9 +144,10 @@ def test_decompose_with_one_or_two_features(kind, m, k1, k2):
     assert abs(dec.base + dec.phi.sum() - model.predict(x[None, :])[0]) <= 1e-12
     assert np.allclose(dec.phi, dec.phi_int + dec.phi_dep, rtol=0, atol=1e-12)
     if m == 1:
-        # with one feature the dependent part is 0; here 2 K2 picks cycle
-        # through the empty coalition's K1 rows a whole number of times, so
-        # u[empty, 0] is v[empty] and phi_dep is 0 exactly
+        # with one feature the dependent part is 0: the only pair is f(x) -
+        # v[empty], so phi_dep is 0 exactly. At K1 = 30 and K2 = 20 the 2 K2
+        # orderings do not cycle through the empty coalition's rows a whole
+        # number of times, but the last feature of an ordering takes no pick
         assert dec.phi_dep.tolist() == [0.0]
         assert dec.phi_int[0] == dec.phi[0] != 0.0
 
@@ -222,7 +224,8 @@ def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
     differences of their means. 2 K2 orderings come from uniform keys on
     substream 2; in each, feature i takes the next row of the coalition
     before it (cycling after K1), and phi_int averages f(row with X_i :=
-    x_i) - f(row). phi_dep is the rest of phi."""
+    x_i) - f(row); the last feature of an ordering takes f(x) - v(S)
+    instead. phi_dep is the rest of phi."""
     m = len(x)
     full = (1 << m) - 1
     root = RngStream(seed)
@@ -243,6 +246,9 @@ def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
     for keys in root.substream(2).generator().random((2 * k2, m)):
         for i in range(m):
             mask = sum(1 << j for j in range(m) if keys[j] < keys[i])
+            if mask | 1 << i == full:  # the last feature: its pair is x and S's rows
+                phi_int[i] += v[full] - v[mask]
+                continue
             n = taken.get((mask, i), 0)
             taken[mask, i] = n + 1
             row = rows[mask][n % k1]
@@ -775,18 +781,50 @@ def test_shapley_residuals_inessential_game_is_zero():
     # additive v: contributions are coalition-independent, residuals vanish
     x = np.array([2.0, -1.0])
     v = [sum(x[i] for i in range(2) if mask >> i & 1) for mask in range(4)]
-    table = shapley_residuals(v)
-    for i in range(2):
-        assert table.norm(i) == pytest.approx(0.0, abs=1e-12)
+    residuals = shapley_residuals(v)
+    assert len(residuals) == 2
+    for r in residuals:
+        assert float(np.sqrt(r @ r)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shapley_residuals_m2_norm_convention():
     # v({1}) differs from v({1}|{2}) by 2d: residuals are +/- d, norm d*sqrt(2)
     vals = [0.0, 1.0, 0.5, 2.5]
-    table = shapley_residuals(vals)
+    r = shapley_residuals(vals)[0]
     d0 = (vals[3] - vals[2]) - (vals[1] - vals[0])  # 2 * residual gap
-    assert table.norm(0) == pytest.approx(abs(d0) / 2 * math.sqrt(2))
-    assert table.weights[0] @ table.residuals[0] == pytest.approx(0.0, abs=1e-15)
+    assert float(np.sqrt(r @ r)) == pytest.approx(abs(d0) / 2 * math.sqrt(2))
+    # the Shapley weights of S = empty and S = {1} at M=2
+    assert np.array([0.5, 0.5]) @ r == pytest.approx(0.0, abs=1e-15)
+
+
+# shapley_residuals' bits as float.hex, recorded from the coalition-table
+# type it returned before it returned plain vectors: per alpha of the
+# correlation study (a12 = 2), the norm of feature 0's and of feature 1's
+# vector, which are equal; and every vector of one M=3 game
+_RESIDUAL_NORMS = {
+    0.0: "0x1.6a09e667f3bcdp+0",
+    0.25: "0x1.6a09e667f3bcdp-1",
+    0.5: "0x0.0p+0",
+    0.75: "0x1.6a09e667f3bcdp-1",
+}
+_M3_GAME = [0.0, 1.5, -0.25, 2.0, 0.75, 3.0, 1.0, 4.5]
+_M3_RESIDUALS = [
+    ["-0x1.d555555555554p-1", "-0x1.5555555555550p-3", "-0x1.5555555555550p-3",
+     "0x1.1555555555556p+0"],
+    ["-0x1.9555555555555p-1", "-0x1.5555555555550p-5", "-0x1.2aaaaaaaaaaaap-2",
+     "0x1.eaaaaaaaaaaabp-1"],
+    ["-0x1.9555555555556p-1", "-0x1.5555555555560p-5", "-0x1.2aaaaaaaaaaacp-2",
+     "0x1.eaaaaaaaaaaaap-1"],
+]
+
+
+def test_shapley_residual_bits_are_pinned():
+    x = np.array([1.0, 1.0])
+    for alpha, norm in _RESIDUAL_NORMS.items():
+        residuals = shapley_residuals(exact_interaction_value_function(2.0, alpha, x))
+        assert [float(np.sqrt(r @ r)).hex() for r in residuals] == [norm, norm]
+    residuals = shapley_residuals(_M3_GAME)
+    assert [[float(z).hex() for z in r] for r in residuals] == _M3_RESIDUALS
 
 
 @pytest.mark.parametrize(

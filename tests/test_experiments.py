@@ -64,10 +64,10 @@ def test_interaction_model_values():
 def test_exact_interaction_value_function_closed_forms(alpha):
     a12 = 2.0
     x = np.array([1.0, 1.0])
-    table = shapley_residuals(exact_interaction_value_function(a12, alpha, x))
+    r0, r1 = shapley_residuals(exact_interaction_value_function(a12, alpha, x))
     analytic = math.sqrt(2.0) * abs(0.5 * a12 - (1.0 + 0.5 * a12) * alpha)
-    assert table.norm(0) == pytest.approx(analytic, abs=1e-9)
-    assert table.norm(1) == pytest.approx(analytic, abs=1e-9)
+    assert float(np.sqrt(r0 @ r0)) == pytest.approx(analytic, abs=1e-9)
+    assert float(np.sqrt(r1 @ r1)) == pytest.approx(analytic, abs=1e-9)
 
 
 def test_run_correlation_study_rows(tmp_path):

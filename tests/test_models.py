@@ -282,6 +282,27 @@ def test_fitted_forests_are_pinned(case):
     assert _pinned_digest(case) == _PINNED_FORESTS[case]
 
 
+@pytest.mark.parametrize("case", ["fire-study", "cli-default-10-trees"])
+def test_a_read_forest_is_the_fitted_forest_bit_for_bit(case):
+    # the fire study's forest is scored from its tables; 10 of the CLI's
+    # default trees on the housing data are walked
+    if case == "fire-study":
+        data, y, params, rng, task = _pinned_fit(case)
+    else:
+        data, y = synthetic_housing()
+        params, rng, task = {"trees": 10}, RngStream(0, 77), "regression"
+    forest = fit_forest(data, y, params, rng, task=task)
+    assert (forest._tables is None) == (case != "fire-study")
+    clone = model_from_json(json.loads(json.dumps(forest.to_json_dict())))
+    for name in ("roots", "feature", "threshold", "value", "kids"):
+        fitted, read = getattr(forest, name), getattr(clone, name)
+        assert fitted.dtype == read.dtype and fitted.tobytes() == read.tobytes(), name
+    assert clone.depth == forest.depth
+    rows = RngStream(9).generator().normal(size=(500, data.n_features))
+    rows = rows * data.values.std(axis=0) + data.values.mean(axis=0)
+    assert forest.predict(rows).tobytes() == clone.predict(rows).tobytes()
+
+
 @pytest.mark.parametrize("cells", [1, 100])
 @pytest.mark.parametrize("case", ["ties", "n-twice-min-leaf"])
 def test_fitted_forests_do_not_depend_on_the_batch_cap(case, cells, monkeypatch):

@@ -101,7 +101,7 @@ PINNED = {
     "gaussian": (
         0.30754705145581324,
         [0.4458971428182879, -0.6367987434172329, 0.38335454914313166],
-        [0.7200107627432241, -1.0276094895612056, 0.529459866321292],
+        [0.7127383576383953, -0.9935375322889002, 0.5336329912867559],
     ),
     "gaussian_sampled_coalitions": (
         0.015354101073146859,
@@ -121,7 +121,7 @@ PINNED = {
     "copula": (
         1.832184907531105,
         [-1.8556146506862163, 0.4422571907278016, 0.8701960665539002],
-        [-2.133880564962359, -0.05895190120671201, 0.16319356614690686],
+        [-2.1191675638228142, -0.048280757538640515, 0.1703656021173944],
     ),
     "copula_sampled_coalitions": (
         18.973427900616922,
@@ -141,7 +141,7 @@ PINNED = {
     "discrete": (
         1.6000000000000003,
         [0.8791666666666665, 0.054166666666666474, -0.5333333333333334],
-        [0.7999999999999999, 0.11666666666666646, -0.5000000000000001],
+        [0.815, 0.11666666666666646, -0.49500000000000005],
     ),
     "discrete_sampled_coalitions": (
         4.319148936170212,
@@ -161,7 +161,7 @@ PINNED = {
     "marginal": (
         0.38262653497567206,
         [-0.7143346990493662, -0.15985025899371966, 0.1202348390981396],
-        [-0.5460528881442327, -0.06702252816072214, 0.0030470611201404685],
+        [-0.5492351533482379, -0.055120201855433794, 0.013424688492536361],
     ),
     "marginal_sampled_coalitions": (
         0.028839324766676683,
