@@ -3,9 +3,9 @@
 A coalition of known features is an int bitmask: bit i set means feature
 i is known. Everything here is immutable after construction. All
 randomness flows through :class:`RngStream`, which derives independent
-substreams from (seed, index) pairs, so a work item's draws (a coalition
-of the table, or an explained row of the walk) depend only on the seed
-and its own key, not on what was drawn before it.
+substreams from (seed, index) pairs, so a work item's draws (an explained
+row, a tree of a forest) depend only on the seed and its own key, not on
+what was drawn before it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import IngestionError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_PHILOX_ZEROS = (0, 0, 0, 0)  # counter and buffer of a freshly keyed Philox
 
 
 def splitmix64(z: int) -> int:
@@ -51,24 +50,9 @@ class RngStream:
         return RngStream(self.seed, splitmix64(self.index ^ splitmix64(key)))
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.index)))
-
-    def rekey(self, gen: np.random.Generator) -> None:
-        """Reset a Philox-backed ``gen`` to the start of this stream: it then
-        draws exactly what ``self.generator()`` would, without a new build."""
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _PHILOX_ZEROS, "key": _philox_key(self.seed, self.index)},
-            "buffer": _PHILOX_ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
-def _philox_key(seed: int, index: int) -> np.ndarray:
-    """The Philox key of stream (seed, index): both values exactly, as uint64."""
-    return np.array([seed, index], dtype=np.uint64)
+        """A Philox generator keyed with exactly (seed, index), as uint64."""
+        key = np.array([self.seed, self.index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def missing_columns(mask: int, m: int) -> np.ndarray:

@@ -7,9 +7,9 @@ coalition's rows, paired with their copies along random orderings, while
 2^M is small, and antithetic permutations beyond, within one budget of
 model rows; ``exact_decomposition`` fills them exactly. Under a
 ``MarginalSampler`` the game is the interventional one, so ``decompose``'s
-phi is interventional SHAP. The table re-keys one Philox generator to each
-coalition's substream; the walk draws from one generator per explained
-row. A coalition's rows come from one ``_draw`` and go to the model as
+phi is interventional SHAP. Either way the explained row is the unit of
+randomness: all its draws come from one generator, keyed by the seed
+alone. A coalition's rows come from one ``_draw`` and go to the model as
 one batch; a chunk of antithetic pairs' rows, for every prefix of both
 orderings of each pair, come from one call of the kernel that
 ``_prefix_draws`` builds once per explained row and go as one batch. All
@@ -114,25 +114,25 @@ def _expectation_table(model, x, rows_of, uses=None) -> tuple:
     return v, t, u, model_rows
 
 
-def _conditional_draws(sampler, k1: int, rng: RngStream):
+def _conditional_draws(sampler, k1: int, gen: np.random.Generator):
     """``rows_of`` for a sampled table: coalition S draws K1 rows once, from
-    substream S of ``rng``; the full coalition is x itself."""
-    gen = rng.generator()  # one build, re-keyed to each coalition's substream
+    ``gen``, which the table asks in ascending mask order; the full
+    coalition is x itself."""
     weights = np.full(k1, 1.0 / k1)
 
     def rows_of(mask, x):
         if mask == (1 << len(x)) - 1:
             return x[None, :], np.ones(1)
-        rng.substream(mask).rekey(gen)
         return sampler._draw(mask, x, k1, gen), weights
 
     return rows_of
 
 
-def _prefix_counts(m: int, orderings: int, rng: RngStream) -> np.ndarray:
-    """counts[S, i]: in how many of the random orderings S is exactly the
-    set of features before i. S then occurs with its Shapley weight."""
-    keys = rng.generator().random((orderings, m))
+def _prefix_counts(m: int, orderings: int, gen: np.random.Generator) -> np.ndarray:
+    """counts[S, i]: in how many of the random orderings, drawn from
+    ``gen``, S is exactly the set of features before i. S then occurs with
+    its Shapley weight."""
+    keys = gen.random((orderings, m))
     before = keys[:, None, :] < keys[:, :, None]  # [r, i, j]: j precedes i
     masks = (before * (1 << np.arange(m))).sum(axis=2)
     return np.bincount((masks * m + np.arange(m)).ravel(), minlength=m << m).reshape(1 << m, m)
@@ -153,7 +153,7 @@ def _split(v: np.ndarray, t: np.ndarray, u: np.ndarray, pair_weight=None) -> tup
     return phi, phi_int, phi - phi_int
 
 
-def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream) -> tuple:
+def _permutation_walk(model, sampler, x, draws: int, pairs: int, gen: np.random.Generator) -> tuple:
     """Antithetic permutation estimate of the split (Mitchell et al., JMLR
     2022): each pair is a random permutation and its reverse.
 
@@ -168,7 +168,7 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     the first feature of a permutation uses them, and no feature is first
     in both, so each feature's estimate keeps its variance.
 
-    The row has one generator, on ``rng``. It draws every permutation in
+    The row has one generator, ``gen``. It draws every permutation in
     one call, as the stable argsort of pairs x M uniforms, and the sampler
     does the row's work once (the Gaussian factors all 2 x pairs orderings
     in one stacked Cholesky). Then the pairs are walked in chunks of at
@@ -193,7 +193,6 @@ def _permutation_walk(model, sampler, x, draws: int, pairs: int, rng: RngStream)
     # the sampler's factor stack, 2 x chunk orderings of M x (M + 1), holds
     # no more floats than the block
     chunk = max(1, min(pairs, _CHUNK_ROWS // (draws * width), _CHUNK_ROWS // (2 * m * (m + 1))))
-    gen = rng.generator()
     perm = np.argsort(gen.random((pairs, m)), axis=1, kind="stable")
     orders = np.stack([perm, perm[:, ::-1]], axis=1)
     paired = np.concatenate([orders[:, 0, :-1], orders[:, 1, :-1]], axis=1)  # per t block, its i
@@ -292,7 +291,9 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     permutations are walked with K1 // 4 draws per prefix, as many pairs
     as the row budget holds; the model sees f(x)'s row, then one batch per
     chunk of pairs (_CHUNK_ROWS rows at most, or one pair where a pair is
-    more).
+    more). Both draw from one generator, on substream 2 of the seed: the
+    table its orderings, then each coalition's rows in ascending mask
+    order; the walk its permutations, then each chunk's rows.
 
     Under a MarginalSampler v[S] is the interventional game, so phi is
     interventional SHAP (Lundberg & Lee, NeurIPS 2017) and phi_dep is 0 in
@@ -304,7 +305,7 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
         if k < 1:
             raise SizeError(f"{name} must be >= 1")
     x, m = _explained_row(model, sampler, x)
-    root = RngStream(seed)
+    gen = RngStream(seed).substream(2).generator()  # every draw of the row
     if (1 << m) <= ENUMERATION_LIMIT:
         if k2 < k1:
             warnings.warn(
@@ -313,8 +314,8 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
                 stacklevel=2,
             )
         orderings = 2 * k2
-        uses = _prefix_counts(m, orderings, root.substream(2))
-        rows_of = _conditional_draws(sampler, k1, root.substream(1))
+        uses = _prefix_counts(m, orderings, gen)
+        rows_of = _conditional_draws(sampler, k1, gen)
         v, t, u, model_rows = _expectation_table(model, x, rows_of, uses)
         base = v[0]
         phi, phi_int, phi_dep = _split(v, t, u, uses / orderings)
@@ -322,9 +323,7 @@ def decompose(model, sampler, x, k1: int, k2: int, seed: int) -> Decomposition:
     else:
         draws = max(1, k1 // 4)
         pairs = max(1, (_row_budget(m, k1, k2) - 1) // (draws * (4 * m - 3)))
-        base, phi_int, phi_dep, model_rows = _permutation_walk(
-            model, sampler, x, draws, pairs, root.substream(2)
-        )
+        base, phi_int, phi_dep, model_rows = _permutation_walk(model, sampler, x, draws, pairs, gen)
         phi = phi_int + phi_dep
         work = {"estimator": "walk", "draws": draws, "permutations": 2 * pairs}
     meta = {

@@ -29,6 +29,7 @@ from .errors import BridgeError, IngestionError, ModelOutputError, SizeError
 
 LOG_ODDS_EPS = 1e-6
 BRIDGE_REPLY_TIMEOUT_S = 60.0  # longest wait for one reply line from a bridge
+BRIDGE_EXIT_WAIT_S = 5.0  # wait for a closed bridge to exit, and again after SIGTERM
 # Rows per bridge request line, about 65 kB at M=13: the child parses and
 # computes the lines one by one while the CLI draws and encodes the next
 # batch.
@@ -571,16 +572,22 @@ class ExternalModel:
         return outputs
 
     def close(self):
-        """End the child's input and give it 5 s to finish its work and
-        exit; terminate it only if it is still running after that."""
+        """End the child's input and give it BRIDGE_EXIT_WAIT_S to finish its
+        work and exit; terminate it only if it is still running after that,
+        and kill it if it outlives the terminate by as long. The child is
+        reaped either way."""
         if self._proc is None:
             return
         proc, self._proc = self._proc, None
         try:
-            proc.communicate(timeout=5)
+            proc.communicate(timeout=BRIDGE_EXIT_WAIT_S)
         except subprocess.TimeoutExpired:
             proc.terminate()
-            proc.communicate(timeout=5)
+            try:
+                proc.communicate(timeout=BRIDGE_EXIT_WAIT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.communicate()
 
 
 class CallableModel:

@@ -393,12 +393,16 @@ def test_explain_short_sample_is_ingestion_error(tmp_path, housing_csv, capsys):
 # A stand-in model process: writes its pid to PIDFILE, answers the
 # handshake and predicts the row sum (plus SHIFT outputs too many, or NaN
 # for every row if NAN) after sleeping SLEEP seconds, then writes MARKER
-# once its input ends.
+# once its input ends. If STUBBORN it ignores SIGTERM and lingers a minute
+# after writing MARKER.
 _FAKE_BRIDGE = """\
-import json, os, pathlib, sys, time
+import json, os, pathlib, signal, sys, time
 SHIFT = {shift}
 NAN = {nan}
 SLEEP = {sleep}
+STUBBORN = {stubborn}
+if STUBBORN:
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
 pathlib.Path({pidfile!r}).write_text(str(os.getpid()))
 for line in sys.stdin:
     req = json.loads(line)
@@ -409,10 +413,12 @@ for line in sys.stdin:
         outs = [float("nan") if NAN else sum(row) for row in req["inputs"]]
         print(json.dumps({{"outputs": outs + [0.0] * SHIFT}}), flush=True)
 pathlib.Path({marker!r}).write_text("end of input")
+if STUBBORN:
+    time.sleep(60)
 """
 
 
-def _bridge_model_json(tmp_path, shift=0, nan=False, sleep=0):
+def _bridge_model_json(tmp_path, shift=0, nan=False, sleep=0, stubborn=False):
     marker = tmp_path / "bridge-finished"
     script = tmp_path / "bridge.py"
     script.write_text(
@@ -420,6 +426,7 @@ def _bridge_model_json(tmp_path, shift=0, nan=False, sleep=0):
             shift=shift,
             nan=nan,
             sleep=sleep,
+            stubborn=stubborn,
             pidfile=str(tmp_path / "bridge-pid"),
             marker=str(marker),
         )
@@ -488,6 +495,21 @@ def test_explain_closes_the_external_model(tmp_path):
     assert _explain_with(model_path, tmp_path) == 0
     # the child saw end of input and finished before main returned
     assert marker.read_text() == "end of input"
+
+
+def test_close_kills_and_reaps_a_bridge_that_ignores_sigterm(tmp_path, monkeypatch):
+    # the child outlives the end of its input and SIGTERM: close() kills it
+    monkeypatch.setattr(shapdec.models, "BRIDGE_EXIT_WAIT_S", 0.2)
+    model_path, _ = _bridge_model_json(tmp_path, stubborn=True)
+    pid_file = tmp_path / "bridge-pid"
+    model = model_from_json(json.loads(model_path.read_text()))
+    assert model.predict([[1.0, 2.0, 3.0]]).tolist() == [6.0]
+    model.close()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+    assert _explain_with(model_path, tmp_path) == 0
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_explain_nan_model_output_is_computation_error(tmp_path, capsys):

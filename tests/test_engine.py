@@ -217,22 +217,31 @@ def _fresh_rows(sampler, mask, x, count, gen):
     return sampler._draw(mask, x, count, gen)
 
 
-def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
-    """The coalition-table split from first principles. Coalition S draws
-    K1 rows with ``_fresh_rows`` on a newly built generator for
-    substream S of substream 1, and phi is the Shapley-weighted sum of the
-    differences of their means. 2 K2 orderings come from uniform keys on
-    substream 2; in each, feature i takes the next row of the coalition
-    before it (cycling after K1), and phi_int averages f(row with X_i :=
-    x_i) - f(row); the last feature of an ordering takes f(x) - v(S)
-    instead. phi_dep is the rest of phi."""
+def _table_draws(sampler, x, k1, k2, seed):
+    """The table's draws from first principles. One newly built generator
+    for the row, on substream 2 of the seed, draws the uniform keys of 2 K2
+    orderings, then K1 rows with ``_fresh_rows`` for each coalition below
+    the full set, in ascending mask order. Returns the keys and the rows of
+    each coalition, x itself for the full set."""
     m = len(x)
     full = (1 << m) - 1
-    root = RngStream(seed)
-    rows = {full: x[None, :]}
-    for mask in range(full):
-        gen = root.substream(1).substream(mask).generator()
-        rows[mask] = _fresh_rows(sampler, mask, x, k1, gen)
+    gen = RngStream(seed).substream(2).generator()
+    keys = gen.random((2 * k2, m))
+    rows = {mask: _fresh_rows(sampler, mask, x, k1, gen) for mask in range(full)}
+    rows[full] = x[None, :]
+    return keys, rows
+
+
+def _split_from_one_generator(model, sampler, x, k1, k2, seed):
+    """The coalition-table split from ``_table_draws``: phi is the
+    Shapley-weighted sum of the differences of the coalitions' means. In
+    each ordering feature i takes the next row of the coalition before it
+    (cycling after K1), and phi_int averages f(row with X_i := x_i) -
+    f(row); the last feature of an ordering takes f(x) - v(S) instead.
+    phi_dep is the rest of phi."""
+    m = len(x)
+    full = (1 << m) - 1
+    keys, rows = _table_draws(sampler, x, k1, k2, seed)
     v = {mask: model.predict(block).mean() for mask, block in rows.items()}
     phi = np.zeros(m)
     for i in range(m):
@@ -243,9 +252,9 @@ def _split_with_fresh_generators(model, sampler, x, k1, k2, seed):
                 phi[i] += w * (v[mask | 1 << i] - v[mask])
     phi_int = np.zeros(m)
     taken = {}
-    for keys in root.substream(2).generator().random((2 * k2, m)):
+    for key in keys:
         for i in range(m):
-            mask = sum(1 << j for j in range(m) if keys[j] < keys[i])
+            mask = sum(1 << j for j in range(m) if key[j] < key[i])
             if mask | 1 << i == full:  # the last feature: its pair is x and S's rows
                 phi_int[i] += v[full] - v[mask]
                 continue
@@ -304,7 +313,7 @@ def test_interventional_parts_equal_fresh_generator_draws(case):
         assert dec.base == fresh.base
         for part in ("phi", "phi_int", "phi_dep"):
             assert np.array_equal(getattr(dec, part), getattr(fresh, part)), part
-        base, phi, phi_int, phi_dep = _split_with_fresh_generators(
+        base, phi, phi_int, phi_dep = _split_from_one_generator(
             model, make(fitted), x, k1, 30, seed
         )
         assert dec.base == pytest.approx(base, rel=1e-12, abs=1e-12)
@@ -517,7 +526,7 @@ def test_table_phi_equals_enumerated_kernel_shap(case):
     make, fitted, x, _ = case()
     model = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), 0.25)
     dec = decompose(model, make(fitted), x, 50, 50, 31)
-    base, phi = _kernel_shap_with_fresh_generators(model, make(fitted), x, 50, 31)
+    base, phi = _kernel_shap_from_one_generator(model, make(fitted), x, 50, 50, 31)
     assert dec.base == pytest.approx(base, rel=0, abs=1e-12)
     assert np.max(np.abs(dec.phi - phi)) <= 1e-12
 
@@ -635,23 +644,26 @@ def test_walk_rows_and_outputs_do_not_depend_on_the_chunk_size(kind, model_of, m
 
 
 def test_walk_keys_one_generator_per_row_and_never_rekeys(monkeypatch):
-    # the walk builds one generator on substream 2 of the seed's stream and
-    # draws every pair from it; no substream is keyed per pair
-    data, y = synthetic_housing()
-    sampler, model = GaussianSampler(fit_gaussian(data)), fit_ols(data, y)
-    x, seed = data.values[2], 5
-    keyed, built, rekeyed = [], [], []
+    # either estimator, the walk at M=13 and the table at M=4, builds one
+    # generator on substream 2 of the seed's stream and draws everything
+    # from it; no substream is keyed per pair or per coalition
+    housing, y = synthetic_housing()
+    keyed, built = [], []
     substream, generator = RngStream.substream, RngStream.generator
     monkeypatch.setattr(
         RngStream, "substream", lambda self, key: keyed.append((self, key)) or substream(self, key)
     )
     monkeypatch.setattr(RngStream, "generator", lambda self: built.append(self) or generator(self))
-    monkeypatch.setattr(RngStream, "rekey", lambda self, gen: rekeyed.append(self))
-    dec = decompose(model, sampler, x, 200, 400, seed)
-    assert (dec.meta["estimator"], dec.meta["permutations"]) == ("walk", 88)
-    assert keyed == [(RngStream(seed), 2)]
-    assert built == [RngStream(seed).substream(2)]
-    assert rekeyed == []
+    for m, work in ((13, ("walk", 88)), (4, ("table", 800))):
+        data = FeatureMatrix(housing.names[:m], housing.values[:, :m])
+        sampler, model = GaussianSampler(fit_gaussian(data)), fit_ols(data, y)
+        keyed.clear()
+        built.clear()
+        dec = decompose(model, sampler, data.values[2], 200, 400, 5)
+        assert (dec.meta["estimator"], dec.meta["permutations"]) == work
+        assert keyed == [(RngStream(5), 2)]
+        assert built == [RngStream(5).substream(2)]
+    assert not hasattr(RngStream, "rekey")
 
 
 DEFAULT_SAMPLED_COALITIONS = 1024
@@ -705,23 +717,19 @@ def test_walk_at_the_explain_defaults_stays_within_budget():
     assert meta["model_rows"] <= _kernel_shap_and_permutation_rows(m, 1000, 4000, 3)
 
 
-def _kernel_shap_with_fresh_generators(model, sampler, x, k1, seed):
-    """Enumerated Kernel SHAP as a loop over value-function calls.
-    Coalition S draws K1 rows with ``_fresh_rows`` on a newly built
-    generator for substream S of substream 1, and v(S) is their plain
-    mean. Every interior coalition enters the regression with its kernel
-    weight (M - 1) / (C(M, |S|) |S| (M - |S|)). The fit keeps g(empty) =
-    v(empty) and sum(phi) = f(x) - v(empty) through a Lagrange multiplier.
-    Returns (base, phi)."""
+def _kernel_shap_from_one_generator(model, sampler, x, k1, k2, seed):
+    """Enumerated Kernel SHAP as a loop over value-function calls. v(S) is
+    the plain mean of coalition S's rows from ``_table_draws``. Every
+    interior coalition enters the regression with its kernel weight
+    (M - 1) / (C(M, |S|) |S| (M - |S|)). The fit keeps g(empty) = v(empty)
+    and sum(phi) = f(x) - v(empty) through a Lagrange multiplier. Returns
+    (base, phi)."""
     m = len(x)
     full = (1 << m) - 1
-    rng = RngStream(seed).substream(1)
+    rows = _table_draws(sampler, x, k1, k2, seed)[1]
 
     def v(mask):
-        if mask == full:
-            return model.predict(x[None, :])[0]
-        rows = _fresh_rows(sampler, mask, x, k1, rng.substream(mask).generator())
-        return model.predict(rows).mean()
+        return model.predict(rows[mask]).mean()
 
     masks = list(range(1, full))
     sizes = np.array([mask.bit_count() for mask in masks])
@@ -751,8 +759,8 @@ def test_kernel_shap_equals_fresh_generator_draws(m):
     x = np.exp(np.linspace(1.0, -1.0, m))
     for kind in ("gaussian", "copula", "marginal"):
         result = decompose(model, _sampler_case(kind, m), x, 8, 8, 2**63 + 9)
-        base, phi = _kernel_shap_with_fresh_generators(
-            model, _sampler_case(kind, m), x, 8, 2**63 + 9
+        base, phi = _kernel_shap_from_one_generator(
+            model, _sampler_case(kind, m), x, 8, 8, 2**63 + 9
         )
         assert result.base == pytest.approx(base, rel=0, abs=1e-12), kind
         assert np.max(np.abs(result.phi - phi)) <= 1e-12, kind

@@ -99,9 +99,9 @@ def _marginal_sampled_coalitions():
 # case -> (base, phi, phi_int), recorded with the mapping as it stands
 PINNED = {
     "gaussian": (
-        0.30754705145581324,
-        [0.4458971428182879, -0.6367987434172329, 0.38335454914313166],
-        [0.7127383576383953, -0.9935375322889002, 0.5336329912867559],
+        0.9854066319975319,
+        [0.3713542444449866, -1.037479451743005, 0.18071857530048668],
+        [0.5493298926799345, -1.3716353993778827, 0.4564540647564236],
     ),
     "gaussian_sampled_coalitions": (
         0.015354101073146859,
@@ -119,9 +119,9 @@ PINNED = {
         ],
     ),
     "copula": (
-        1.832184907531105,
-        [-1.8556146506862163, 0.4422571907278016, 0.8701960665539002],
-        [-2.1191675638228142, -0.048280757538640515, 0.1703656021173944],
+        3.396432924732465,
+        [-1.887376747048199, 0.3369114708898877, -0.5569441344475634],
+        [-2.1459463975806683, 0.11455362768949826, 0.10184124388655871],
     ),
     "copula_sampled_coalitions": (
         18.973427900616922,
@@ -139,9 +139,9 @@ PINNED = {
         ],
     ),
     "discrete": (
-        1.6000000000000003,
-        [0.8791666666666665, 0.054166666666666474, -0.5333333333333334],
-        [0.815, 0.11666666666666646, -0.49500000000000005],
+        1.5,
+        [0.7874999999999999, 0.0624999999999997, -0.3499999999999996],
+        [0.7833333333333333, 0.07499999999999984, -0.445],
     ),
     "discrete_sampled_coalitions": (
         4.319148936170212,
@@ -159,9 +159,9 @@ PINNED = {
         ],
     ),
     "marginal": (
-        0.38262653497567206,
-        [-0.7143346990493662, -0.15985025899371966, 0.1202348390981396],
-        [-0.5492351533482379, -0.055120201855433794, 0.013424688492536361],
+        -0.02353235825279275,
+        [-0.48049193407506946, 0.044229210915168696, 0.08847149744341933],
+        [-0.4863121856153319, 0.11000635471412257, 0.1533883757524739],
     ),
     "marginal_sampled_coalitions": (
         0.028839324766676683,
